@@ -6,10 +6,17 @@ factor of every term by its mean.  For a subset S of slots the component
     Q_S f = prod_{l not in S} E^l  prod_{l in S} (I - E^l) f
 
 depends only on the slots in S and integrates to zero in each of them.
+Writing every factor as u = E[u] + (u - E[u]) makes Q_S one pass over
+the terms: each term of f gives one term of Q_S f, with the centred
+factor u - E[u] in the slots of S and the constant E[u] elsewhere.
 The components sum back to f.  For symmetric kernels the components of
 equal cardinality coincide up to slot relabeling, so the decomposition
 collapses to one canonical kernel per level m, stored at native arity m.
-Slots are 0-based.
+
+Symmetry is checked exactly on the function, not on its term
+representation: the mode expansion of the real part (circle) or the
+dense tensor (Markov base) is compared coefficient by coefficient with
+its adjacent slot transposes.  Slots are 0-based.
 """
 
 from __future__ import annotations
@@ -25,15 +32,18 @@ from .kernels import (
     Base,
     CircleBase,
     KernelTerm,
+    Observable,
     SeparableKernel,
     constant_kernel,
     constant_observable,
+    expand_modes,
     kernel_add,
-    kernel_eval,
+    kernel_mean,
     kernel_sup_coeff,
     mean_factor,
     observable_mean,
     same_base,
+    to_tensor,
     zero_kernel,
 )
 from .markov import StateFunction
@@ -42,7 +52,7 @@ from .markov import StateFunction
 class SymmetryError(ValueError):
     """Raised when a kernel required to be symmetric is not.
 
-    Carries a witness tuple where f(x) != f(swapped x) when one was found.
+    Carries the witness (index, j, a, b) of :func:`find_asymmetry_witness`.
     """
 
     def __init__(self, message: str, witness=None):
@@ -54,42 +64,46 @@ def integrate_out(f: SeparableKernel, slot: int) -> SeparableKernel:
     """Replace slot ``slot`` by its mean in every term."""
     if not 0 <= slot < f.arity:
         raise ValueError(f"slot must be in [0, {f.arity}), got {slot}")
-    return _integrate_out_set(f, (slot,))
-
-
-def _integrate_out_set(f: SeparableKernel, slots) -> SeparableKernel:
-    slots = frozenset(slots)
     terms = []
     for t in f.terms:
-        factors = tuple(
-            mean_factor(f.base, u) if j in slots else u
-            for j, u in enumerate(t.factors)
-        )
-        terms.append(KernelTerm(t.coeff, factors))
+        factors = list(t.factors)
+        factors[slot] = mean_factor(f.base, factors[slot])
+        terms.append(KernelTerm(t.coeff, tuple(factors)))
     return SeparableKernel(f.arity, f.base, tuple(terms))
+
+
+def _centred_factor(base: Base, u: Observable) -> Observable:
+    """u - E[u], the part of a factor that (I - E) keeps."""
+    if isinstance(u, FourierPoly):
+        return FourierPoly({k: c for k, c in u.items() if k != 0})
+    return StateFunction(u.values - base.chain.mean(u))
+
+
+def _split_terms(f: SeparableKernel) -> list:
+    """Every term as its coefficient and one (E[u], u - E[u]) pair per slot."""
+    return [
+        (t.coeff, [(mean_factor(f.base, u), _centred_factor(f.base, u)) for u in t.factors])
+        for t in f.terms
+    ]
+
+
+def _component(f: SeparableKernel, split: list, S) -> SeparableKernel:
+    """Q_S f from the split terms: centred factors in S, means elsewhere."""
+    terms = tuple(
+        KernelTerm(coeff, tuple(pair[j in S] for j, pair in enumerate(pairs)))
+        for coeff, pairs in split
+    )
+    return SeparableKernel(f.arity, f.base, terms)
 
 
 def hoeffding_components(f: SeparableKernel) -> dict[frozenset, SeparableKernel]:
     """All 2^d components Q_S f, keyed by the slot subset S."""
-    d = f.arity
-    slots = tuple(range(d))
-    out: dict[frozenset, SeparableKernel] = {}
-    for r in range(d + 1):
-        for S in itertools.combinations(slots, r):
-            Sset = frozenset(S)
-            comp = zero_kernel(d, f.base)
-            complement = tuple(j for j in slots if j not in Sset)
-            for k in range(len(S) + 1):
-                for A in itertools.combinations(S, k):
-                    piece = _integrate_out_set(f, A + complement)
-                    if k % 2 == 1:
-                        piece = SeparableKernel(
-                            d, f.base,
-                            tuple(KernelTerm(-t.coeff, t.factors) for t in piece.terms),
-                        )
-                    comp = kernel_add(comp, piece)
-            out[Sset] = comp
-    return out
+    split = _split_terms(f)
+    return {
+        frozenset(S): _component(f, split, frozenset(S))
+        for r in range(f.arity + 1)
+        for S in itertools.combinations(range(f.arity), r)
+    }
 
 
 def is_canonical(f: SeparableKernel, tol: float = COEFF_TOL) -> bool:
@@ -99,70 +113,52 @@ def is_canonical(f: SeparableKernel, tol: float = COEFF_TOL) -> bool:
     )
 
 
-def _term_signature(t: KernelTerm):
-    factors = []
-    for u in t.factors:
-        if isinstance(u, FourierPoly):
-            sig = tuple(
-                (k, round(c.real, 12), round(c.imag, 12)) for k, c in sorted(u.items())
-            )
-        else:
-            sig = tuple(round(float(v), 12) for v in u.values)
-        factors.append(sig)
-    return round(t.coeff, 12), tuple(factors)
+def find_asymmetry_witness(f: SeparableKernel, tol: float = 1e-9):
+    """First coefficient that an adjacent slot transpose changes, or None.
 
-
-def _multiset_symmetric(f: SeparableKernel) -> bool:
-    from collections import Counter
-
-    base = Counter(_term_signature(t) for t in f.terms)
-    for j in range(f.arity - 1):
-        swapped = Counter()
-        for t in f.terms:
-            factors = list(t.factors)
-            factors[j], factors[j + 1] = factors[j + 1], factors[j]
-            swapped[_term_signature(KernelTerm(t.coeff, tuple(factors)))] += 1
-        if swapped != base:
-            return False
-    return True
-
-
-def _sample_points(f: SeparableKernel, count: int, seed: int = 20260817):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    if isinstance(f.base, CircleBase):
-        return rng.random((count, f.arity))
-    s = f.base.chain.n_states
-    return rng.integers(0, s, size=(count, f.arity))
-
-
-def find_asymmetry_witness(f: SeparableKernel, tol: float = 1e-9, count: int = 64):
-    """A tuple x with f(x) != f(x with two slots swapped), or None."""
+    Returns (index, j, a, b): swapping slots j and j+1 moves the
+    coefficient b at the swapped index onto ``index``, where the kernel
+    has a, and |a - b| > tol.  On the circle the index is a mode tuple
+    and a, b are coefficients of the real part's mode expansion,
+    (c_k + conj(c_{-k})) / 2, since kernel values are real parts.  On a
+    Markov base the index is a state tuple and a, b are entries of the
+    dense tensor, i.e. kernel values.  Indices are scanned in sorted
+    order, one transpose at a time, so the witness is deterministic.
+    """
     if f.arity == 1:
         return None
-    points = _sample_points(f, count)
-    for row in points:
-        x = tuple(row.tolist())
-        v = kernel_eval(f, x)
+    if isinstance(f.base, CircleBase):
+        modes = expand_modes(f)
+        keys = set(modes) | {tuple(-k for k in index) for index in modes}
+        coeffs = {
+            index: (modes.get(index, 0.0) + np.conj(modes.get(tuple(-k for k in index), 0.0))) / 2
+            for index in keys
+        }
         for j in range(f.arity - 1):
-            y = list(x)
-            y[j], y[j + 1] = y[j + 1], y[j]
-            w = kernel_eval(f, tuple(y))
-            if abs(v - w) > tol:
-                return x, j, v, w
+            for index in sorted(coeffs):
+                swapped = index[:j] + (index[j + 1], index[j]) + index[j + 2:]
+                a, b = coeffs[index], coeffs.get(swapped, 0.0)
+                if abs(a - b) > tol:
+                    return index, j, complex(a), complex(b)
+        return None
+    tensor = to_tensor(f)
+    for j in range(f.arity - 1):
+        swapped = np.swapaxes(tensor, j, j + 1)
+        differs = np.argwhere(np.abs(tensor - swapped) > tol)
+        if len(differs):
+            index = tuple(int(i) for i in differs[0])
+            return index, j, float(tensor[index]), float(swapped[index])
     return None
 
 
 def is_symmetric(f: SeparableKernel, tol: float = 1e-9) -> bool:
-    """Invariance under slot permutations.
+    """Invariance under slot permutations, checked exactly.
 
-    Tries an exact multiset match of the term representation under
-    adjacent transpositions, then falls back to pointwise sampling.
+    Adjacent transposes generate all permutations, so the kernel is
+    symmetric exactly when no transpose changes a coefficient of its
+    expansion by more than ``tol``; see :func:`find_asymmetry_witness`.
     """
-    if f.arity == 1:
-        return True
-    if _multiset_symmetric(f):
-        return True
-    return find_asymmetry_witness(f, tol=tol) is None
+    return find_asymmetry_witness(f, tol) is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,41 +219,24 @@ def _strip_constant_slots(comp: SeparableKernel, keep: int) -> SeparableKernel:
 def symmetric_parts(f: SeparableKernel, tol: float = 1e-9) -> HoeffdingParts:
     """Hoeffding decomposition of a symmetric kernel, one part per level.
 
-    Raises SymmetryError (with a witness tuple when one is found) if the
-    kernel is not symmetric.
+    Raises SymmetryError, carrying the witness of
+    :func:`find_asymmetry_witness`, if the kernel is not symmetric.
     """
-    if not is_symmetric(f, tol=tol):
-        witness = find_asymmetry_witness(f, tol=tol)
-        msg = "kernel is not symmetric"
-        if witness is not None:
-            x, j, v, w = witness
-            msg += f": f{tuple(x)} = {v:.12g} but swapping slots {j},{j + 1} gives {w:.12g}"
-        raise SymmetryError(msg, witness=witness)
-    d = f.arity
-    mean_all = _integrate_out_set(f, range(d))
-    r0 = complex(sum(
-        t.coeff * np.prod([observable_mean(f.base, u) for u in t.factors])
-        for t in mean_all.terms
-    ))
-    if abs(r0.imag) > 1e-10:
-        raise ValueError("kernel mean is not real")
-    levels = []
-    for m in range(1, d + 1):
-        # the leading-slot component; symmetry makes the others relabelings
-        S = tuple(range(m))
-        complement = tuple(range(m, d))
-        comp = zero_kernel(d, f.base)
-        for k in range(m + 1):
-            for A in itertools.combinations(S, k):
-                piece = _integrate_out_set(f, A + complement)
-                if k % 2 == 1:
-                    piece = SeparableKernel(
-                        d, f.base,
-                        tuple(KernelTerm(-t.coeff, t.factors) for t in piece.terms),
-                    )
-                comp = kernel_add(comp, piece)
-        levels.append(_strip_constant_slots(comp, m))
-    return HoeffdingParts(arity=d, base=f.base, constant=float(r0.real), levels=tuple(levels))
+    witness = find_asymmetry_witness(f, tol)
+    if witness is not None:
+        index, j, a, b = witness
+        raise SymmetryError(
+            f"kernel is not symmetric: {a:.12g} at {index} but swapping "
+            f"slots {j},{j + 1} gives {b:.12g}",
+            witness=witness,
+        )
+    split = _split_terms(f)
+    # the leading-slot component of each level; symmetry makes the others relabelings
+    levels = tuple(
+        _strip_constant_slots(_component(f, split, frozenset(range(m))), m)
+        for m in range(1, f.arity + 1)
+    )
+    return HoeffdingParts(arity=f.arity, base=f.base, constant=kernel_mean(f), levels=levels)
 
 
 def reconstruct(parts: HoeffdingParts) -> SeparableKernel:

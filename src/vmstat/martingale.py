@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jacobi import jacobi_eigh
 from ._seeding import stream
 from .fourier import (
     EQ_TOL,
@@ -226,7 +225,7 @@ def _kernel_sub(a: SeparableKernel, b: SeparableKernel) -> SeparableKernel:
     return kernel_add(a, kernel_scale(b, -1.0))
 
 
-def martingale_coboundary_d2(f: SeparableKernel, validate: bool = True) -> MartingaleCoboundaryParts:
+def martingale_coboundary_d2(f: SeparableKernel) -> MartingaleCoboundaryParts:
     """Split an arity-2 canonical circle kernel into martingale and coboundary parts."""
     if f.arity != 2:
         raise ValueError("this decomposition is for arity-2 kernels")
@@ -242,24 +241,21 @@ def martingale_coboundary_d2(f: SeparableKernel, validate: bool = True) -> Marti
     g1 = _kernel_sub(vs1, _slot_projection(vs1, 1))
     g2 = _kernel_sub(vs2, _slot_projection(vs2, 0))
     g12 = coordinate_op(vs1, (0, 1), adjoint=True)
-    parts = MartingaleCoboundaryParts(
+    for c in (
+        _slot_projection(g0, 0),
+        _slot_projection(g0, 1),
+        _slot_projection(g1, 1),
+        _slot_projection(g2, 0),
+    ):
+        if kernel_sup_coeff(c) > COEFF_TOL:
+            raise AssertionError("conditional-expectation condition violated")
+    return MartingaleCoboundaryParts(
         martingale=g0,
         slot1_coboundary=g1,
         slot2_coboundary=g2,
         double_coboundary=g12,
         series=g,
     )
-    if validate:
-        checks = (
-            _slot_projection(g0, 0),
-            _slot_projection(g0, 1),
-            _slot_projection(g1, 1),
-            _slot_projection(g2, 0),
-        )
-        for c in checks:
-            if kernel_sup_coeff(c) > COEFF_TOL:
-                raise AssertionError("conditional-expectation condition violated")
-    return parts
 
 
 def reconstruct_from_parts(parts: MartingaleCoboundaryParts) -> SeparableKernel:
@@ -344,30 +340,21 @@ def spectral_decompose(g0: SeparableKernel, tol: float = SPECTRUM_TOL):
         raise ValueError("spectral decomposition needs a symmetric kernel")
     if isinstance(g0.base, CircleBase):
         M, kmax = _real_symmetric_mode_matrix(g0)
-        if kmax == 0:
-            return []
-        w, V = jacobi_eigh(M)
-        pairs = []
-        for i in range(len(w)):
-            if abs(w[i]) <= tol:
-                continue
+
+        def eigenfunction(v):
             phi = FourierPoly.zero()
             for a in range(2 * kmax):
-                if abs(V[a, i]) > 1e-15:
-                    phi = phi + V[a, i] * _basis_poly(a, kmax)
-            pairs.append((float(w[i]), phi))
-        pairs.sort(key=lambda p: abs(p[0]), reverse=True)
-        return pairs
-    chain = g0.base.chain
-    K = to_tensor(g0)
-    sq = np.sqrt(chain.pi)
-    M = sq[:, None] * K * sq[None, :]
-    w, V = jacobi_eigh(M)
-    pairs = []
-    for i in range(len(w)):
-        if abs(w[i]) <= tol:
-            continue
-        pairs.append((float(w[i]), StateFunction(V[:, i] / sq)))
+                if abs(v[a]) > 1e-15:
+                    phi = phi + v[a] * _basis_poly(a, kmax)
+            return phi
+    else:
+        sq = np.sqrt(g0.base.chain.pi)
+        M = sq[:, None] * to_tensor(g0) * sq[None, :]
+
+        def eigenfunction(v):
+            return StateFunction(v / sq)
+    w, V = np.linalg.eigh(M)
+    pairs = [(float(w[i]), eigenfunction(V[:, i])) for i in range(len(w)) if abs(w[i]) > tol]
     pairs.sort(key=lambda p: abs(p[0]), reverse=True)
     return pairs
 

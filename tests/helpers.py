@@ -13,7 +13,16 @@ import math
 import numpy as np
 
 from vmstat.fourier import FourierPoly
-from vmstat.kernels import CircleBase, KernelTerm, MarkovBase, SeparableKernel
+from vmstat.hoeffding import integrate_out
+from vmstat.kernels import (
+    CircleBase,
+    KernelTerm,
+    MarkovBase,
+    SeparableKernel,
+    kernel_add,
+    kernel_scale,
+    zero_kernel,
+)
 from vmstat.markov import MarkovChain, StateFunction
 
 
@@ -56,6 +65,26 @@ def norm_ppf(q: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def hoeffding_component_oracle(f: SeparableKernel, S) -> SeparableKernel:
+    """Q_S f by inclusion-exclusion: sum over A in S of (-1)^|A| E^{A u S^c} f.
+
+    Every E^l is one :func:`integrate_out` call, so the oracle shares no
+    code with the factor splitting of ``hoeffding_components``.
+    """
+    import itertools
+
+    S = tuple(sorted(S))
+    complement = tuple(j for j in range(f.arity) if j not in S)
+    out = zero_kernel(f.arity, f.base)
+    for k in range(len(S) + 1):
+        for A in itertools.combinations(S, k):
+            piece = f
+            for slot in A + complement:
+                piece = integrate_out(piece, slot)
+            out = kernel_add(out, kernel_scale(piece, (-1.0) ** k))
+    return out
 
 
 # -- random object generators ---------------------------------------------

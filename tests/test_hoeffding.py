@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from vmstat.fourier import FourierPoly
 from vmstat.hoeffding import (
@@ -23,15 +26,21 @@ from vmstat.kernels import (
     MarkovBase,
     SeparableKernel,
     constant_kernel,
+    constant_observable,
+    expand_modes,
     kernel_add,
     kernel_eval,
     kernel_mean,
     kernels_allclose,
+    to_tensor,
     zero_kernel,
 )
 from vmstat.markov import StateFunction
+from vmstat.martingale import martingale_coboundary_d2
 
 from helpers import (
+    hoeffding_component_oracle,
+    random_canonical_pair_kernel,
     random_ergodic_chain,
     random_symmetric_circle_kernel,
     random_symmetric_markov_kernel,
@@ -162,12 +171,79 @@ class TestSymmetry:
         assert not is_symmetric(f)
         witness = find_asymmetry_witness(f)
         assert witness is not None
-        x, j, v, w = witness
-        assert abs(v - kernel_eval(f, x)) < 1e-12
-        y = list(x)
-        y[j], y[j + 1] = y[j + 1], y[j]
-        assert abs(w - kernel_eval(f, tuple(y))) < 1e-12
-        assert abs(v - w) > 1e-9
+        index, j, a, b = witness
+        assert j == 0
+        modes = expand_modes(f)
+
+        def real_part(k):
+            neg = tuple(-x for x in k)
+            return (modes.get(k, 0.0) + np.conj(modes.get(neg, 0.0))) / 2
+
+        assert a == real_part(index)
+        assert b == real_part((index[1], index[0]))
+        assert abs(a - b) > 1e-9
+        # on a Markov base the witness is a state tuple and two kernel values
+        chain = random_ergodic_chain(rng_for(414), 3)
+        u = StateFunction(np.array([1.0, 0.0, -1.0]))
+        v = StateFunction(np.array([0.0, 2.0, 0.0]))
+        g = SeparableKernel(2, MarkovBase(chain), (KernelTerm(1.0, (u, v)),))
+        index, j, a, b = find_asymmetry_witness(g)
+        assert j == 0
+        assert all(isinstance(i, int) for i in index)
+        swapped = (index[1], index[0])
+        tensor = to_tensor(g)
+        assert a == tensor[index] == kernel_eval(g, index)
+        assert b == tensor[swapped] == kernel_eval(g, swapped)
+        assert abs(a - b) > 1e-9
+
+    def test_martingale_part_symmetric_without_point_evaluation(self, monkeypatch):
+        # the martingale part of a c09-style kernel folds each coefficient
+        # into its first factor, so its terms never match their slot
+        # transposes as a multiset; the function is symmetric all the same
+        f = random_canonical_pair_kernel(rng_for(1009), n_pairs=3)
+        g0 = martingale_coboundary_d2(f).martingale
+
+        def key(u, v):
+            return tuple(sorted(u.items())), tuple(sorted(v.items()))
+
+        terms = {key(*t.factors) for t in g0.terms}
+        assert {key(v, u) for u, v in (t.factors for t in g0.terms)} != terms
+        calls = []
+        original = kernel_eval
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("vmstat") and getattr(module, "kernel_eval", None) is original:
+                monkeypatch.setattr(module, "kernel_eval", counting)
+        assert is_symmetric(g0)
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        a=st.integers(-6, 6),
+        b=st.integers(-6, 6),
+        eps=st.one_of(st.just(0.0), st.floats(1e-8, 10.0)),
+    )
+    def test_perturbed_mode_pair_has_witness(self, seed, a, b, eps):
+        # with a = -b the perturbation is itself symmetric
+        assume(a != b and a != -b)
+        f = random_symmetric_circle_kernel(rng_for(seed), 2, max_terms=8)
+        bump = SeparableKernel(2, CIRCLE, (
+            KernelTerm(eps, (FourierPoly({a: 1.0}), FourierPoly({b: 1.0}))),
+            KernelTerm(eps, (FourierPoly({-a: 1.0}), FourierPoly({-b: 1.0}))),
+        ))
+        witness = find_asymmetry_witness(kernel_add(f, bump))
+        if eps == 0.0:
+            assert witness is None
+            return
+        assert witness is not None
+        index, j, x, y = witness
+        assert index in {(a, b), (b, a), (-a, -b), (-b, -a)}
+        assert abs(abs(x - y) - eps) < 1e-12
 
     def test_symmetric_beyond_term_multiset(self):
         # representation is not a symmetrized orbit, the function still is
@@ -191,6 +267,33 @@ class TestSymmetry:
         v = StateFunction(np.array([0.0, 2.0, 0.0]))
         g = SeparableKernel(2, MarkovBase(chain), (KernelTerm(1.0, (u, v)),))
         assert not is_symmetric(g)
+
+
+class TestInclusionExclusionOracle:
+    def kernels(self):
+        rng = rng_for(415)
+        chain = random_ergodic_chain(rng, 3)
+        for d in (1, 2, 3, 4):
+            for _ in range(3):
+                yield random_symmetric_circle_kernel(rng, d, max_terms=12)
+                yield random_symmetric_markov_kernel(rng, d, chain, max_terms=12)
+
+    def test_components_match_oracle(self):
+        for f in self.kernels():
+            comp = hoeffding_components(f)
+            assert len(comp) == 2 ** f.arity
+            for S, piece in comp.items():
+                assert kernels_allclose(piece, hoeffding_component_oracle(f, S), tol=1e-12)
+
+    def test_levels_match_oracle(self):
+        for f in self.kernels():
+            d = f.arity
+            one = constant_observable(f.base, 1.0)
+            for m, level in enumerate(symmetric_parts(f).levels, start=1):
+                padded = SeparableKernel(d, f.base, tuple(
+                    KernelTerm(t.coeff, t.factors + (one,) * (d - m)) for t in level.terms))
+                oracle = hoeffding_component_oracle(f, range(m))
+                assert kernels_allclose(padded, oracle, tol=1e-12)
 
 
 class TestSymmetricParts:

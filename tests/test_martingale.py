@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from vmstat._jacobi import jacobi_eigh
 from vmstat.fourier import FourierPoly, apply_koopman, lp_norm, poly_product
 from vmstat.kernels import (
     CircleBase,
@@ -60,29 +59,6 @@ def mode_pair_kernel(k: int) -> SeparableKernel:
 
 def arity1(p: FourierPoly) -> SeparableKernel:
     return SeparableKernel(1, CIRCLE, (KernelTerm(1.0, (p,)),))
-
-
-class TestJacobi:
-    def test_matches_numpy_eigh(self):
-        rng = rng_for(501)
-        for s in (1, 2, 3, 5, 8, 12):
-            A = rng.normal(size=(s, s))
-            A = (A + A.T) / 2
-            w, V = jacobi_eigh(A)
-            want = np.linalg.eigvalsh(A)
-            assert np.allclose(np.sort(w), want, atol=1e-10)
-            # eigenvector columns: orthonormal and satisfying A v = w v
-            assert np.allclose(V.T @ V, np.eye(s), atol=1e-10)
-            assert np.allclose(A @ V, V @ np.diag(w), atol=1e-9)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_diagonal_is_fixed_point(self):
-        w, V = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
-        assert np.allclose(np.sort(w), [-1.0, 2.0, 3.0])
-        assert np.allclose(np.abs(V), np.eye(3), atol=1e-12)
 
 
 class TestLimitLaw:
@@ -338,6 +314,18 @@ class TestSpectral:
         T = to_tensor(f)
         approx = lam * np.outer(phi.values, phi.values)
         assert np.allclose(T, approx, atol=1e-9)
+
+    def test_rejects_asymmetric_kernel(self):
+        e1 = FourierPoly({1: 1.0, -1: 1.0})
+        e2 = FourierPoly({2: 1.0, -2: 1.0})
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral_decompose(SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (e1, e2)),)))
+        rng = rng_for(514)
+        chain = random_ergodic_chain(rng, 3)
+        u = random_state_function(rng, 3, chain, zero_mean=True)
+        v = random_state_function(rng, 3, chain, zero_mean=True)
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral_decompose(SeparableKernel(2, MarkovBase(chain), (KernelTerm(1.0, (u, v)),)))
 
     def test_degenerate_law_frozen_example(self):
         law = degenerate_limit_law(mode_pair_kernel(1))
