@@ -66,11 +66,8 @@ from .martingale import (
 from .dynamics import (
     BudgetError,
     Trajectory,
-    dump_trajectory,
-    exact_windows,
     gen_madic_trajectory,
     gen_markov_trajectory,
-    load_trajectory,
     normalized_stat,
     vstat_fast,
     vstat_naive,

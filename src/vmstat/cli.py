@@ -65,8 +65,10 @@ def _check_keys(d: dict, path: str, required: set, optional: set = frozenset()):
 
 
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number at {path}")
+    # NaN fails the comparison; Python compares a huge int exactly
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"expected a finite number at {path}")
     return float(value)
 
 
@@ -76,27 +78,59 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _parse_system(d: dict, path: str):
-    _check_keys(d, path, {"kind"}, {"m", "window", "Q"})
-    kind = d["kind"]
-    if kind == "circle":
-        for bad in ("Q",):
-            if bad in d:
-                raise ConfigError(f"unknown field '{bad}' at {path}")
+def _numbers(value, path: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigError(f"expected a list at {path}")
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _build(make, path: str):
+    """Call a validating constructor; report its ValueError at path."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ConfigError(f"{exc} at {path}") from exc
+
+
+def _chain(value, path: str) -> MarkovChain:
+    if not isinstance(value, list):
+        raise ConfigError(f"expected a list of rows at {path}")
+    rows = [_numbers(row, f"{path}[{i}]") for i, row in enumerate(value)]
+    if any(len(row) != len(rows) for row in rows):
+        raise ConfigError(f"expected a square matrix at {path}")
+    return _build(lambda: MarkovChain(np.array(rows)), path)
+
+
+def _kind(d, path: str) -> str:
+    if not isinstance(d, dict):
+        raise ConfigError(f"expected an object at {path}")
+    if d.get("kind") not in ("circle", "markov"):
+        raise ConfigError(f"kind must be 'circle' or 'markov' at {path}.kind")
+    return d["kind"]
+
+
+def _parse_system(d, path: str):
+    if _kind(d, path) == "circle":
+        _check_keys(d, path, {"kind"}, {"m", "window"})
         m = _integer(d.get("m", 2), f"{path}.m")
         window = _integer(d.get("window", 64), f"{path}.window")
-        return CircleSystem(m=m, window=window)
-    if kind == "markov":
-        for bad in ("m", "window"):
-            if bad in d:
-                raise ConfigError(f"unknown field '{bad}' at {path}")
-        if "Q" not in d:
-            raise ConfigError(f"missing field 'Q' at {path}")
-        return MarkovSystem(MarkovChain(np.asarray(d["Q"], dtype=np.float64)))
-    raise ConfigError(f"system kind must be 'circle' or 'markov' at {path}")
+        _build(lambda: CircleBase(m), f"{path}.m")
+        return _build(lambda: CircleSystem(m, window), f"{path}.window")
+    _check_keys(d, path, {"kind", "Q"})
+    return MarkovSystem(_chain(d["Q"], f"{path}.Q"))
 
 
-def _parse_factor(d: dict, path: str, base):
+def _parse_base(d, path: str):
+    """The exact shape CircleBase/MarkovBase.to_json_dict write."""
+    if _kind(d, path) == "circle":
+        _check_keys(d, path, {"kind", "m"})
+        return _build(lambda: CircleBase(_integer(d["m"], f"{path}.m")), f"{path}.m")
+    _check_keys(d, path, {"kind", "chain"})
+    _check_keys(d["chain"], f"{path}.chain", {"Q"})
+    return MarkovBase(_chain(d["chain"]["Q"], f"{path}.chain.Q"))
+
+
+def _parse_factor(d, path: str):
     if not isinstance(d, dict):
         raise ConfigError(f"expected an object at {path}")
     if "modes" in d:
@@ -115,31 +149,15 @@ def _parse_factor(d: dict, path: str, base):
         return FourierPoly(coeffs)
     if "values" in d:
         _check_keys(d, path, {"values"})
-        vals = d["values"]
-        if not isinstance(vals, list) or not vals:
-            raise ConfigError(f"expected a nonempty list at {path}.values")
-        return StateFunction(np.asarray([_number(v, f"{path}.values[{i}]") for i, v in enumerate(vals)]))
+        return StateFunction(np.array(_numbers(d["values"], f"{path}.values")))
     raise ConfigError(f"factor at {path} needs either 'modes' or 'values'")
 
 
-def _parse_kernel(d: dict, path: str, system) -> SeparableKernel:
+def _parse_kernel(d, path: str, base) -> SeparableKernel:
     _check_keys(d, path, {"arity", "terms"}, {"base"})
     arity = _integer(d["arity"], f"{path}.arity")
-    base = system.base()
-    if "base" in d:
-        bd = d["base"]
-        _check_keys(bd, f"{path}.base", {"kind"}, {"m", "chain", "Q"})
-        if bd["kind"] == "circle":
-            declared = CircleBase(_integer(bd.get("m", 2), f"{path}.base.m"))
-        elif bd["kind"] == "markov":
-            qd = bd.get("chain", {}).get("Q") if "chain" in bd else bd.get("Q")
-            if qd is None:
-                raise ConfigError(f"missing field 'Q' at {path}.base")
-            declared = MarkovBase(MarkovChain(np.asarray(qd, dtype=np.float64)))
-        else:
-            raise ConfigError(f"base kind must be 'circle' or 'markov' at {path}.base")
-        if not same_base(declared, base):
-            raise ConfigError(f"kernel base at {path}.base does not match the system")
+    if "base" in d and not same_base(_parse_base(d["base"], f"{path}.base"), base):
+        raise ConfigError(f"kernel base at {path}.base does not match the system")
     terms_d = d["terms"]
     if not isinstance(terms_d, list):
         raise ConfigError(f"expected a list at {path}.terms")
@@ -151,14 +169,9 @@ def _parse_kernel(d: dict, path: str, system) -> SeparableKernel:
         factors_d = td["factors"]
         if not isinstance(factors_d, list) or len(factors_d) != arity:
             raise ConfigError(f"expected {arity} factors at {tpath}.factors")
-        factors = tuple(
-            _parse_factor(fd, f"{tpath}.factors[{j}]", base) for j, fd in enumerate(factors_d)
-        )
+        factors = tuple(_parse_factor(fd, f"{tpath}.factors[{j}]") for j, fd in enumerate(factors_d))
         terms.append(KernelTerm(coeff, factors))
-    try:
-        return SeparableKernel(arity, base, tuple(terms))
-    except ValueError as exc:
-        raise ConfigError(f"invalid kernel at {path}: {exc}") from exc
+    return _build(lambda: SeparableKernel(arity, base, tuple(terms)), path)
 
 
 def _parse_comparison(d, path: str):
@@ -172,12 +185,7 @@ def _parse_comparison(d, path: str):
         return LimitLaw.gaussian(_number(d["variance"], f"{path}.variance"))
     if kind == "wcs":
         _check_keys(d, path, {"kind", "lambdas"})
-        lams = d["lambdas"]
-        if not isinstance(lams, list):
-            raise ConfigError(f"expected a list at {path}.lambdas")
-        return LimitLaw.weighted_chi_square(
-            [_number(v, f"{path}.lambdas[{i}]") for i, v in enumerate(lams)]
-        )
+        return LimitLaw.weighted_chi_square(_numbers(d["lambdas"], f"{path}.lambdas"))
     raise ConfigError(f"law kind must be 'gaussian' or 'wcs' at {path}")
 
 
@@ -193,13 +201,13 @@ def parse_config(data: dict):
         raise ConfigError("config must be a JSON object")
     if "Q" in data:
         _check_keys(data, "", {"Q"}, {"f"})
-        chain = MarkovChain(np.asarray(data["Q"], dtype=np.float64))
+        chain = _chain(data["Q"], "Q")
         f = None
         if "f" in data:
-            vals = data["f"]
-            if not isinstance(vals, list) or len(vals) != chain.n_states:
+            vals = _numbers(data["f"], "f")
+            if len(vals) != chain.n_states:
                 raise ConfigError("field 'f' must list one value per state")
-            f = StateFunction(np.asarray(vals, dtype=np.float64))
+            f = StateFunction(np.array(vals))
         return "chain", chain, f
     _check_keys(
         data,
@@ -208,7 +216,7 @@ def parse_config(data: dict):
         {"mode", "n", "replicas", "seed", "alpha", "comparison"},
     )
     system = _parse_system(data["system"], "system")
-    kernel = _parse_kernel(data["kernel"], "kernel", system)
+    kernel = _parse_kernel(data["kernel"], "kernel", system.base())
     out = {"system": system, "kernel": kernel}
     if "mode" in data:
         if data["mode"] not in EXPERIMENT_COMMANDS:

@@ -5,7 +5,7 @@ digits per point: x_i = sum_{j=1..W} b_{i+j} m^{-j}.  Iterating the map
 in floating point instead would collapse onto the fixed point after
 about 53 steps for m = 2, so the digit-window construction is the only
 supported generator.  For m = 2 the windows are exact 64-bit dyadic
-integers; see exact_windows for the integer view at any base.
+integers, kept on the trajectory next to the points.
 
 The statistic of an arity-d kernel over the first n points is
 
@@ -17,9 +17,8 @@ vstat_fast exchanges summation and product per term for O(n d) work.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,9 +34,6 @@ from .kernels import (
 from .hoeffding import is_canonical
 from .markov import MarkovChain
 
-_MAGIC = b"VMTRAJ01"
-_KIND_CODES = {"circle": 0, "markov": 1}
-
 #: largest naive enumeration budget, in index tuples
 NAIVE_BUDGET = 1_000_000_000
 
@@ -48,7 +44,7 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Finite orbit with generation metadata.
+    """Finite orbit of a circle map or a chain.
 
     points: circle points in [0, 1) as float64, or integer state indices.
     windows: for base-2 circle trajectories, the exact dyadic integers
@@ -57,7 +53,6 @@ class Trajectory:
 
     kind: str
     points: np.ndarray
-    meta: dict = field(default_factory=dict)
     windows: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -79,7 +74,6 @@ def gen_madic_trajectory(m: int, n: int, seed: int, window: int = 64) -> Traject
         raise ValueError("window must be between 16 and 64 digits")
     digits = _digit_stream(m, n + window - 1, seed)
     win = sliding_window_view(digits, window)[:n]
-    meta = {"m": m, "seed": seed, "window": window}
     if m == 2:
         padded = win
         if window < 64:
@@ -88,32 +82,14 @@ def gen_madic_trajectory(m: int, n: int, seed: int, window: int = 64) -> Traject
         packed = np.packbits(padded, axis=1)
         u = packed.reshape(n, 8).view(">u8").reshape(n).astype(np.uint64)
         points = u.astype(np.float64) * 2.0 ** -64
-        return Trajectory("circle", points, meta, windows=u)
+        return Trajectory("circle", points, windows=u)
     weights = float(m) ** -np.arange(1, window + 1, dtype=np.float64)
     points = np.empty(n, dtype=np.float64)
     step = 1 << 16
     for a in range(0, n, step):
         b = min(a + step, n)
         points[a:b] = win[a:b].astype(np.float64) @ weights
-    return Trajectory("circle", points, meta)
-
-
-def exact_windows(m: int, n: int, seed: int, window: int = 64) -> list[int]:
-    """Exact integer windows v_i = sum_j b_{i+j} m^(window-j), x_i = v_i / m^window.
-
-    Uses the same digit stream as gen_madic_trajectory, so for m = 2 the
-    values coincide with the trajectory's ``windows`` field.
-    """
-    digits = _digit_stream(m, n + window - 1, seed)
-    modulus = m ** window
-    v = 0
-    for j in range(window):
-        v = v * m + int(digits[j])
-    out = [v]
-    for i in range(1, n):
-        v = (v * m) % modulus + int(digits[i + window - 1])
-        out.append(v)
-    return out
+    return Trajectory("circle", points)
 
 
 def gen_markov_trajectory(chain: MarkovChain, n: int, seed: int) -> Trajectory:
@@ -135,29 +111,7 @@ def gen_markov_trajectory(chain: MarkovChain, n: int, seed: int) -> Trajectory:
     for i in range(1, n):
         x = min(bisect_right(cum_rows[x], u[i]), s - 1)
         states[i] = x
-    return Trajectory("markov", states, {"seed": seed, "n_states": s})
-
-
-def dump_trajectory(traj: Trajectory, path) -> None:
-    """Binary dump: magic, u32 length, u32 kind, 64-bit little-endian points."""
-    code = _KIND_CODES[traj.kind]
-    dtype = "<f8" if traj.kind == "circle" else "<i8"
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", len(traj.points), code))
-        fh.write(np.ascontiguousarray(traj.points, dtype=dtype).tobytes())
-
-
-def load_trajectory(path) -> Trajectory:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError("not a trajectory dump")
-        n, code = struct.unpack("<II", fh.read(8))
-        kind = {v: k for k, v in _KIND_CODES.items()}[code]
-        dtype = "<f8" if kind == "circle" else "<i8"
-        points = np.frombuffer(fh.read(8 * n), dtype=dtype).copy()
-    return Trajectory(kind, points, {"loaded": True})
+    return Trajectory("markov", states)
 
 
 # ---------------------------------------------------------------------------

@@ -129,17 +129,6 @@ class FourierPoly:
                       for k, c in sorted(self._coeffs.items())]
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FourierPoly":
-        if set(data) != {"modes"}:
-            extra = set(data) - {"modes"}
-            raise ValueError(f"polynomial JSON must have exactly the key 'modes', got extra {sorted(extra)}")
-        coeffs = {}
-        for entry in data["modes"]:
-            k, re, im = entry
-            coeffs[int(k)] = coeffs.get(int(k), 0.0) + complex(re, im)
-        return cls(coeffs)
-
 
 def poly_product(p: FourierPoly, q: FourierPoly) -> FourierPoly:
     """Pointwise product, a convolution of coefficient maps."""

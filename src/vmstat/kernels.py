@@ -160,32 +160,6 @@ class SeparableKernel:
         return f"SeparableKernel(arity={self.arity}, base={kind}, terms={self.n_terms})"
 
 
-def kernel_from_json(data: dict) -> SeparableKernel:
-    required = {"arity", "base", "terms"}
-    if set(data) != required:
-        unknown = set(data) - required
-        missing = required - set(data)
-        bad = unknown or missing
-        raise ValueError(f"kernel JSON keys must be exactly {sorted(required)}; offending: {sorted(bad)}")
-    bdata = data["base"]
-    if bdata.get("kind") == "circle":
-        base: Base = CircleBase(int(bdata["m"]))
-    elif bdata.get("kind") == "markov":
-        base = MarkovBase(MarkovChain(np.asarray(bdata["chain"]["Q"], dtype=np.float64)))
-    else:
-        raise ValueError(f"unknown base kind {bdata.get('kind')!r}")
-    terms = []
-    for tdata in data["terms"]:
-        factors = []
-        for fdata in tdata["factors"]:
-            if "modes" in fdata:
-                factors.append(FourierPoly.from_json_dict(fdata))
-            else:
-                factors.append(StateFunction.from_json_dict(fdata))
-        terms.append(KernelTerm(float(tdata["coeff"]), tuple(factors)))
-    return SeparableKernel(int(data["arity"]), base, tuple(terms))
-
-
 def zero_kernel(arity: int, base: Base) -> SeparableKernel:
     return SeparableKernel(arity, base, ())
 

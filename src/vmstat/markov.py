@@ -1,7 +1,10 @@
 """Finite-state Markov chains: stationary laws, Poisson equation, mixing.
 
 A chain is a row-stochastic matrix Q over s states.  Ergodicity is
-checked at construction by strict positivity of Q^s.  The asymptotic
+checked exactly at construction on the support graph of Q, with an edge
+i -> j wherever Q_ij > 0: the graph must be strongly connected and the
+gcd of its cycle lengths must be 1.  Together these say Q is primitive,
+Q^k > 0 for some k, with no floating-point matrix power.  The asymptotic
 variance of partial sums of a centered state function f follows the
 resolvent route: solve (I - Q) phi = f with pi-mean zero, then
 
@@ -23,7 +26,7 @@ _STOCHASTIC_TOL = 1e-10
 
 
 class NotErgodicError(ValueError):
-    """Raised when a chain fails the positivity test for ergodicity."""
+    """Raised when the support graph of Q is not strongly connected or is periodic."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,13 +47,6 @@ class StateFunction:
     def to_json_dict(self) -> dict:
         return {"values": [float(v) for v in self.values]}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "StateFunction":
-        if set(data) != {"values"}:
-            extra = set(data) - {"values"}
-            raise ValueError(f"state function JSON must have exactly the key 'values', got extra {sorted(extra)}")
-        return cls(np.asarray(data["values"], dtype=np.float64))
-
 
 def _validate_stochastic(Q: np.ndarray) -> np.ndarray:
     Q = np.asarray(Q, dtype=np.float64)
@@ -66,19 +62,39 @@ def _validate_stochastic(Q: np.ndarray) -> np.ndarray:
     return np.clip(Q, 0.0, None)
 
 
+def _bfs_levels(A: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from state 0 along edges i -> j with A_ij; -1 if unreached."""
+    level = np.full(A.shape[0], -1)
+    level[0] = 0
+    frontier = level == 0
+    while frontier.any():
+        frontier = A[frontier].any(axis=0) & (level < 0)
+        level[frontier] = level.max() + 1
+    return level
+
+
 def _is_primitive(Q: np.ndarray) -> bool:
-    # positivity of Q^s, the contract's ergodicity test
-    return bool(np.all(np.linalg.matrix_power(Q, Q.shape[0]) > 0.0))
+    """Strongly connected support graph whose cycle lengths have gcd 1.
+
+    With breadth-first levels from one state of a strongly connected
+    graph, the period is the gcd of level_i + 1 - level_j over its edges.
+    """
+    A = Q > 0.0
+    level = _bfs_levels(A)
+    if np.any(level < 0) or np.any(_bfs_levels(A.T) < 0):
+        return False
+    i, j = np.nonzero(A)
+    return int(np.gcd.reduce(level[i] + 1 - level[j])) == 1
 
 
 def stationary_dist(Q: np.ndarray) -> np.ndarray:
     """Unique probability row vector with pi Q = pi.
 
-    Raises NotErgodicError when Q^s has a zero entry.
+    Raises NotErgodicError when the chain is reducible or periodic.
     """
     Q = _validate_stochastic(Q)
     if not _is_primitive(Q):
-        raise NotErgodicError("chain is not ergodic: Q^s has a zero entry")
+        raise NotErgodicError("chain is not ergodic: it is reducible or periodic")
     s = Q.shape[0]
     # replace one balance equation by the normalization sum(pi) = 1
     A = Q.T - np.eye(s)
@@ -95,9 +111,6 @@ class MarkovChain:
 
     def __init__(self, Q) -> None:
         self.Q = _validate_stochastic(Q)
-        self.ergodic = _is_primitive(self.Q)
-        if not self.ergodic:
-            raise NotErgodicError("chain is not ergodic: Q^s has a zero entry")
         self.pi = stationary_dist(self.Q)
 
     @property

@@ -104,19 +104,6 @@ class LimitLaw:
             return {"kind": "gaussian", "variance": self.variance}
         return {"kind": "wcs", "lambdas": list(self.lambdas)}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LimitLaw":
-        kind = data.get("kind")
-        if kind == "gaussian":
-            if set(data) != {"kind", "variance"}:
-                raise ValueError("gaussian law JSON takes exactly 'kind' and 'variance'")
-            return cls.gaussian(float(data["variance"]))
-        if kind == "wcs":
-            if set(data) != {"kind", "lambdas"}:
-                raise ValueError("wcs law JSON takes exactly 'kind' and 'lambdas'")
-            return cls.weighted_chi_square(data["lambdas"])
-        raise ValueError(f"unknown law kind {kind!r}")
-
 
 def sample_limit_law(law: LimitLaw, n_samples: int, seed: int) -> np.ndarray:
     """Exact deterministic sampler for a limit law (Philox keyed by seed)."""

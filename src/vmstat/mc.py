@@ -59,6 +59,11 @@ class CircleSystem:
     m: int = 2
     window: int = 64
 
+    def __post_init__(self):
+        self.base()  # CircleBase checks m >= 2
+        if not 16 <= self.window <= 64:
+            raise ValueError("window must be between 16 and 64 digits")
+
     def base(self) -> CircleBase:
         return CircleBase(self.m)
 
@@ -74,7 +79,7 @@ class MarkovSystem:
         return MarkovBase(self.chain)
 
     def to_json_dict(self) -> dict:
-        return {"kind": "markov", "Q": [[float(q) for q in row] for row in self.chain.Q]}
+        return {"kind": "markov", **self.chain.to_json_dict()}
 
 
 System = CircleSystem | MarkovSystem

@@ -8,10 +8,13 @@ always built from an explicit numpy Generator so every test is replayable.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
+from vmstat._seeding import stream
+from vmstat.cli import parse_config
 from vmstat.fourier import FourierPoly
 from vmstat.hoeffding import integrate_out
 from vmstat.kernels import (
@@ -24,6 +27,7 @@ from vmstat.kernels import (
     zero_kernel,
 )
 from vmstat.markov import MarkovChain, StateFunction
+from vmstat.mc import CircleSystem, MarkovSystem
 
 
 def rng_for(label: int) -> np.random.Generator:
@@ -85,6 +89,40 @@ def hoeffding_component_oracle(f: SeparableKernel, S) -> SeparableKernel:
                 piece = integrate_out(piece, slot)
             out = kernel_add(out, kernel_scale(piece, (-1.0) ** k))
     return out
+
+
+def exact_windows(m: int, n: int, seed: int, window: int = 64) -> list[int]:
+    """Exact integer windows v_i = sum_j b_{i+j} m^(window-j), x_i = v_i / m^window.
+
+    Python integers over the digit stream gen_madic_trajectory draws, so
+    for m = 2 they equal the trajectory's ``windows`` field.
+    """
+    digits = stream(seed).integers(0, m, size=n + window - 1, dtype=np.uint8)
+    modulus = m ** window
+    v = 0
+    for j in range(window):
+        v = v * m + int(digits[j])
+    out = [v]
+    for i in range(1, n):
+        v = (v * m) % modulus + int(digits[i + window - 1])
+        out.append(v)
+    return out
+
+
+def reparse(kernel: SeparableKernel, comparison=None) -> dict:
+    """Read kernel (and a comparison law) back from their JSON with parse_config.
+
+    The system block comes from the kernel's base, so the reader also
+    checks the kernel's own "base" block against it.
+    """
+    base = kernel.base
+    system = CircleSystem(base.m) if isinstance(base, CircleBase) else MarkovSystem(base.chain)
+    data = {"system": system.to_json_dict(), "kernel": kernel.to_json_dict()}
+    if comparison is not None:
+        data["comparison"] = comparison.to_json_dict()
+    kind, parsed = parse_config(json.loads(json.dumps(data)))
+    assert kind == "experiment"
+    return parsed
 
 
 # -- random object generators ---------------------------------------------

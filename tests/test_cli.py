@@ -62,6 +62,16 @@ def chain_config() -> dict:
     return {"Q": [[0.75, 0.25], [0.25, 0.75]], "f": [1.0, -1.0]}
 
 
+def markov_config() -> dict:
+    return {
+        "system": {"kind": "markov", "Q": [[0.75, 0.25], [0.25, 0.75]]},
+        "kernel": {
+            "arity": 1,
+            "terms": [{"coeff": 1.0, "factors": [{"values": [1.0, -1.0]}]}],
+        },
+    }
+
+
 class TestSchema:
     def test_unknown_top_level_field_named(self, tmp_path, capsys):
         data = clt_config()
@@ -119,6 +129,59 @@ class TestSchema:
         data["kernel"]["terms"][0]["coeff"] = True
         rc = main(["clt", "--config", write_config(tmp_path, data)])
         assert rc == 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "huge_int"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, value):
+        data = clt_config()
+        data["kernel"]["terms"][0]["coeff"] = value
+        rc = main(["clt", "--config", write_config(tmp_path, data)])
+        assert rc == 1
+        assert "kernel.terms[0].coeff" in capsys.readouterr().err
+
+    def test_string_in_transition_matrix(self, tmp_path, capsys):
+        data = markov_config()
+        data["system"]["Q"][0][1] = "0.25"
+        rc = main(["variance", "--config", write_config(tmp_path, data)])
+        assert rc == 1
+        assert "system.Q[0][1]" in capsys.readouterr().err
+
+    def test_ragged_transition_matrix(self, tmp_path, capsys):
+        data = markov_config()
+        data["system"]["Q"][1] = [1.0]
+        rc = main(["variance", "--config", write_config(tmp_path, data)])
+        assert rc == 1
+        assert "square matrix at system.Q" in capsys.readouterr().err
+
+    def test_unknown_field_in_kernel_base_chain(self, tmp_path, capsys):
+        data = markov_config()
+        data["kernel"]["base"] = {
+            "kind": "markov", "chain": {"Q": [[0.75, 0.25], [0.25, 0.75]], "junk": 1}}
+        rc = main(["variance", "--config", write_config(tmp_path, data)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "junk" in err and "kernel.base.chain" in err
+
+    def test_kernel_base_chain_not_an_object(self, tmp_path, capsys):
+        data = markov_config()
+        data["kernel"]["base"] = {"kind": "markov", "chain": 5}
+        rc = main(["variance", "--config", write_config(tmp_path, data)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "kernel.base.chain" in err
+
+    def test_chain_values_must_be_numbers(self, tmp_path, capsys):
+        data = {"Q": [[0.75, 0.25], [0.25, 0.75]], "f": [True, "2"]}
+        rc = main(["variance", "--config", write_config(tmp_path, data)])
+        assert rc == 1
+        assert "f[0]" in capsys.readouterr().err
+
+    def test_circle_window_checked_at_parse(self, tmp_path, capsys):
+        data = clt_config()
+        data["system"]["window"] = 8
+        rc = main(["variance", "--config", write_config(tmp_path, data)])
+        assert rc == 1
+        assert "system.window" in capsys.readouterr().err
 
 
 class TestExperimentCommands:
@@ -270,15 +333,8 @@ class TestAnalysisCommands:
         assert abs(float(row[1]) - 0.25) < 1e-12
 
     def test_mixing_accepts_markov_system_config(self, tmp_path, capsys):
-        data = {
-            "system": {"kind": "markov", "Q": [[0.75, 0.25], [0.25, 0.75]]},
-            "kernel": {
-                "arity": 1,
-                "terms": [{"coeff": 1.0, "factors": [{"values": [1.0, -1.0]}]}],
-            },
-        }
         out = tmp_path / "mix"
-        rc = main(["mixing", "--config", write_config(tmp_path, data),
+        rc = main(["mixing", "--config", write_config(tmp_path, markov_config()),
                    "--out", str(out), "--n", "3"])
         assert rc == 0
         text = (out / "mixing.csv").read_text()

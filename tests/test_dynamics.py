@@ -20,17 +20,15 @@ from vmstat.markov import MarkovChain, StateFunction
 from vmstat.dynamics import (
     BudgetError,
     Trajectory,
-    dump_trajectory,
-    exact_windows,
     gen_madic_trajectory,
     gen_markov_trajectory,
-    load_trajectory,
     normalized_stat,
     vstat_fast,
     vstat_naive,
 )
 
 from helpers import (
+    exact_windows,
     random_ergodic_chain,
     random_poly,
     random_state_function,
@@ -134,31 +132,6 @@ class TestMarkovTrajectories:
         b = gen_markov_trajectory(chain, 1000, seed=4)
         assert np.array_equal(a.points, b.points)
         assert a.points.min() >= 0 and a.points.max() <= 4
-
-
-class TestSerialization:
-    def test_circle_round_trip(self, tmp_path):
-        traj = gen_madic_trajectory(2, 128, seed=30)
-        p = tmp_path / "t.bin"
-        dump_trajectory(traj, p)
-        back = load_trajectory(p)
-        assert back.kind == "circle"
-        assert np.array_equal(back.points, traj.points)
-
-    def test_markov_round_trip(self, tmp_path):
-        chain = MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        traj = gen_markov_trajectory(chain, 64, seed=31)
-        p = tmp_path / "t.bin"
-        dump_trajectory(traj, p)
-        back = load_trajectory(p)
-        assert back.kind == "markov"
-        assert np.array_equal(back.points, traj.points)
-
-    def test_rejects_garbage(self, tmp_path):
-        p = tmp_path / "bad.bin"
-        p.write_bytes(b"NOTATRAJ" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            load_trajectory(p)
 
 
 class TestEvaluators:

@@ -18,7 +18,9 @@ from vmstat.fourier import (
     transfer_orbit_length,
 )
 
-from helpers import grid, quad_lp, random_poly, rng_for, transfer_by_preimages
+from vmstat.kernels import CircleBase, KernelTerm, SeparableKernel
+
+from helpers import grid, quad_lp, random_poly, reparse, rng_for, transfer_by_preimages
 
 
 class TestAlgebra:
@@ -81,7 +83,8 @@ class TestAlgebra:
         p = FourierPoly({-2: 1.5 - 0.5j, 7: 2.0})
         d = p.to_json_dict()
         assert d["modes"][0][0] == -2
-        assert FourierPoly.from_json_dict(d) == p
+        f = SeparableKernel(1, CircleBase(2), (KernelTerm(1.0, (p,)),))
+        assert reparse(f)["kernel"].terms[0].factors[0] == p
 
 
 class TestNorms:

@@ -1,0 +1,74 @@
+"""Golden sha256 digests of the CLI's output bytes on the shipped configs.
+
+Each experiment config gives result.json at --n 256 --replicas 40 (growth
+at --n 256 alone); every config gives the stdout of each analysis command
+that accepts it.  A change to any of these bytes must be deliberate: it
+updates the digest here and is recorded in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from vmstat.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+RESULT_DIGESTS = {
+    ("clt_doubling", "clt"): "2832d8bb8ee59cc58b9060bce704d3ff48f53468751577db4214b79f5abb23a2",
+    ("clt_markov", "clt"): "ebdce869423abe4b8c5cd0b94ccada23425bbb1df74f132654f574401652aea8",
+    ("degen_doubling", "degen"): "db70bfc596d0dacaafdff293a467c62c14ef44c4121feb031152dea9ca6d12b6",
+    ("growth_doubling", "growth"): "dfdb4f695f0e93da2d0c6e5c349cc05e2692263f4e9b165fdbc0120d0fa00b02",
+    ("slln_doubling", "slln"): "bae29d3e897458cfc00dfc296ad541b162ce64fc39b576f5abe9825c310e0af4",
+}
+
+STDOUT_DIGESTS = {
+    ("clt_doubling", "decompose"): "d1af36ac3a15862d644af4a9b2b36a6c7b90cc899be54ad5a22b890b893a6f83",
+    ("clt_doubling", "variance"): "bcc81aca6ddfdf5d1270e074e94beab7fb200d77b922e2527dd0bf92513bf3a3",
+    ("clt_doubling", "check-conditions"): "6a191a47e6300b7290159988b6afa5befd0988cc1b644a45b99df692ae24ff5f",
+    ("clt_markov", "decompose"): "e8240efe483b8e3c085234b7d2a41ca8d7b1828b68602b00d4ae9f46a121ad37",
+    ("clt_markov", "variance"): "57d2102ffb08461f9e0ce04d0bb095cfcaa904faef3f01cac596a79014f0a586",
+    ("clt_markov", "mixing"): "bfe3c2442406a7319108f885bcac1d496a5a49b105294c45e05e12c45bff2f7a",
+    ("degen_doubling", "decompose"): "9c27c102ee3686e79b7bf4b54995834e91fd5fc9677d80f6b4f4bf9f61dbb52f",
+    ("degen_doubling", "variance"): "7a564c8eed4da3e754342976363c2e648b0e20d1b5b4cdc957c7846e391a5caf",
+    ("degen_doubling", "spectrum"): "701580a841c9a7c2ecded8a9804d49b39afb9f688d1a70b2f9498990476770dd",
+    ("degen_doubling", "check-conditions"): "d6602dc9701db9e74d8dc685d31e81998f5c6b18f0976aa5cd2aebf2dc0ee92d",
+    ("growth_doubling", "decompose"): "9cd284b53b6bf76d5b9a4e044dda3ca07cd9fddc9adbbc045c0edbc4cc576285",
+    ("growth_doubling", "variance"): "7a564c8eed4da3e754342976363c2e648b0e20d1b5b4cdc957c7846e391a5caf",
+    ("growth_doubling", "spectrum"): "701580a841c9a7c2ecded8a9804d49b39afb9f688d1a70b2f9498990476770dd",
+    ("growth_doubling", "check-conditions"): "813efdf8da70b74f7b93693e3f2b88f4438dbdde9069ef69dde0676f83e4696a",
+    ("mixing_chain", "variance"): "cab87fb383e75a4c457c7217a6902cf77cdf0b8de046c27a5ffe8cf35ba91d05",
+    ("mixing_chain", "mixing"): "bfe3c2442406a7319108f885bcac1d496a5a49b105294c45e05e12c45bff2f7a",
+    ("slln_doubling", "decompose"): "e8952513c770732fe2db46c1474540ab2a55cddae3e1b3ea60fa423fae210d7b",
+    ("slln_doubling", "variance"): "7a564c8eed4da3e754342976363c2e648b0e20d1b5b4cdc957c7846e391a5caf",
+    ("slln_doubling", "check-conditions"): "3f5f5036c57a1c8323813a0751d1f782b7d36640d2787f7d062edc6d1040ab7b",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_every_config_is_pinned():
+    shipped = {p.stem for p in CONFIGS.glob("*.json")}
+    pinned = {name for name, _ in RESULT_DIGESTS} | {name for name, _ in STDOUT_DIGESTS}
+    assert pinned == shipped
+
+
+@pytest.mark.parametrize("name,mode", sorted(RESULT_DIGESTS))
+def test_result_json_digest(name, mode, tmp_path, capsys):
+    args = [mode, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path),
+            "--n", "256", "--workers", "1"]
+    if mode != "growth":
+        args += ["--replicas", "40"]
+    assert main(args) == 0
+    assert _sha256((tmp_path / "result.json").read_bytes()) == RESULT_DIGESTS[name, mode]
+
+
+@pytest.mark.parametrize("name,command", sorted(STDOUT_DIGESTS))
+def test_stdout_digest(name, command, capsys):
+    assert main([command, "--config", str(CONFIGS / f"{name}.json")]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == STDOUT_DIGESTS[name, command]

@@ -21,7 +21,6 @@ from vmstat.kernels import (
     expand_modes,
     kernel_add,
     kernel_eval,
-    kernel_from_json,
     kernel_mean,
     kernel_scale,
     kernel_sup_coeff,
@@ -35,7 +34,7 @@ from vmstat.kernels import (
 )
 from vmstat.markov import MarkovChain, StateFunction
 
-from helpers import grid, random_ergodic_chain, random_poly, rng_for
+from helpers import grid, random_ergodic_chain, random_poly, reparse, rng_for
 
 CIRCLE = CircleBase(2)
 
@@ -96,7 +95,7 @@ class TestConstruction:
 
     def test_json_round_trip_circle(self):
         f = example_kernel()
-        g = kernel_from_json(f.to_json_dict())
+        g = reparse(f)["kernel"]
         assert kernels_allclose(f, g)
 
     def test_json_round_trip_markov(self):
@@ -104,7 +103,7 @@ class TestConstruction:
         f = SeparableKernel(2, MarkovBase(chain), (
             KernelTerm(0.5, (StateFunction(np.array([1.0, -1.0])),
                              StateFunction(np.array([2.0, 0.0])))),))
-        g = kernel_from_json(f.to_json_dict())
+        g = reparse(f)["kernel"]
         assert kernels_allclose(f, g)
 
 

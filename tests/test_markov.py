@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from vmstat.kernels import KernelTerm, MarkovBase, SeparableKernel
 from vmstat.markov import (
     MarkovChain,
     NotErgodicError,
@@ -15,7 +16,7 @@ from vmstat.markov import (
     stationary_dist,
 )
 
-from helpers import random_ergodic_chain, random_state_function, rng_for
+from helpers import random_ergodic_chain, random_state_function, reparse, rng_for
 
 
 def two_state(a: float, b: float) -> MarkovChain:
@@ -36,10 +37,21 @@ class TestChainBasics:
     def test_rejects_reducible(self):
         with pytest.raises(NotErgodicError):
             MarkovChain(np.eye(2))
+        with pytest.raises(NotErgodicError):
+            MarkovChain(np.array([[0.5, 0.5], [0.0, 1.0]]))
 
     def test_rejects_period_two(self):
         with pytest.raises(NotErgodicError):
             MarkovChain(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_accepts_wielandt_chain(self):
+        # primitive with the largest exponent on 3 states: Q^3 has a zero
+        # entry, Q^5 = Q^((s-1)^2 + 1) is positive
+        Q = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+        assert np.any(np.linalg.matrix_power(Q, 3) == 0.0)
+        assert np.all(np.linalg.matrix_power(Q, 5) > 0.0)
+        chain = MarkovChain(Q)
+        assert np.allclose(chain.pi, [0.2, 0.4, 0.4], atol=1e-12)
 
     def test_two_state_stationary_closed_form(self):
         # pi = (b, a)/(a+b)
@@ -82,8 +94,9 @@ class TestChainBasics:
 
     def test_state_function_json_round_trip(self):
         f = StateFunction(np.array([0.5, -1.5, 3.0]))
-        assert np.allclose(StateFunction.from_json_dict(f.to_json_dict()).values,
-                           f.values)
+        chain = random_ergodic_chain(rng_for(203), 3)
+        k = SeparableKernel(1, MarkovBase(chain), (KernelTerm(1.0, (f,)),))
+        assert np.array_equal(reparse(k)["kernel"].terms[0].factors[0].values, f.values)
 
 
 class TestPoisson:

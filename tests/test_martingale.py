@@ -43,6 +43,7 @@ from helpers import (
     random_ergodic_chain,
     random_poly,
     random_state_function,
+    reparse,
     rng_for,
 )
 
@@ -77,10 +78,9 @@ class TestLimitLaw:
         assert law.lambdas == (-2.0, 0.5)
 
     def test_json_round_trips(self):
-        g = LimitLaw.gaussian(2.5)
-        assert LimitLaw.from_json_dict(g.to_json_dict()) == g
-        w = LimitLaw.weighted_chi_square([2.0, -1.0])
-        assert LimitLaw.from_json_dict(w.to_json_dict()) == w
+        f = zero_kernel(1, CIRCLE)
+        for law in (LimitLaw.gaussian(2.5), LimitLaw.weighted_chi_square([2.0, -1.0])):
+            assert reparse(f, law)["comparison"] == law
 
     def test_sampler_gaussian(self):
         law = LimitLaw.gaussian(4.0)

@@ -196,6 +196,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(sys_, f, "clt", 64, alpha=1.5)
 
+    def test_circle_system_validated(self):
+        with pytest.raises(ValueError):
+            CircleSystem(m=1)
+        for window in (15, 65):
+            with pytest.raises(ValueError):
+                CircleSystem(window=window)
+
     def test_base_mismatch_rejected(self):
         chain = MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(ValueError):
