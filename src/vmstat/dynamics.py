@@ -97,19 +97,20 @@ def gen_markov_trajectory(chain: MarkovChain, n: int, seed: int) -> Trajectory:
 
     Draws n uniforms; the first picks X_0 by inverse CDF of pi, each
     subsequent one picks the next state by inverse CDF of the current row.
+    Only the first s - 1 cumulative values are searched, so the last
+    state takes every uniform above them even if the full sum rounds below 1.
     """
     if n < 1:
         raise ValueError("trajectory length must be positive")
     rng = stream(seed)
     u = rng.random(n)
-    cum_pi = np.cumsum(chain.pi).tolist()
-    cum_rows = [np.cumsum(row).tolist() for row in chain.Q]
-    s = chain.n_states
+    cum_pi = np.cumsum(chain.pi)[:-1].tolist()
+    cum_rows = [np.cumsum(row)[:-1].tolist() for row in chain.Q]
     states = np.empty(n, dtype=np.int64)
-    x = min(bisect_right(cum_pi, u[0]), s - 1)
+    x = bisect_right(cum_pi, u[0])
     states[0] = x
     for i in range(1, n):
-        x = min(bisect_right(cum_rows[x], u[i]), s - 1)
+        x = bisect_right(cum_rows[x], u[i])
         states[i] = x
     return Trajectory("markov", states)
 

@@ -61,10 +61,6 @@ class FourierPoly:
     def modes(self) -> list[int]:
         return sorted(self._coeffs)
 
-    def max_mode(self) -> int:
-        """Largest |k| with a nonzero coefficient, 0 for the zero polynomial."""
-        return max((abs(k) for k in self._coeffs), default=0)
-
     def is_zero(self, tol: float = EQ_TOL) -> bool:
         return all(abs(c) <= tol for c in self._coeffs.values())
 

@@ -34,17 +34,14 @@ from .kernels import (
     KernelTerm,
     Observable,
     SeparableKernel,
-    constant_kernel,
     constant_observable,
     expand_modes,
-    kernel_add,
     kernel_mean,
     kernel_sup_coeff,
     mean_factor,
     observable_mean,
     same_base,
     to_tensor,
-    zero_kernel,
 )
 from .markov import StateFunction
 
@@ -195,25 +192,21 @@ class HoeffdingParts:
         }
 
 
-def _strip_constant_slots(comp: SeparableKernel, keep: int) -> SeparableKernel:
-    """Drop slots keep..d-1 whose factors are constants, folding them in."""
-    if keep == 0:
-        raise ValueError("use the scalar level for arity zero")
+def _level(base: Base, split: list, m: int) -> SeparableKernel:
+    """Q_S f for S = {0, ..., m-1} at arity m: slots m..d-1 fold their means into slot 0."""
     terms = []
-    for t in comp.terms:
+    for coeff, pairs in split:
         scalar = 1.0 + 0.0j
-        for u in t.factors[keep:]:
-            scalar *= observable_mean(comp.base, u)
-        factors = list(t.factors[:keep])
+        for mean, _ in pairs[m:]:
+            scalar *= observable_mean(base, mean)
+        factors = [centred for _, centred in pairs[:m]]
         first = factors[0]
         if isinstance(first, FourierPoly):
             factors[0] = scalar * first
         else:
-            if abs(scalar.imag) > 1e-10:
-                raise ValueError("complex mass cannot be folded into a state function")
             factors[0] = StateFunction(scalar.real * first.values)
-        terms.append(KernelTerm(t.coeff, tuple(factors)))
-    return SeparableKernel(keep, comp.base, tuple(terms))
+        terms.append(KernelTerm(coeff, tuple(factors)))
+    return SeparableKernel(m, base, tuple(terms))
 
 
 def symmetric_parts(f: SeparableKernel, tol: float = 1e-9) -> HoeffdingParts:
@@ -232,28 +225,21 @@ def symmetric_parts(f: SeparableKernel, tol: float = 1e-9) -> HoeffdingParts:
         )
     split = _split_terms(f)
     # the leading-slot component of each level; symmetry makes the others relabelings
-    levels = tuple(
-        _strip_constant_slots(_component(f, split, frozenset(range(m))), m)
-        for m in range(1, f.arity + 1)
-    )
+    levels = tuple(_level(f.base, split, m) for m in range(1, f.arity + 1))
     return HoeffdingParts(arity=f.arity, base=f.base, constant=kernel_mean(f), levels=levels)
 
 
 def reconstruct(parts: HoeffdingParts) -> SeparableKernel:
     """Sum the levels back into an arity-d kernel equal to the original."""
     d = parts.arity
-    base = parts.base
-    out = zero_kernel(d, base)
-    if parts.constant != 0.0:
-        out = kernel_add(out, constant_kernel(parts.constant, d, base))
-    one = constant_observable(base, 1.0)
+    one = constant_observable(parts.base, 1.0)
+    # a zero constant term is dropped by the kernel constructor
+    terms = [KernelTerm(parts.constant, (one,) * d)]
     for m, g in enumerate(parts.levels, start=1):
         for S in itertools.combinations(range(d), m):
-            terms = []
             for t in g.terms:
                 factors: list = [one] * d
                 for pos, u in zip(S, t.factors):
                     factors[pos] = u
                 terms.append(KernelTerm(t.coeff, tuple(factors)))
-            out = kernel_add(out, SeparableKernel(d, base, tuple(terms)))
-    return out
+    return SeparableKernel(d, parts.base, tuple(terms))

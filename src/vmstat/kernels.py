@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .fourier import (
-    EQ_TOL,
     FourierPoly,
     apply_koopman,
     apply_transfer,
@@ -103,10 +102,10 @@ def _check_factor(base: Base, obs: Observable) -> None:
             raise ValueError("state function length does not match the chain")
 
 
-def _factor_is_zero(base: Base, obs: Observable) -> bool:
+def _factor_is_zero(obs: Observable) -> bool:
     if isinstance(obs, FourierPoly):
         return len(obs) == 0
-    return bool(np.all(obs.values == 0.0))
+    return not obs.values.any()
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,14 +122,11 @@ class SeparableKernel:
         object.__setattr__(self, "arity", int(self.arity))
         norm = []
         for t in self.terms:
-            if not isinstance(t, KernelTerm):
-                coeff, factors = t
-                t = KernelTerm(coeff, factors)
             if len(t.factors) != self.arity:
                 raise ValueError("every term needs one factor per slot")
             for obs in t.factors:
                 _check_factor(self.base, obs)
-            if t.coeff == 0.0 or any(_factor_is_zero(self.base, u) for u in t.factors):
+            if t.coeff == 0.0 or any(_factor_is_zero(u) for u in t.factors):
                 continue
             norm.append(t)
         object.__setattr__(self, "terms", tuple(norm))
@@ -138,9 +134,6 @@ class SeparableKernel:
     @property
     def n_terms(self) -> int:
         return len(self.terms)
-
-    def is_zero(self, tol: float = COEFF_TOL) -> bool:
-        return kernel_sup_coeff(self) <= tol
 
     def to_json_dict(self) -> dict:
         return {

@@ -2,17 +2,25 @@
 
 For a canonical kernel f over the circle base the slotwise adjoint
 series g = sum_{k >= 0} V*^k f is a finite trigonometric kernel because
-every transfer orbit of a nonzero mode terminates.  Splitting g with the
-slotwise projections E_j = V^{e_j} V*^{e_j} isolates a part that is a
+every transfer orbit of a nonzero mode terminates.  The slotwise
+projection E_j = V^{e_j} V*^{e_j} keeps the modes whose slot-j index m
+divides, so splitting g mode by mode isolates a part that is a
 martingale increment in both slots plus coboundary corrections:
 
     f = g0 + (V^{e_1} - I) g1 + (V^{e_2} - I) g2
            + (V^{e_1} - I)(V^{e_2} - I) g12
 
-with E_1 g0 = E_2 g0 = 0, E_2 g1 = 0, E_1 g2 = 0.  The degenerate limit
-of arity-2 statistics is the quadratic form of g0, diagonalized here in
-an orthonormal real basis; the nondegenerate limit is Gaussian with
-variance determined by the arity-1 adjoint series.
+where the coefficient of g at the mode (a, b) goes to
+
+    g0  at (a, b)      when m divides neither a nor b,
+    g1  at (a/m, b)    when m divides a only,
+    g2  at (a, b/m)    when m divides b only,
+    g12 at (a/m, b/m)  when m divides both,
+
+so that E_1 g0 = E_2 g0 = 0, E_2 g1 = 0, E_1 g2 = 0.  The degenerate
+limit of arity-2 statistics is the quadratic form of g0, diagonalized
+here in an orthonormal real basis; the nondegenerate limit is Gaussian
+with variance determined by the arity-1 adjoint series.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ import numpy as np
 
 from ._seeding import stream
 from .fourier import (
-    EQ_TOL,
     FourierPoly,
     adjoint_orbit_sum,
     apply_transfer,
@@ -38,10 +45,6 @@ from .kernels import (
     coordinate_op,
     diag_restrict,
     expand_modes,
-    kernel_add,
-    kernel_scale,
-    kernel_sup_coeff,
-    kernels_allclose,
     projective_bound,
     to_tensor,
 )
@@ -201,41 +204,37 @@ class MartingaleCoboundaryParts:
     series: SeparableKernel
 
 
-def _slot_projection(g: SeparableKernel, slot: int) -> SeparableKernel:
-    """E_slot g = V^{e_slot} V*^{e_slot} g, the modes divisible by m in that slot."""
-    e = [0] * g.arity
-    e[slot] = 1
-    return coordinate_op(coordinate_op(g, e, adjoint=True), e, adjoint=False)
-
-
-def _kernel_sub(a: SeparableKernel, b: SeparableKernel) -> SeparableKernel:
-    return kernel_add(a, kernel_scale(b, -1.0))
+def _mode_kernel(base: CircleBase, modes: dict) -> SeparableKernel:
+    """Arity-2 kernel with one term per mode, the coefficient in slot 1."""
+    terms = tuple(
+        KernelTerm(1.0, (FourierPoly({a: c}), FourierPoly({b: 1.0})))
+        for (a, b), c in modes.items()
+    )
+    return SeparableKernel(2, base, terms)
 
 
 def martingale_coboundary_d2(f: SeparableKernel) -> MartingaleCoboundaryParts:
-    """Split an arity-2 canonical circle kernel into martingale and coboundary parts."""
+    """Split an arity-2 canonical circle kernel into martingale and coboundary parts.
+
+    One pass over the modes of g: each mode goes to the one part that
+    the divisibility of its indices by m selects (module docstring).
+    """
     if f.arity != 2:
         raise ValueError("this decomposition is for arity-2 kernels")
     if not isinstance(f.base, CircleBase):
         raise ValueError("this decomposition is defined on the circle base")
+    m = f.base.m
     g = adjoint_series_sum(f)
-    vs1 = coordinate_op(g, (1, 0), adjoint=True)
-    vs2 = coordinate_op(g, (0, 1), adjoint=True)
-    e1g = _slot_projection(g, 0)
-    e2g = _slot_projection(g, 1)
-    e1e2g = _slot_projection(e1g, 1)
-    g0 = kernel_add(_kernel_sub(_kernel_sub(g, e1g), e2g), e1e2g)
-    g1 = _kernel_sub(vs1, _slot_projection(vs1, 1))
-    g2 = _kernel_sub(vs2, _slot_projection(vs2, 0))
-    g12 = coordinate_op(vs1, (0, 1), adjoint=True)
-    for c in (
-        _slot_projection(g0, 0),
-        _slot_projection(g0, 1),
-        _slot_projection(g1, 1),
-        _slot_projection(g2, 0),
-    ):
-        if kernel_sup_coeff(c) > COEFF_TOL:
-            raise AssertionError("conditional-expectation condition violated")
+    modes = [{}, {}, {}, {}]  # g0, g1, g2, g12
+    for (a, b), c in expand_modes(g).items():
+        da, db = a % m == 0, b % m == 0
+        modes[da + 2 * db][a // m if da else a, b // m if db else b] = c
+    g0, g1, g2, g12 = (_mode_kernel(f.base, part) for part in modes)
+    # E_1 g0 = E_2 g0 = E_2 g1 = E_1 g2 = 0: no mode divisible by m in those slots
+    for part, slots in ((g0, (0, 1)), (g1, (1,)), (g2, (0,))):
+        for key, c in expand_modes(part).items():
+            if abs(c) > COEFF_TOL and any(key[j] % m == 0 for j in slots):
+                raise AssertionError("conditional-expectation condition violated")
     return MartingaleCoboundaryParts(
         martingale=g0,
         slot1_coboundary=g1,
@@ -246,22 +245,26 @@ def martingale_coboundary_d2(f: SeparableKernel) -> MartingaleCoboundaryParts:
 
 
 def reconstruct_from_parts(parts: MartingaleCoboundaryParts) -> SeparableKernel:
-    """Invert the decomposition: the original kernel from the four parts."""
+    """Invert the decomposition: the original kernel from the four parts.
+
+    The nine signed pieces of the identity in the module docstring, each
+    shifted forward by coordinate_op, are collected into one kernel.
+    """
     g0, g1, g2, g12 = (
-        parts.martingale,
-        parts.slot1_coboundary,
-        parts.slot2_coboundary,
-        parts.double_coboundary,
+        parts.martingale, parts.slot1_coboundary, parts.slot2_coboundary, parts.double_coboundary
     )
-    shift1 = lambda h: coordinate_op(h, (1, 0), adjoint=False)
-    shift2 = lambda h: coordinate_op(h, (0, 1), adjoint=False)
-    out = g0
-    out = kernel_add(out, _kernel_sub(shift1(g1), g1))
-    out = kernel_add(out, _kernel_sub(shift2(g2), g2))
-    both = _kernel_sub(shift1(shift2(g12)), shift1(g12))
-    both = _kernel_sub(both, _kernel_sub(shift2(g12), g12))
-    out = kernel_add(out, both)
-    return out
+    pieces = (
+        (1.0, g0, (0, 0)),
+        (1.0, g1, (1, 0)), (-1.0, g1, (0, 0)),
+        (1.0, g2, (0, 1)), (-1.0, g2, (0, 0)),
+        (1.0, g12, (1, 1)), (-1.0, g12, (1, 0)), (-1.0, g12, (0, 1)), (1.0, g12, (0, 0)),
+    )
+    terms = tuple(
+        KernelTerm(sign * t.coeff, t.factors)
+        for sign, h, e in pieces
+        for t in coordinate_op(h, e, adjoint=False).terms
+    )
+    return SeparableKernel(2, parts.martingale.base, terms)
 
 
 # ---------------------------------------------------------------------------

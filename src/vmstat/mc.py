@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -303,6 +304,7 @@ def _chunk_worker(args) -> list[float]:
 
 def _compute_values(cfg: ExperimentConfig, workers: int) -> np.ndarray:
     indices = range(cfg.replicas)
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or cfg.replicas < 2 * workers:
         return np.asarray(_replica_values(cfg, indices))
     chunks = np.array_split(np.arange(cfg.replicas), 4 * workers)

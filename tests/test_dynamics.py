@@ -133,6 +133,20 @@ class TestMarkovTrajectories:
         assert np.array_equal(a.points, b.points)
         assert a.points.min() >= 0 and a.points.max() <= 4
 
+    def test_top_draw_lands_in_last_state(self, monkeypatch):
+        # ten rows of 0.1 sum to the largest double below 1, which is the draw
+        top = np.nextafter(1.0, 0.0)
+        assert np.cumsum(np.full(10, 0.1))[-1] == top
+
+        class TopStream:
+            def random(self, n):
+                return np.full(n, top)
+
+        monkeypatch.setattr("vmstat.dynamics.stream", lambda seed: TopStream())
+        chain = MarkovChain(np.full((10, 10), 0.1))
+        traj = gen_markov_trajectory(chain, 50, seed=0)
+        assert np.all(traj.points == 9)
+
 
 class TestEvaluators:
     def test_three_point_hand_value(self):

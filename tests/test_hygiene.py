@@ -1,0 +1,47 @@
+"""Source hygiene of the package: every imported name is read somewhere.
+
+Scans each module of ``src/vmstat`` with the standard library's ``ast``.
+``__init__.py`` is skipped because its imports are the public re-exports,
+and ``from __future__`` imports bind no name.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vmstat"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line for every import outside ``__future__``."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = _read_names(tree)
+    unused = sorted(
+        f"{name} (line {line})" for name, line in _imported_names(tree).items() if name not in read
+    )
+    assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"

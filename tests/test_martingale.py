@@ -192,12 +192,13 @@ class TestDecompositionD2:
         assert kernels_allclose(parts.slot2_coboundary, h)
         assert kernels_allclose(parts.double_coboundary, h)
 
-    def test_conditions_hold(self):
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_conditions_hold(self, m):
         from vmstat.hoeffding import integrate_out
 
         rng = rng_for(507)
         for _ in range(10):
-            f = random_canonical_pair_kernel(rng, n_pairs=3)
+            f = random_canonical_pair_kernel(rng, n_pairs=3, m=m)
             parts = martingale_coboundary_d2(f)
             z = zero_kernel(2, f.base)
 
@@ -216,10 +217,11 @@ class TestDecompositionD2:
                 assert kernels_allclose(integrate_out(parts.martingale, j), z,
                                         tol=1e-11)
 
-    def test_reconstruction_round_trip(self):
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_reconstruction_round_trip(self, m):
         rng = rng_for(508)
         for _ in range(20):
-            f = random_canonical_pair_kernel(rng, n_pairs=4)
+            f = random_canonical_pair_kernel(rng, n_pairs=4, m=m)
             parts = martingale_coboundary_d2(f)
             assert kernels_allclose(reconstruct_from_parts(parts), f, tol=1e-11)
 

@@ -319,6 +319,33 @@ class TestDeterminism:
         b = run_experiment(cfg, workers=4).to_json_bytes()
         assert a == b
 
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        seen = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("vmstat.mc.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        cfg = ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 64,
+                               replicas=40, seed=3)
+        serial = run_experiment(cfg, workers=1).to_json_bytes()
+        assert run_experiment(cfg, workers=16).to_json_bytes() == serial
+        assert seen == [2]
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert run_experiment(cfg, workers=16).to_json_bytes() == serial
+        assert seen == [2]
+
     def test_timing_not_serialized(self):
         cfg = ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 64,
                                replicas=8, seed=1)
