@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands: decompose, variance, spectrum, slln, clt, degen, growth,
-check-conditions, mixing.  Every command reads a JSON config file.  The
-schema is closed: unknown fields are rejected with their path.  Exit
-code 0 means success (and a passing test for experiment commands), 2 a
-failed statistical test, 1 an operational error.
+check-conditions, mixing, each with --config and the options its handler
+reads (COMMANDS).  Every command reads a JSON config file; the schema is
+closed: unknown fields are rejected with their path.  Exit code 0 means
+success (and a passing test for experiment commands), 2 a failed
+statistical test, 1 an operational or usage error.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .martingale import (
     spectral_decompose,
 )
 from .mc import (
+    MODES,
     CircleSystem,
     ExperimentConfig,
     MarkovSystem,
@@ -45,7 +47,7 @@ from .mc import (
     write_summary_csv,
 )
 
-EXPERIMENT_COMMANDS = ("slln", "clt", "degen", "growth")
+MAX_MODE = 2 ** 53  # largest |mode index| that float64 holds exactly
 
 
 class ConfigError(ValueError):
@@ -143,6 +145,8 @@ def _parse_factor(d, path: str):
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ConfigError(f"expected [k, re, im] at {path}.modes[{i}]")
             k = _integer(entry[0], f"{path}.modes[{i}][0]")
+            if abs(k) > MAX_MODE:
+                raise ConfigError(f"mode index beyond 2**53 at {path}.modes[{i}][0]")
             re = _number(entry[1], f"{path}.modes[{i}][1]")
             im = _number(entry[2], f"{path}.modes[{i}][2]")
             coeffs[k] = coeffs.get(k, 0.0) + complex(re, im)
@@ -190,12 +194,12 @@ def _parse_comparison(d, path: str):
 
 
 def parse_config(data: dict):
-    """Parse a config object into its typed pieces.
+    """Parse a config object into (kind, fields).
 
-    Two shapes are accepted: a bare chain object {"Q": ..., "f": ...}
-    for chain-only commands, and the experiment shape with system and
-    kernel blocks.  Returns ("chain", chain, f | None) or
-    ("experiment", dict).
+    Two shapes are accepted: a bare chain object {"Q": ..., "f": ...},
+    read as ("chain", {"chain": chain, "f": f or None}), and the
+    experiment shape with system and kernel blocks, read as
+    ("experiment", fields) with the ExperimentConfig fields it sets.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -208,7 +212,7 @@ def parse_config(data: dict):
             if len(vals) != chain.n_states:
                 raise ConfigError("field 'f' must list one value per state")
             f = StateFunction(np.array(vals))
-        return "chain", chain, f
+        return "chain", {"chain": chain, "f": f}
     _check_keys(
         data,
         "",
@@ -219,30 +223,33 @@ def parse_config(data: dict):
     kernel = _parse_kernel(data["kernel"], "kernel", system.base())
     out = {"system": system, "kernel": kernel}
     if "mode" in data:
-        if data["mode"] not in EXPERIMENT_COMMANDS:
-            raise ConfigError(f"mode must be one of {EXPERIMENT_COMMANDS} at mode")
+        if data["mode"] not in MODES:
+            raise ConfigError(f"mode must be one of {MODES} at mode")
         out["mode"] = data["mode"]
-    if "n" in data:
-        out["n"] = _integer(data["n"], "n")
-    if "replicas" in data:
-        out["replicas"] = _integer(data["replicas"], "replicas")
-    if "seed" in data:
-        out["seed"] = _integer(data["seed"], "seed")
-    if "alpha" in data:
-        out["alpha"] = _number(data["alpha"], "alpha")
-    if "comparison" in data:
-        out["comparison"] = _parse_comparison(data["comparison"], "comparison")
+    for key, read in (("n", _integer), ("replicas", _integer), ("seed", _integer),
+                      ("alpha", _number), ("comparison", _parse_comparison)):
+        if key in data:
+            out[key] = read(data[key], key)
     return "experiment", out
 
 
-def _load_config_file(path: str) -> dict:
+def _load(path: str):
+    """Read and parse a config file; returns what parse_config returns."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
+    return parse_config(data)
+
+
+def _experiment(args) -> dict:
+    kind, fields = _load(args.config)
+    if kind != "experiment":
+        raise ConfigError(f"{args.command} needs a config with system and kernel")
+    return fields
 
 
 def _emit(obj) -> None:
@@ -261,47 +268,20 @@ def _resolve_workers(args) -> int:
     return 1
 
 
-def _experiment_config(args, parsed: dict) -> ExperimentConfig:
-    if "mode" in parsed and parsed["mode"] != args.command:
-        raise ConfigError(
-            f"config mode '{parsed['mode']}' does not match command '{args.command}'"
-        )
-    n = args.n if args.n is not None else parsed.get("n")
-    if n is None:
-        if args.command == "growth":
-            n = 1024
-        else:
-            raise ConfigError("field 'n' is required (config or --n)")
-    kwargs = {
-        "system": parsed["system"],
-        "kernel": parsed["kernel"],
-        "mode": args.command,
-        "n": n,
-    }
-    if args.replicas is not None:
-        kwargs["replicas"] = args.replicas
-    elif "replicas" in parsed:
-        kwargs["replicas"] = parsed["replicas"]
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    elif "seed" in parsed:
-        kwargs["seed"] = parsed["seed"]
-    if "alpha" in parsed:
-        kwargs["alpha"] = parsed["alpha"]
-    if "comparison" in parsed:
-        kwargs["comparison"] = parsed["comparison"]
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _cmd_experiment(args) -> int:
-    kind, *rest = _load_and_parse(args)
-    if kind != "experiment":
-        raise ConfigError("experiment commands need a config with system and kernel")
-    cfg = _experiment_config(args, rest[0])
-    result = run_experiment(cfg, workers=_resolve_workers(args))
+    fields = _experiment(args)
+    if fields.setdefault("mode", args.command) != args.command:
+        raise ConfigError(
+            f"config mode '{fields['mode']}' does not match command '{args.command}'"
+        )
+    for key in ("n", "replicas", "seed"):
+        if getattr(args, key) is not None:
+            fields[key] = getattr(args, key)
+    if args.command == "growth":
+        fields.setdefault("n", 1024)
+    if "n" not in fields:
+        raise ConfigError("field 'n' is required (config or --n)")
+    result = run_experiment(ExperimentConfig(**fields), workers=_resolve_workers(args))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -319,32 +299,23 @@ def _cmd_experiment(args) -> int:
     return 0 if result.passed else 2
 
 
-def _load_and_parse(args):
-    data = _load_config_file(args.config)
-    parsed = parse_config(data)
-    return parsed
-
-
 def _cmd_decompose(args) -> int:
-    kind, *rest = _load_and_parse(args)
-    if kind != "experiment":
-        raise ConfigError("decompose needs a config with system and kernel")
-    parts = symmetric_parts(rest[0]["kernel"])
+    parts = symmetric_parts(_experiment(args)["kernel"])
     _emit(parts.to_json_dict())
     return 0
 
 
 def _cmd_variance(args) -> int:
-    parsed = _load_and_parse(args)
-    if parsed[0] == "chain":
-        _, chain, f = parsed
+    kind, fields = _load(args.config)
+    if kind == "chain":
+        chain, f = fields["chain"], fields["f"]
         if f is None:
             raise ConfigError("variance on a chain config needs the field 'f'")
         centered = StateFunction(f.values - chain.mean(f))
         sigma2 = green_kubo_variance(chain, centered)
         _emit({"sigma_squared": sigma2})
         return 0
-    kernel = parsed[1]["kernel"]
+    kernel = fields["kernel"]
     parts = symmetric_parts(kernel)
     sigma2 = clt_variance(parts.levels[0])
     d = kernel.arity
@@ -353,10 +324,7 @@ def _cmd_variance(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    kind, *rest = _load_and_parse(args)
-    if kind != "experiment":
-        raise ConfigError("spectrum needs a config with system and kernel")
-    kernel = rest[0]["kernel"]
+    kernel = _experiment(args)["kernel"]
     if kernel.arity != 2:
         raise ConfigError("spectrum is defined for arity-2 kernels")
     if isinstance(kernel.base, CircleBase):
@@ -376,10 +344,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_check_conditions(args) -> int:
-    kind, *rest = _load_and_parse(args)
-    if kind != "experiment":
-        raise ConfigError("check-conditions needs a config with system and kernel")
-    report = summability_certificate(rest[0]["kernel"])
+    report = summability_certificate(_experiment(args)["kernel"])
     _emit(
         {
             "exponent": report.exponent,
@@ -393,11 +358,11 @@ def _cmd_check_conditions(args) -> int:
 
 
 def _cmd_mixing(args) -> int:
-    parsed = _load_and_parse(args)
-    if parsed[0] == "chain":
-        chain = parsed[1]
+    kind, fields = _load(args.config)
+    if kind == "chain":
+        chain = fields["chain"]
     else:
-        system = parsed[1]["system"]
+        system = fields["system"]
         if not isinstance(system, MarkovSystem):
             raise ConfigError("mixing needs a markov chain config")
         chain = system.chain
@@ -416,6 +381,31 @@ def _cmd_mixing(args) -> int:
     return 0
 
 
+_EXPERIMENT_OPTIONS = ("--out", "--seed", "--replicas", "--n", "--workers")
+
+#: name: (help, handler, options besides --config)
+COMMANDS = {
+    "decompose": ("symmetric Hoeffding decomposition of the kernel", _cmd_decompose, ()),
+    "variance": ("asymptotic variance of the normalized statistic", _cmd_variance, ()),
+    "spectrum": ("eigenvalues of the martingale part of an arity-2 kernel", _cmd_spectrum, ()),
+    "slln": ("law-of-large-numbers experiment", _cmd_experiment, _EXPERIMENT_OPTIONS),
+    "clt": ("Gaussian-limit experiment", _cmd_experiment, _EXPERIMENT_OPTIONS),
+    "degen": ("degenerate weighted-chi-square experiment", _cmd_experiment, _EXPERIMENT_OPTIONS),
+    "growth": ("diagonal growth-ratio diagnostic", _cmd_experiment, _EXPERIMENT_OPTIONS),
+    "check-conditions": ("summability certificate for the kernel", _cmd_check_conditions, ()),
+    "mixing": ("phi/psi mixing coefficient table of a chain", _cmd_mixing, ("--out", "--n")),
+}
+
+OPTIONS = {
+    "--out": {"help": "directory for result files"},
+    "--seed": {"type": int, "help": "override the master seed"},
+    "--replicas": {"type": int, "help": "override the replica count"},
+    "--n": {"type": int, "help": "override the trajectory length"},
+    "--workers": {"type": int, "help": "parallel workers (default: VMSTAT_WORKERS or 1); "
+                  "never changes results"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vmstat",
@@ -423,46 +413,22 @@ def build_parser() -> argparse.ArgumentParser:
         "limit laws and Monte Carlo verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "decompose": "symmetric Hoeffding decomposition of the kernel",
-        "variance": "asymptotic variance of the normalized statistic",
-        "spectrum": "eigenvalues of the martingale part of an arity-2 kernel",
-        "slln": "law-of-large-numbers experiment",
-        "clt": "Gaussian-limit experiment",
-        "degen": "degenerate weighted-chi-square experiment",
-        "growth": "diagonal growth-ratio diagnostic",
-        "check-conditions": "summability certificate for the kernel",
-        "mixing": "phi/psi mixing coefficient table of a chain",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, handler, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", help="directory for result files")
-        p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--replicas", type=int, help="override the replica count")
-        p.add_argument("--n", type=int, help="override the trajectory length")
-        p.add_argument(
-            "--workers",
-            type=int,
-            help="parallel workers (default: VMSTAT_WORKERS or 1); never changes results",
-        )
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command in EXPERIMENT_COMMANDS:
-            return _cmd_experiment(args)
-        handler = {
-            "decompose": _cmd_decompose,
-            "variance": _cmd_variance,
-            "spectrum": _cmd_spectrum,
-            "check-conditions": _cmd_check_conditions,
-            "mixing": _cmd_mixing,
-        }[args.command]
-        return handler(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return 1 if exc.code else 0
+    try:
+        return args.handler(args)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

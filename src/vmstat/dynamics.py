@@ -186,22 +186,27 @@ def vstat_fast(f: SeparableKernel, traj: Trajectory, n: int) -> float:
     return float(total.real)
 
 
-def normalized_stat(f: SeparableKernel, traj: Trajectory, n: int, mode: str) -> float:
-    """Normalized statistic over the first n points.
+def normalization(f: SeparableKernel, n: int, mode: str) -> tuple[float, float]:
+    """Shift and scale C_n of the normalized statistic (S_n - shift) / C_n.
 
-    slln: n^{-d} S_n.  clt: n^{-(d-1/2)} (S_n - n^d mean).  degen:
-    n^{-1} S_n for canonical arity-2 kernels.
+    slln: (0, n^d).  clt: (n^d mean, n^{d-1/2}).  degen: (0, n) for
+    canonical arity-2 kernels.  Depends on the kernel, n and mode only,
+    so a run over many trajectories computes it once.
     """
     if mode == "slln":
-        return vstat_fast(f, traj, n) / float(n) ** f.arity
+        return 0.0, float(n) ** f.arity
     if mode == "clt":
-        mean = kernel_mean(f)
-        s = vstat_fast(f, traj, n)
-        return (s - float(n) ** f.arity * mean) / float(n) ** (f.arity - 0.5)
+        return float(n) ** f.arity * kernel_mean(f), float(n) ** (f.arity - 0.5)
     if mode == "degen":
         if f.arity != 2:
             raise ValueError("degenerate normalization is for arity-2 kernels")
         if not is_canonical(f):
             raise ValueError("degenerate normalization needs a canonical kernel")
-        return vstat_fast(f, traj, n) / float(n)
+        return 0.0, float(n)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def normalized_stat(f: SeparableKernel, traj: Trajectory, n: int, mode: str) -> float:
+    """Normalized statistic over the first n points; see normalization."""
+    shift, scale = normalization(f, n, mode)
+    return (vstat_fast(f, traj, n) - shift) / scale

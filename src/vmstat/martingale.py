@@ -35,6 +35,7 @@ from .fourier import (
     adjoint_orbit_sum,
     apply_transfer,
     lp_norm,
+    transfer_orbit_length,
 )
 from .kernels import (
     COEFF_TOL,
@@ -382,18 +383,10 @@ def growth_ratios(
         n = 2 ** e
         terms = []
         for key, lam in modes.items():
-            factors = []
-            for k in key:
-                orbit: dict[int, complex] = {}
-                kk = k
-                steps = 0
-                while steps < n:
-                    orbit[kk] = orbit.get(kk, 0.0) + 1.0
-                    steps += 1
-                    if kk % m != 0:
-                        break
-                    kk //= m
-                factors.append(FourierPoly(orbit))
+            factors = [
+                FourierPoly({k // m ** s: 1.0 for s in range(min(n, transfer_orbit_length(k, m)))})
+                for k in key
+            ]
             factors[0] = lam * factors[0]
             terms.append(KernelTerm(1.0, tuple(factors)))
         s_n = SeparableKernel(d, f.base, tuple(terms))

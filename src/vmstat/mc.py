@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeding import derive_seed, reference_seed
-from .dynamics import gen_madic_trajectory, gen_markov_trajectory, normalized_stat
+from .dynamics import gen_madic_trajectory, gen_markov_trajectory, normalization, vstat_fast
 from .hoeffding import symmetric_parts
 from .kernels import (
     CircleBase,
@@ -286,6 +286,7 @@ def replica_seed(cfg: ExperimentConfig, r: int) -> int:
 
 
 def _replica_values(cfg: ExperimentConfig, indices) -> list[float]:
+    shift, scale = normalization(cfg.kernel, cfg.n, cfg.mode)
     out = []
     for r in indices:
         key = replica_seed(cfg, r)
@@ -293,7 +294,7 @@ def _replica_values(cfg: ExperimentConfig, indices) -> list[float]:
             traj = gen_madic_trajectory(cfg.system.m, cfg.n, key, cfg.system.window)
         else:
             traj = gen_markov_trajectory(cfg.system.chain, cfg.n, key)
-        out.append(normalized_stat(cfg.kernel, traj, cfg.n, cfg.mode))
+        out.append((vstat_fast(cfg.kernel, traj, cfg.n) - shift) / scale)
     return out
 
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from vmstat.cli import main
+from vmstat.cli import build_parser, main, parse_config
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -176,12 +177,60 @@ class TestSchema:
         assert rc == 1
         assert "f[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["decompose", "clt"])
+    @pytest.mark.parametrize("k", [2**53 + 1, 2**1100], ids=["2^53+1", "2^1100"])
+    def test_mode_index_beyond_float_range(self, tmp_path, capsys, command, k):
+        data = clt_config(n=64, replicas=20)
+        data["kernel"]["terms"][0]["factors"][0]["modes"][0][0] = k
+        rc = main([command, "--config", write_config(tmp_path, data)])
+        assert rc == 1
+        assert "kernel.terms[0].factors[0].modes[0][0]" in capsys.readouterr().err
+
+    def test_chain_shape(self):
+        kind, fields = parse_config(chain_config())
+        assert kind == "chain" and set(fields) == {"chain", "f"}
+        assert fields["chain"].n_states == 2
+        assert list(fields["f"].values) == [1.0, -1.0]
+        assert parse_config({"Q": chain_config()["Q"]})[1]["f"] is None
+
     def test_circle_window_checked_at_parse(self, tmp_path, capsys):
         data = clt_config()
         data["system"]["window"] = 8
         rc = main(["variance", "--config", write_config(tmp_path, data)])
         assert rc == 1
         assert "system.window" in capsys.readouterr().err
+
+
+class TestOptions:
+    def test_each_command_takes_only_the_options_it_reads(self):
+        experiment = {"--config", "--out", "--seed", "--replicas", "--n", "--workers"}
+        want = {
+            **{c: experiment for c in ("slln", "clt", "degen", "growth")},
+            "mixing": {"--config", "--out", "--n"},
+            **{c: {"--config"} for c in ("decompose", "variance", "spectrum",
+                                         "check-conditions")},
+        }
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+               for name, p in sub.choices.items()}
+        assert got == want
+        assert sum(map(len, got.values())) == 31
+
+    @pytest.mark.parametrize("argv", [
+        ["clt", "--bogus"],
+        ["decompose", "--seed", "7"],
+        ["mixing", "--workers", "2"],
+    ], ids=["unknown", "decompose_seed", "mixing_workers"])
+    def test_usage_error_exits_one(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, clt_config())
+        assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_missing_config_exits_one_and_help_zero(self, capsys):
+        assert main(["clt"]) == 1
+        assert main(["clt", "--help"]) == 0
+        assert "--replicas" in capsys.readouterr().out
 
 
 class TestExperimentCommands:

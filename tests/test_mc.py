@@ -9,6 +9,7 @@ import pytest
 
 from vmstat._seeding import derive_seed, reference_seed, stream
 from vmstat.fourier import FourierPoly
+from vmstat.hoeffding import is_canonical
 from vmstat.kernels import CircleBase, KernelTerm, SeparableKernel
 from vmstat.markov import MarkovChain, StateFunction
 from vmstat.martingale import LimitLaw, sample_limit_law
@@ -345,6 +346,15 @@ class TestDeterminism:
         monkeypatch.setattr("os.cpu_count", lambda: None)
         assert run_experiment(cfg, workers=16).to_json_bytes() == serial
         assert seen == [2]
+
+    def test_canonicity_checked_once_per_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("vmstat.dynamics.is_canonical",
+                            lambda f, *a, **k: calls.append(f) or is_canonical(f, *a, **k))
+        cfg = ExperimentConfig(CircleSystem(), degen_kernel(), "degen", 64,
+                               replicas=8, seed=2)
+        run_experiment(cfg, workers=1)
+        assert len(calls) == 1
 
     def test_timing_not_serialized(self):
         cfg = ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 64,
