@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import MAX_N
 from .fourier import FourierPoly, integral
 from .hoeffding import symmetric_parts
 from .kernels import (
@@ -78,6 +79,13 @@ def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"expected an integer at {path}")
     return value
+
+
+def _length(value, path: str) -> int:
+    n = _integer(value, path)
+    if not 1 <= n <= MAX_N:
+        raise ConfigError(f"expected a length between 1 and {MAX_N} at {path}")
+    return n
 
 
 def _numbers(value, path: str) -> list[float]:
@@ -226,7 +234,7 @@ def parse_config(data: dict):
         if data["mode"] not in MODES:
             raise ConfigError(f"mode must be one of {MODES} at mode")
         out["mode"] = data["mode"]
-    for key, read in (("n", _integer), ("replicas", _integer), ("seed", _integer),
+    for key, read in (("n", _length), ("replicas", _integer), ("seed", _integer),
                       ("alpha", _number), ("comparison", _parse_comparison)):
         if key in data:
             out[key] = read(data[key], key)
@@ -257,8 +265,9 @@ def _emit(obj) -> None:
 
 
 def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
+    workers = getattr(args, "workers", None)
+    if workers is not None:
+        return max(1, workers)
     env = os.environ.get("VMSTAT_WORKERS")
     if env:
         try:
@@ -274,8 +283,10 @@ def _cmd_experiment(args) -> int:
         raise ConfigError(
             f"config mode '{fields['mode']}' does not match command '{args.command}'"
         )
-    for key in ("n", "replicas", "seed"):
-        if getattr(args, key) is not None:
+    if args.n is not None:
+        fields["n"] = _length(args.n, "n")
+    for key in ("replicas", "seed"):
+        if getattr(args, key, None) is not None:
             fields[key] = getattr(args, key)
     if args.command == "growth":
         fields.setdefault("n", 1024)
@@ -383,7 +394,8 @@ def _cmd_mixing(args) -> int:
 
 _EXPERIMENT_OPTIONS = ("--out", "--seed", "--replicas", "--n", "--workers")
 
-#: name: (help, handler, options besides --config)
+#: name: (help, handler, options besides --config); an option is a name from
+#: OPTIONS or a (name, help) pair that replaces the shared help text
 COMMANDS = {
     "decompose": ("symmetric Hoeffding decomposition of the kernel", _cmd_decompose, ()),
     "variance": ("asymptotic variance of the normalized statistic", _cmd_variance, ()),
@@ -391,9 +403,11 @@ COMMANDS = {
     "slln": ("law-of-large-numbers experiment", _cmd_experiment, _EXPERIMENT_OPTIONS),
     "clt": ("Gaussian-limit experiment", _cmd_experiment, _EXPERIMENT_OPTIONS),
     "degen": ("degenerate weighted-chi-square experiment", _cmd_experiment, _EXPERIMENT_OPTIONS),
-    "growth": ("diagonal growth-ratio diagnostic", _cmd_experiment, _EXPERIMENT_OPTIONS),
+    "growth": ("diagonal growth-ratio diagnostic", _cmd_experiment,
+               ("--out", ("--n", "override the largest n of the growth ratios (default 1024)"))),
     "check-conditions": ("summability certificate for the kernel", _cmd_check_conditions, ()),
-    "mixing": ("phi/psi mixing coefficient table of a chain", _cmd_mixing, ("--out", "--n")),
+    "mixing": ("phi/psi mixing coefficient table of a chain", _cmd_mixing,
+               ("--out", ("--n", "last lag of the table (default 20)"))),
 }
 
 OPTIONS = {
@@ -417,8 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="JSON config path")
-        for option in options:
-            p.add_argument(option, **OPTIONS[option])
+        for entry in options:
+            option, help_text = (entry, None) if isinstance(entry, str) else entry
+            settings = OPTIONS[option]
+            p.add_argument(option, **{**settings, "help": help_text or settings["help"]})
     return parser
 
 

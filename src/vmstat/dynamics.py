@@ -1,18 +1,28 @@
 """Trajectory generation and V-statistic evaluation.
 
-Circle trajectories are built from an i.i.d. digit stream, window W
-digits per point: x_i = sum_{j=1..W} b_{i+j} m^{-j}.  Iterating the map
-in floating point instead would collapse onto the fixed point after
-about 53 steps for m = 2, so the digit-window construction is the only
-supported generator.  For m = 2 the windows are exact 64-bit dyadic
-integers, kept on the trajectory next to the points.
+Circle trajectories are built from an i.i.d. digit stream, one window
+per point: x_i = sum_{j=1..W} b_{i+j} m^{-j}.  Iterating the map in
+floating point instead would collapse onto the fixed point after about
+53 steps for m = 2, so the digit-window construction is the only
+supported generator.  The windows are integers u_i = m^W x_i built in
+uint64 by Horner's rule, doubling the width per pass; W is the requested
+window capped at the most base-m digits 64 bits hold (64 for m = 2, 40
+for m = 3), and x_i = u_i / m^W.  For m = 2 the windows are exact 64-bit
+dyadic integers, kept on the trajectory next to the points.
 
 The statistic of an arity-d kernel over the first n points is
 
     S_n = sum over all n^d index tuples of f(x_{i_1}, ..., x_{i_d}).
 
-vstat_naive enumerates every tuple (the oracle; refuses n^d > 1e9),
-vstat_fast exchanges summation and product per term for O(n d) work.
+vstat_naive enumerates every tuple (the oracle; refuses n^d > 1e9).
+vstat_fast exchanges summation and product: per term it multiplies the
+slot sums sum_i u(x_i), which contract reads off the trajectory's points
+on the circle (u.evaluate(points).sum(), O(n) per factor) and off its
+occupation counts on a Markov base (values @ counts).
+
+markov_occupations steps a batch of Markov replicas in lockstep, each on
+its own uniforms, and keeps only their occupation counts, so the Markov
+statistic never holds a path per replica.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._seeding import stream
 from .fourier import FourierPoly
@@ -32,10 +41,18 @@ from .kernels import (
     kernel_mean,
 )
 from .hoeffding import is_canonical
-from .markov import MarkovChain
+from .markov import MarkovChain, StateFunction
 
 #: largest naive enumeration budget, in index tuples
 NAIVE_BUDGET = 1_000_000_000
+
+#: largest trajectory length an experiment accepts; generation allocates
+#: at most about 65 bytes per point
+MAX_N = 2 ** 22
+
+#: most uniforms one lockstep batch of Markov replicas holds (8 MB), and
+#: most cumulative values one of its steps gathers
+BATCH_UNIFORMS = 2 ** 20
 
 
 class BudgetError(RuntimeError):
@@ -64,6 +81,30 @@ def _digit_stream(m: int, count: int, seed: int) -> np.ndarray:
     return rng.integers(0, m, size=count, dtype=np.uint8)
 
 
+def _word_digits(m: int) -> int:
+    """Most base-m digits a 64-bit window holds: the largest w with m^w <= 2^64."""
+    w, power = 0, 1
+    while power * m <= 2 ** 64:
+        w, power = w + 1, power * m
+    return w
+
+
+def _windows(d: np.ndarray, w: int, m: int) -> np.ndarray:
+    """Every w-digit window of the uint64 digits d: out[i] = sum_j d[i+j] m^(w-1-j).
+
+    Horner's rule by doubling: a 2h-digit window is the h-digit window at
+    i times m^h plus the one at i + h, so w digits take about log2(w) passes.
+    """
+    if w == 1:
+        return d
+    h = w // 2
+    v = _windows(d, h, m)
+    v = v[:-h] * np.uint64(m ** h) + v[h:]
+    if w % 2:
+        v = v[:-1] * np.uint64(m) + d[2 * h:]
+    return v
+
+
 def gen_madic_trajectory(m: int, n: int, seed: int, window: int = 64) -> Trajectory:
     """Length-n trajectory of x -> m x mod 1 from a seeded digit stream."""
     if m < 2:
@@ -72,24 +113,13 @@ def gen_madic_trajectory(m: int, n: int, seed: int, window: int = 64) -> Traject
         raise ValueError("trajectory length must be positive")
     if not 16 <= window <= 64:
         raise ValueError("window must be between 16 and 64 digits")
-    digits = _digit_stream(m, n + window - 1, seed)
-    win = sliding_window_view(digits, window)[:n]
-    if m == 2:
-        padded = win
-        if window < 64:
-            padded = np.zeros((n, 64), dtype=np.uint8)
-            padded[:, :window] = win
-        packed = np.packbits(padded, axis=1)
-        u = packed.reshape(n, 8).view(">u8").reshape(n).astype(np.uint64)
-        points = u.astype(np.float64) * 2.0 ** -64
-        return Trajectory("circle", points, windows=u)
-    weights = float(m) ** -np.arange(1, window + 1, dtype=np.float64)
-    points = np.empty(n, dtype=np.float64)
-    step = 1 << 16
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        points[a:b] = win[a:b].astype(np.float64) @ weights
-    return Trajectory("circle", points)
+    width = min(window, _word_digits(m))
+    digits = _digit_stream(m, n + width - 1, seed)
+    u = _windows(digits.astype(np.uint64), width, m)
+    if m != 2:
+        return Trajectory("circle", u.astype(np.float64) / float(m ** width))
+    u <<= np.uint64(64 - width)
+    return Trajectory("circle", u.astype(np.float64) * 2.0 ** -64, windows=u)
 
 
 def gen_markov_trajectory(chain: MarkovChain, n: int, seed: int) -> Trajectory:
@@ -113,6 +143,38 @@ def gen_markov_trajectory(chain: MarkovChain, n: int, seed: int) -> Trajectory:
         x = bisect_right(cum_rows[x], u[i])
         states[i] = x
     return Trajectory("markov", states)
+
+
+def markov_occupations(chain: MarkovChain, n: int, seeds) -> np.ndarray:
+    """Occupation counts of gen_markov_trajectory(chain, n, seed), one row per seed.
+
+    The replicas of a batch step together: the next states are the
+    counts of each current row's first s - 1 cumulative values at or
+    below the replicas' uniforms, which is bisect_right, so every path
+    is the one gen_markov_trajectory draws.  A batch of B replicas holds
+    B n uniforms and gathers B (s - 1) cumulative values per step, both at
+    most BATCH_UNIFORMS.  A step compares against all s - 1 values, where
+    bisect_right takes about log2(s); docs/constants.md has timings.
+    """
+    if n < 1:
+        raise ValueError("trajectory length must be positive")
+    s = chain.n_states
+    cum_pi = np.cumsum(chain.pi)[:-1]
+    cum_rows = np.cumsum(chain.Q, axis=1)[:, :-1]
+    batch = max(1, BATCH_UNIFORMS // max(n, s))
+    out = np.empty((len(seeds), s), dtype=np.int64)
+    for a in range(0, len(seeds), batch):
+        keys = seeds[a:a + batch]
+        u = np.empty((n, len(keys)))
+        for b, key in enumerate(keys):
+            u[:, b] = stream(key).random(n)
+        states = np.empty(u.shape, dtype=np.min_scalar_type(s - 1))
+        states[0] = (u[0, :, None] >= cum_pi).sum(1)
+        for i in range(1, n):
+            states[i] = (u[i, :, None] >= cum_rows[states[i - 1]]).sum(1)
+        for b in range(len(keys)):
+            out[a + b] = np.bincount(states[:, b], minlength=s)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +237,25 @@ def vstat_naive(f: SeparableKernel, traj: Trajectory, n: int) -> float:
 
 
 def vstat_fast(f: SeparableKernel, traj: Trajectory, n: int) -> float:
-    """Factorized evaluation: per term the product of slotwise point sums."""
+    """Factorized evaluation: per term the product of slot sums; see contract."""
     pts = _check_traj(f, traj, n)
+    if traj.kind == "markov":
+        return contract(f, np.bincount(pts, minlength=f.base.chain.n_states))
+    return contract(f, pts)
+
+
+def contract(f: SeparableKernel, stat: np.ndarray) -> float:
+    """sum_t c_t prod_j sum_i u_{t,j}(x_i), each slot sum read off stat.
+
+    stat is a circle trajectory's points, so a slot sum is
+    u.evaluate(points).sum(), or a Markov trajectory's occupation counts
+    (markov_occupations), so a slot sum is values @ counts.
+    """
     total = 0.0 + 0.0j
-    for t, row in zip(f.terms, _factor_values(f, pts)):
+    for t in f.terms:
         prod = complex(t.coeff)
-        for col in row:
-            prod *= col.sum()
+        for u in t.factors:
+            prod *= u.values @ stat if isinstance(u, StateFunction) else u.evaluate(stat).sum()
         total += prod
     return float(total.real)
 

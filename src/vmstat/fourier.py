@@ -109,11 +109,24 @@ class FourierPoly:
         return f"FourierPoly({{{body}}})"
 
     def evaluate(self, x):
-        """Value sum_k c_k exp(2 pi i k x); x is a scalar or an array in [0, 1)."""
+        """Value sum_k c_k exp(2 pi i k x); x is a scalar or an array in [0, 1).
+
+        Mode 0 takes no exponential, and modes k and -k share one,
+        e_{-k} = conj(e_k); the terms are added in the order of the modes.
+        """
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros(x.shape, dtype=np.complex128)
+        pending = {}
         for k, c in self._coeffs.items():
-            out += c * np.exp(_TWO_PI_I * k * x)
+            if k == 0:
+                out += c
+            elif -k in pending:
+                out += c * pending.pop(-k).conj()
+            else:
+                e = np.exp(_TWO_PI_I * k * x)
+                out += c * e
+                if -k in self._coeffs:
+                    pending[k] = e
         return out if out.shape else complex(out)
 
     def conjugate(self) -> "FourierPoly":

@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeding import derive_seed, reference_seed
-from .dynamics import gen_madic_trajectory, gen_markov_trajectory, normalization, vstat_fast
+from .dynamics import (
+    MAX_N,
+    contract,
+    gen_madic_trajectory,
+    markov_occupations,
+    normalization,
+    vstat_fast,
+)
 from .hoeffding import symmetric_parts
 from .kernels import (
     CircleBase,
@@ -100,8 +107,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must be between 1 and {MAX_N}")
         if self.replicas < 1:
             raise ValueError("replicas must be positive")
         if not 0.0 < self.alpha < 1.0:
@@ -287,15 +294,15 @@ def replica_seed(cfg: ExperimentConfig, r: int) -> int:
 
 def _replica_values(cfg: ExperimentConfig, indices) -> list[float]:
     shift, scale = normalization(cfg.kernel, cfg.n, cfg.mode)
-    out = []
-    for r in indices:
-        key = replica_seed(cfg, r)
-        if isinstance(cfg.system, CircleSystem):
-            traj = gen_madic_trajectory(cfg.system.m, cfg.n, key, cfg.system.window)
-        else:
-            traj = gen_markov_trajectory(cfg.system.chain, cfg.n, key)
-        out.append((vstat_fast(cfg.kernel, traj, cfg.n) - shift) / scale)
-    return out
+    keys = [replica_seed(cfg, r) for r in indices]
+    if isinstance(cfg.system, CircleSystem):
+        m, window = cfg.system.m, cfg.system.window
+        stats = [vstat_fast(cfg.kernel, gen_madic_trajectory(m, cfg.n, key, window), cfg.n)
+                 for key in keys]
+    else:
+        counts = markov_occupations(cfg.system.chain, cfg.n, keys)
+        stats = [contract(cfg.kernel, c) for c in counts]
+    return [(s - shift) / scale for s in stats]
 
 
 def _chunk_worker(args) -> list[float]:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from vmstat.cli import build_parser, main, parse_config
+from vmstat.dynamics import MAX_N
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -186,6 +187,20 @@ class TestSchema:
         assert rc == 1
         assert "kernel.terms[0].factors[0].modes[0][0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_length_beyond_max_n(self, tmp_path, capsys, monkeypatch, where):
+        generated = []
+        monkeypatch.setattr("vmstat.mc.gen_madic_trajectory",
+                            lambda *args: generated.append(args))
+        data, extra = clt_config(), []
+        if where == "config":
+            data["n"] = MAX_N + 1
+        else:
+            extra = ["--n", str(MAX_N + 1)]
+        assert main(["clt", "--config", write_config(tmp_path, data)] + extra) == 1
+        assert f"between 1 and {MAX_N} at n" in capsys.readouterr().err
+        assert generated == []
+
     def test_chain_shape(self):
         kind, fields = parse_config(chain_config())
         assert kind == "chain" and set(fields) == {"chain", "f"}
@@ -205,8 +220,8 @@ class TestOptions:
     def test_each_command_takes_only_the_options_it_reads(self):
         experiment = {"--config", "--out", "--seed", "--replicas", "--n", "--workers"}
         want = {
-            **{c: experiment for c in ("slln", "clt", "degen", "growth")},
-            "mixing": {"--config", "--out", "--n"},
+            **{c: experiment for c in ("slln", "clt", "degen")},
+            **{c: {"--config", "--out", "--n"} for c in ("growth", "mixing")},
             **{c: {"--config"} for c in ("decompose", "variance", "spectrum",
                                          "check-conditions")},
         }
@@ -215,17 +230,24 @@ class TestOptions:
         got = {name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
                for name, p in sub.choices.items()}
         assert got == want
-        assert sum(map(len, got.values())) == 31
+        assert sum(map(len, got.values())) == 28
 
     @pytest.mark.parametrize("argv", [
         ["clt", "--bogus"],
         ["decompose", "--seed", "7"],
         ["mixing", "--workers", "2"],
-    ], ids=["unknown", "decompose_seed", "mixing_workers"])
+        ["growth", "--seed", "1"],
+    ], ids=["unknown", "decompose_seed", "mixing_workers", "growth_seed"])
     def test_usage_error_exits_one(self, tmp_path, capsys, argv):
         cfg = write_config(tmp_path, clt_config())
         assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_mixing_n_is_the_last_lag(self, capsys):
+        assert main(["mixing", "--help"]) == 0
+        assert "last lag of the table" in capsys.readouterr().out
+        assert main(["clt", "--help"]) == 0
+        assert "last lag" not in capsys.readouterr().out
 
     def test_missing_config_exits_one_and_help_zero(self, capsys):
         assert main(["clt"]) == 1

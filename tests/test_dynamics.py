@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmstat.fourier import FourierPoly
 from vmstat.kernels import (
@@ -22,6 +24,7 @@ from vmstat.dynamics import (
     Trajectory,
     gen_madic_trajectory,
     gen_markov_trajectory,
+    markov_occupations,
     normalized_stat,
     vstat_fast,
     vstat_naive,
@@ -257,3 +260,81 @@ class TestNormalizedStat:
             normalized_stat(bad, traj, 32, "degen")
         with pytest.raises(ValueError):
             normalized_stat(f, traj, 32, "nope")
+
+
+def l1_bound(f: SeparableKernel, n: int) -> float:
+    """n^d times the sum over terms of |c_t| prod_j (l1 norm of u_{t,j}): bounds |S_n|."""
+    def norm(u):
+        if isinstance(u, FourierPoly):
+            return sum(abs(c) for _, c in u.items())
+        return float(np.abs(u.values).sum())
+    return float(n) ** f.arity * sum(abs(t.coeff) * math.prod(norm(u) for u in t.factors)
+                                     for t in f.terms)
+
+
+#: sizes at which the naive oracle stays cheap, by arity
+NAIVE_SIZES = {1: 96, 2: 40, 3: 12}
+
+
+class TestFactorizedPath:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        arity=st.integers(1, 3),
+        m=st.sampled_from([2, 3, 4]),
+        modes=st.lists(st.one_of(st.just(0), st.integers(-2**20, 2**20)), min_size=1, max_size=6),
+    )
+    def test_fast_matches_naive_on_the_circle(self, seed, arity, m, modes):
+        rng = rng_for(seed)
+        def factor():
+            picked = rng.choice(modes, size=min(len(modes), 3), replace=False)
+            return FourierPoly({int(k): complex(rng.normal(), rng.normal()) for k in picked})
+        f = SeparableKernel(arity, CircleBase(m), tuple(
+            KernelTerm(rng.normal(), tuple(factor() for _ in range(arity))) for _ in range(3)))
+        n = NAIVE_SIZES[arity]
+        traj = gen_madic_trajectory(m, n, seed)
+        assert abs(vstat_fast(f, traj, n) - vstat_naive(f, traj, n)) <= 1e-12 * l1_bound(f, n)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), arity=st.integers(1, 3), s=st.integers(1, 5))
+    def test_fast_matches_naive_on_a_chain(self, seed, arity, s):
+        rng = rng_for(seed)
+        chain = random_ergodic_chain(rng, s)
+        f = SeparableKernel(arity, MarkovBase(chain), tuple(
+            KernelTerm(rng.normal(), tuple(random_state_function(rng, s) for _ in range(arity)))
+            for _ in range(3)))
+        n = NAIVE_SIZES[arity]
+        traj = gen_markov_trajectory(chain, n, seed)
+        assert abs(vstat_fast(f, traj, n) - vstat_naive(f, traj, n)) <= 1e-12 * l1_bound(f, n)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([3, 4, 5, 7, 8, 10, 16]),
+           n=st.integers(1, 300), window=st.integers(16, 64))
+    def test_points_round_the_exact_windows(self, seed, m, n, window):
+        traj = gen_madic_trajectory(m, n, seed, window)
+        want = np.array([v / m**window for v in exact_windows(m, n, seed, window)])
+        assert traj.windows is None
+        assert float(np.max(np.abs(traj.points - want))) <= 2.0**-52
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 5), n=st.integers(1, 60),
+           replicas=st.integers(1, 9), batch=st.integers(1, 4))
+    def test_lockstep_counts_follow_each_replica_path(self, seed, s, n, replicas, batch):
+        chain = random_ergodic_chain(rng_for(seed), s)
+        keys = [seed + r for r in range(replicas)]
+        with mock.patch("vmstat.dynamics.BATCH_UNIFORMS", batch * n):
+            counts = markov_occupations(chain, n, keys)
+        want = [np.bincount(gen_markov_trajectory(chain, n, key).points, minlength=s)
+                for key in keys]
+        assert np.array_equal(counts, np.array(want))
+
+    def test_lockstep_top_draw_lands_in_last_state(self, monkeypatch):
+        top = np.nextafter(1.0, 0.0)
+
+        class TopStream:
+            def random(self, n):
+                return np.full(n, top)
+
+        monkeypatch.setattr("vmstat.dynamics.stream", lambda seed: TopStream())
+        chain = MarkovChain(np.full((10, 10), 0.1))
+        assert np.array_equal(markov_occupations(chain, 50, [0, 1]), [[0] * 9 + [50]] * 2)

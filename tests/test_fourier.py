@@ -66,6 +66,19 @@ class TestAlgebra:
         arr = p.evaluate(np.array([0.0, 0.5]))
         assert np.allclose(arr, [1.0, -1.0])
 
+    def test_evaluate_takes_one_exponential_per_conjugate_pair(self, monkeypatch):
+        # mode 0 costs none, and e_{-k} is the conjugate of e_k
+        p = FourierPoly({3: 0.5, 0: 2.0, -1: 1j, -3: 0.25 - 1j, 1: -0.5, 7: 1.5})
+        x = grid()[::16]
+        want = sum(c * np.exp(2j * np.pi * k * x) for k, c in p.items())
+        calls = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda z: calls.append(z.size) or exp(z))
+        got = p.evaluate(x)
+        monkeypatch.undo()
+        assert calls == [x.size] * 3
+        assert np.max(np.abs(got - want)) < 1e-13
+
     def test_conjugate_and_is_real(self):
         p = FourierPoly({3: 1 + 2j, -3: 1 - 2j})
         assert p.is_real()

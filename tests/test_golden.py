@@ -61,9 +61,9 @@ def test_every_config_is_pinned():
 @pytest.mark.parametrize("name,mode", sorted(RESULT_DIGESTS))
 def test_result_json_digest(name, mode, tmp_path, capsys):
     args = [mode, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path),
-            "--n", "256", "--workers", "1"]
+            "--n", "256"]
     if mode != "growth":
-        args += ["--replicas", "40"]
+        args += ["--replicas", "40", "--workers", "1"]
     assert main(args) == 0
     assert _sha256((tmp_path / "result.json").read_bytes()) == RESULT_DIGESTS[name, mode]
 

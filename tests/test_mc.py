@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from vmstat._seeding import derive_seed, reference_seed, stream
+from vmstat.dynamics import MAX_N
 from vmstat.fourier import FourierPoly
 from vmstat.hoeffding import is_canonical
-from vmstat.kernels import CircleBase, KernelTerm, SeparableKernel
+from vmstat.kernels import CircleBase, KernelTerm, MarkovBase, SeparableKernel
 from vmstat.markov import MarkovChain, StateFunction
 from vmstat.martingale import LimitLaw, sample_limit_law
 from vmstat.mc import (
@@ -193,6 +194,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(sys_, f, "clt", 0)
         with pytest.raises(ValueError):
+            ExperimentConfig(sys_, f, "clt", MAX_N + 1)
+        with pytest.raises(ValueError):
             ExperimentConfig(sys_, f, "clt", 64, replicas=0)
         with pytest.raises(ValueError):
             ExperimentConfig(sys_, f, "clt", 64, alpha=1.5)
@@ -318,6 +321,16 @@ class TestDeterminism:
                                replicas=64, seed=3)
         a = run_experiment(cfg, workers=1).to_json_bytes()
         b = run_experiment(cfg, workers=4).to_json_bytes()
+        assert a == b
+
+    def test_workers_do_not_change_markov_bytes(self):
+        # each worker steps its own chunk of replicas in lockstep
+        chain = MarkovChain(np.array([[0.75, 0.25], [0.25, 0.75]]))
+        u = StateFunction(np.array([1.0, -1.0]))
+        f = SeparableKernel(1, MarkovBase(chain), (KernelTerm(1.0, (u,)),))
+        cfg = ExperimentConfig(MarkovSystem(chain), f, "clt", 300, replicas=64, seed=3)
+        a = run_experiment(cfg, workers=1).to_json_bytes()
+        b = run_experiment(cfg, workers=2).to_json_bytes()
         assert a == b
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
