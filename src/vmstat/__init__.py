@@ -47,7 +47,6 @@ from .hoeffding import (
     integrate_out,
     is_canonical,
     is_symmetric,
-    reconstruct,
     symmetric_parts,
 )
 from .martingale import (

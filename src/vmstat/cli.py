@@ -124,7 +124,7 @@ def _parse_system(d, path: str):
         _check_keys(d, path, {"kind"}, {"m", "window"})
         m = _integer(d.get("m", 2), f"{path}.m")
         window = _integer(d.get("window", 64), f"{path}.window")
-        _build(lambda: CircleBase(m), f"{path}.m")
+        _build(lambda: CircleSystem(m), f"{path}.m")
         return _build(lambda: CircleSystem(m, window), f"{path}.window")
     _check_keys(d, path, {"kind", "Q"})
     return MarkovSystem(_chain(d["Q"], f"{path}.Q"))

@@ -17,8 +17,10 @@ The statistic of an arity-d kernel over the first n points is
 vstat_naive enumerates every tuple (the oracle; refuses n^d > 1e9).
 vstat_fast exchanges summation and product: per term it multiplies the
 slot sums sum_i u(x_i), which contract reads off the trajectory's points
-on the circle (u.evaluate(points).sum(), O(n) per factor) and off its
-occupation counts on a Markov base (values @ counts).
+on the circle (u.evaluate(points, table).sum(), O(n) per factor, with
+one complex exponential per point for each distinct |k| > 0 among the
+kernel's modes, shared through the table) and off its occupation counts
+on a Markov base (values @ counts).
 
 markov_occupations steps a batch of Markov replicas in lockstep, each on
 its own uniforms, and keeps only their occupation counts, so the Markov
@@ -42,6 +44,9 @@ from .kernels import (
 )
 from .hoeffding import is_canonical
 from .markov import MarkovChain, StateFunction
+
+#: largest circle map base; digits are drawn as uint8
+MAX_BASE = 256
 
 #: largest naive enumeration budget, in index tuples
 NAIVE_BUDGET = 1_000_000_000
@@ -107,8 +112,8 @@ def _windows(d: np.ndarray, w: int, m: int) -> np.ndarray:
 
 def gen_madic_trajectory(m: int, n: int, seed: int, window: int = 64) -> Trajectory:
     """Length-n trajectory of x -> m x mod 1 from a seeded digit stream."""
-    if m < 2:
-        raise ValueError("map base must be >= 2")
+    if not 2 <= m <= MAX_BASE:
+        raise ValueError(f"map base must be between 2 and {MAX_BASE}")
     if n < 1:
         raise ValueError("trajectory length must be positive")
     if not 16 <= window <= 64:
@@ -248,14 +253,19 @@ def contract(f: SeparableKernel, stat: np.ndarray) -> float:
     """sum_t c_t prod_j sum_i u_{t,j}(x_i), each slot sum read off stat.
 
     stat is a circle trajectory's points, so a slot sum is
-    u.evaluate(points).sum(), or a Markov trajectory's occupation counts
+    u.evaluate(points, table).sum() with one table of e_k(points) shared
+    by every factor, or a Markov trajectory's occupation counts
     (markov_occupations), so a slot sum is values @ counts.
     """
+    table = {}
     total = 0.0 + 0.0j
     for t in f.terms:
         prod = complex(t.coeff)
         for u in t.factors:
-            prod *= u.values @ stat if isinstance(u, StateFunction) else u.evaluate(stat).sum()
+            if isinstance(u, StateFunction):
+                prod *= u.values @ stat
+            else:
+                prod *= u.evaluate(stat, table).sum()
         total += prod
     return float(total.real)
 

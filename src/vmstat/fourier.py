@@ -108,25 +108,26 @@ class FourierPoly:
         body = ", ".join(f"{k}: {c:.6g}" for k, c in sorted(self._coeffs.items()))
         return f"FourierPoly({{{body}}})"
 
-    def evaluate(self, x):
+    def evaluate(self, x, table=None):
         """Value sum_k c_k exp(2 pi i k x); x is a scalar or an array in [0, 1).
 
-        Mode 0 takes no exponential, and modes k and -k share one,
-        e_{-k} = conj(e_k); the terms are added in the order of the modes.
+        table maps |k| > 0 to e_{|k|}(x) at these same x; a missing entry
+        is computed and stored, so polynomials evaluated at the same points
+        can share one table and take one exponential per distinct |k|.
+        Mode 0 takes none, and mode -k reads conj(e_k), which is e_{-k}
+        bit for bit; the terms are added in the order of the modes.
         """
         x = np.asarray(x, dtype=np.float64)
+        table = {} if table is None else table
         out = np.zeros(x.shape, dtype=np.complex128)
-        pending = {}
         for k, c in self._coeffs.items():
             if k == 0:
                 out += c
-            elif -k in pending:
-                out += c * pending.pop(-k).conj()
-            else:
-                e = np.exp(_TWO_PI_I * k * x)
-                out += c * e
-                if -k in self._coeffs:
-                    pending[k] = e
+                continue
+            e = table.get(abs(k))
+            if e is None:
+                e = table[abs(k)] = np.exp(_TWO_PI_I * abs(k) * x)
+            out += c * (e if k > 0 else e.conj())
         return out if out.shape else complex(out)
 
     def conjugate(self) -> "FourierPoly":

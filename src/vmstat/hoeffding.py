@@ -34,7 +34,6 @@ from .kernels import (
     KernelTerm,
     Observable,
     SeparableKernel,
-    constant_observable,
     expand_modes,
     kernel_mean,
     kernel_sup_coeff,
@@ -228,18 +227,3 @@ def symmetric_parts(f: SeparableKernel, tol: float = 1e-9) -> HoeffdingParts:
     levels = tuple(_level(f.base, split, m) for m in range(1, f.arity + 1))
     return HoeffdingParts(arity=f.arity, base=f.base, constant=kernel_mean(f), levels=levels)
 
-
-def reconstruct(parts: HoeffdingParts) -> SeparableKernel:
-    """Sum the levels back into an arity-d kernel equal to the original."""
-    d = parts.arity
-    one = constant_observable(parts.base, 1.0)
-    # a zero constant term is dropped by the kernel constructor
-    terms = [KernelTerm(parts.constant, (one,) * d)]
-    for m, g in enumerate(parts.levels, start=1):
-        for S in itertools.combinations(range(d), m):
-            for t in g.terms:
-                factors: list = [one] * d
-                for pos, u in zip(S, t.factors):
-                    factors[pos] = u
-                terms.append(KernelTerm(t.coeff, tuple(factors)))
-    return SeparableKernel(d, parts.base, tuple(terms))

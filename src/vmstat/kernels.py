@@ -157,19 +157,6 @@ def zero_kernel(arity: int, base: Base) -> SeparableKernel:
     return SeparableKernel(arity, base, ())
 
 
-def constant_kernel(value: float, arity: int, base: Base) -> SeparableKernel:
-    if value == 0.0:
-        return zero_kernel(arity, base)
-    one = constant_observable(base, 1.0)
-    return SeparableKernel(arity, base, (KernelTerm(value, (one,) * arity),))
-
-
-def constant_observable(base: Base, value: float) -> Observable:
-    if isinstance(base, CircleBase):
-        return FourierPoly.constant(value)
-    return StateFunction(np.full(base.chain.n_states, float(value)))
-
-
 def observable_mean(base: Base, obs: Observable) -> complex:
     """Mean of an observable under the invariant measure of the base."""
     _check_factor(base, obs)
@@ -212,12 +199,6 @@ def kernel_add(f: SeparableKernel, g: SeparableKernel) -> SeparableKernel:
     if not same_base(f.base, g.base):
         raise BaseMismatchError("kernels must share a base")
     return SeparableKernel(f.arity, f.base, f.terms + g.terms)
-
-
-def kernel_scale(f: SeparableKernel, c: float) -> SeparableKernel:
-    return SeparableKernel(
-        f.arity, f.base, tuple(KernelTerm(c * t.coeff, t.factors) for t in f.terms)
-    )
 
 
 def kernel_eval(f: SeparableKernel, point: Sequence) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 
 from ._seeding import derive_seed, reference_seed
 from .dynamics import (
+    MAX_BASE,
     MAX_N,
     contract,
     gen_madic_trajectory,
@@ -69,6 +70,8 @@ class CircleSystem:
 
     def __post_init__(self):
         self.base()  # CircleBase checks m >= 2
+        if self.m > MAX_BASE:
+            raise ValueError(f"map base must be between 2 and {MAX_BASE}")
         if not 16 <= self.window <= 64:
             raise ValueError("window must be between 16 and 64 digits")
 

@@ -8,6 +8,7 @@ always built from an explicit numpy Generator so every test is replayable.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -16,14 +17,15 @@ import numpy as np
 from vmstat._seeding import stream
 from vmstat.cli import parse_config
 from vmstat.fourier import FourierPoly
-from vmstat.hoeffding import integrate_out
+from vmstat.hoeffding import HoeffdingParts, integrate_out
 from vmstat.kernels import (
+    Base,
     CircleBase,
     KernelTerm,
     MarkovBase,
+    Observable,
     SeparableKernel,
     kernel_add,
-    kernel_scale,
     zero_kernel,
 )
 from vmstat.markov import MarkovChain, StateFunction
@@ -71,14 +73,50 @@ def norm_ppf(q: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def constant_observable(base: Base, value: float) -> Observable:
+    if isinstance(base, CircleBase):
+        return FourierPoly.constant(value)
+    return StateFunction(np.full(base.chain.n_states, float(value)))
+
+
+def constant_kernel(value: float, arity: int, base: Base) -> SeparableKernel:
+    if value == 0.0:
+        return zero_kernel(arity, base)
+    one = constant_observable(base, 1.0)
+    return SeparableKernel(arity, base, (KernelTerm(value, (one,) * arity),))
+
+
+def kernel_scale(f: SeparableKernel, c: float) -> SeparableKernel:
+    return SeparableKernel(
+        f.arity, f.base, tuple(KernelTerm(c * t.coeff, t.factors) for t in f.terms))
+
+
+def reconstruct(parts: HoeffdingParts) -> SeparableKernel:
+    """Sum the symmetric-part levels back into an arity-d kernel.
+
+    Level m fills every m-subset of the d slots with its factors, in slot
+    order, and the constant 1 elsewhere; the constant part is one term.
+    """
+    d = parts.arity
+    one = constant_observable(parts.base, 1.0)
+    # a zero constant term is dropped by the kernel constructor
+    terms = [KernelTerm(parts.constant, (one,) * d)]
+    for m, g in enumerate(parts.levels, start=1):
+        for S in itertools.combinations(range(d), m):
+            for t in g.terms:
+                factors: list = [one] * d
+                for pos, u in zip(S, t.factors):
+                    factors[pos] = u
+                terms.append(KernelTerm(t.coeff, tuple(factors)))
+    return SeparableKernel(d, parts.base, tuple(terms))
+
+
 def hoeffding_component_oracle(f: SeparableKernel, S) -> SeparableKernel:
     """Q_S f by inclusion-exclusion: sum over A in S of (-1)^|A| E^{A u S^c} f.
 
     Every E^l is one :func:`integrate_out` call, so the oracle shares no
     code with the factor splitting of ``hoeffding_components``.
     """
-    import itertools
-
     S = tuple(sorted(S))
     complement = tuple(j for j in range(f.arity) if j not in S)
     out = zero_kernel(f.arity, f.base)
@@ -107,6 +145,25 @@ def exact_windows(m: int, n: int, seed: int, window: int = 64) -> list[int]:
         v = (v * m) % modulus + int(digits[i + window - 1])
         out.append(v)
     return out
+
+
+def vstat_by_factor(f: SeparableKernel, points: np.ndarray) -> float:
+    """sum_t c_t prod_j sum_i u_tj(x_i) with every factor evaluated on its own.
+
+    Each mode takes its own np.exp(2j*np.pi*k*x), mode 0 adds c, and the
+    terms are added in mode order, so no exponential is shared between
+    modes or factors.
+    """
+    total = 0.0 + 0.0j
+    for t in f.terms:
+        prod = complex(t.coeff)
+        for u in t.factors:
+            out = np.zeros(points.shape, dtype=np.complex128)
+            for k, c in u.items():
+                out += c if k == 0 else c * np.exp(2j * np.pi * k * points)
+            prod *= out.sum()
+        total += prod
+    return float(total.real)
 
 
 def reparse(kernel: SeparableKernel, comparison=None) -> dict:
@@ -168,8 +225,6 @@ def random_ergodic_chain(rng: np.random.Generator, s: int) -> MarkovChain:
 
 def symmetrize_terms(coeff: float, pattern: list, d: int) -> list[KernelTerm]:
     """All distinct slot assignments of a factor multiset, equal weights."""
-    import itertools
-
     seen = set()
     out = []
     for perm in itertools.permutations(range(d)):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vmstat.cli import build_parser, main, parse_config
-from vmstat.dynamics import MAX_N
+from vmstat.dynamics import MAX_N, gen_madic_trajectory
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -214,6 +214,25 @@ class TestSchema:
         rc = main(["variance", "--config", write_config(tmp_path, data)])
         assert rc == 1
         assert "system.window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m, rc", [(256, 0), (257, 1)])
+    def test_circle_base_bounded_at_256(self, tmp_path, capsys, monkeypatch, m, rc):
+        # digits are drawn as uint8, so the reader stops m > 256 at its path
+        points = []
+        def traced(*args):
+            traj = gen_madic_trajectory(*args)
+            points.append(traj.points)
+            return traj
+        monkeypatch.setattr("vmstat.mc.gen_madic_trajectory", traced)
+        data = clt_config(n=128, replicas=40)
+        data["system"]["m"] = m
+        assert main(["clt", "--config", write_config(tmp_path, data), "--workers", "1"]) == rc
+        if rc:
+            assert "between 2 and 256 at system.m" in capsys.readouterr().err
+            assert points == []
+        else:
+            assert len(points) == 40
+            assert all(len(p) == 128 and 0 <= p.min() and p.max() < 1 for p in points)
 
 
 class TestOptions:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vmstat.cli import parse_config
 from vmstat.fourier import FourierPoly
 from vmstat.kernels import (
     CircleBase,
@@ -19,6 +22,7 @@ from vmstat.kernels import (
     kernel_mean,
 )
 from vmstat.markov import MarkovChain, StateFunction
+from vmstat.mc import CircleSystem
 from vmstat.dynamics import (
     BudgetError,
     Trajectory,
@@ -36,7 +40,10 @@ from helpers import (
     random_poly,
     random_state_function,
     rng_for,
+    vstat_by_factor,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CIRCLE = CircleBase(2)
 
@@ -98,6 +105,16 @@ class TestCircleTrajectories:
             gen_madic_trajectory(1, 10, seed=0)
         with pytest.raises(ValueError):
             gen_madic_trajectory(2, 0, seed=0)
+
+    def test_base_bounded_at_256(self):
+        # digits are drawn as uint8; 256 is the largest base they hold
+        with pytest.raises(ValueError, match="between 2 and 256"):
+            gen_madic_trajectory(257, 10, seed=0)
+        with pytest.raises(ValueError, match="between 2 and 256"):
+            CircleSystem(257)
+        traj = gen_madic_trajectory(256, 50, seed=3)
+        want = np.array([v / 256**8 for v in exact_windows(256, 50, seed=3, window=8)])
+        assert np.max(np.abs(traj.points - want)) <= 2.0**-52
 
     def test_deterministic_in_seed(self):
         a = gen_madic_trajectory(2, 64, seed=9)
@@ -327,6 +344,39 @@ class TestFactorizedPath:
         want = [np.bincount(gen_markov_trajectory(chain, n, key).points, minlength=s)
                 for key in keys]
         assert np.array_equal(counts, np.array(want))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]), arity=st.integers(1, 3),
+           ks=st.lists(st.integers(1, 2**20), min_size=1, max_size=3))
+    def test_shared_exponentials_keep_every_byte(self, seed, m, arity, ks):
+        # factors hold k only, -k only, both (either order) or mode 0, so one
+        # factor reads the e_k another stored, or its conjugate
+        rng = rng_for(seed)
+        signs = ((1,), (-1,), (1, -1), (-1, 1), (0,), (0, -1, 1))
+        def factor():
+            k = int(rng.choice(ks))
+            picked = signs[rng.integers(len(signs))]
+            return FourierPoly({s * k: complex(rng.normal(), rng.normal()) for s in picked})
+        f = SeparableKernel(arity, CircleBase(m), tuple(
+            KernelTerm(rng.normal(), tuple(factor() for _ in range(arity))) for _ in range(3)))
+        traj = gen_madic_trajectory(m, 300, seed)
+        assert vstat_fast(f, traj, 300) == vstat_by_factor(f, traj.points)
+
+    @pytest.mark.parametrize("kernel, calls", [
+        ("clt_doubling", 1), ("degen_doubling", 1), ("slln_doubling", 1), ("mixed_modes", 2)])
+    def test_one_exponential_per_distinct_mode(self, monkeypatch, kernel, calls):
+        if kernel == "mixed_modes":  # 2, -3, 3 and 0, each in its own factor
+            e = {k: FourierPoly({k: 1.0}) for k in (2, -3, 3, 0)}
+            f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (e[2], e[-3])),
+                                            KernelTerm(0.5, (e[3], e[0]))))
+        else:
+            f = parse_config(json.loads((CONFIGS / f"{kernel}.json").read_text()))[1]["kernel"]
+        traj = gen_madic_trajectory(2, 64, seed=1)
+        exp, count = np.exp, []
+        monkeypatch.setattr(np, "exp", lambda z: count.append(z.size) or exp(z))
+        vstat_fast(f, traj, 64)
+        monkeypatch.undo()
+        assert count == [64] * calls
 
     def test_lockstep_top_draw_lands_in_last_state(self, monkeypatch):
         top = np.nextafter(1.0, 0.0)

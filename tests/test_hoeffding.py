@@ -17,7 +17,6 @@ from vmstat.hoeffding import (
     integrate_out,
     is_canonical,
     is_symmetric,
-    reconstruct,
     symmetric_parts,
 )
 from vmstat.kernels import (
@@ -25,8 +24,6 @@ from vmstat.kernels import (
     KernelTerm,
     MarkovBase,
     SeparableKernel,
-    constant_kernel,
-    constant_observable,
     expand_modes,
     kernel_add,
     kernel_eval,
@@ -39,11 +36,14 @@ from vmstat.markov import StateFunction
 from vmstat.martingale import martingale_coboundary_d2
 
 from helpers import (
+    constant_kernel,
+    constant_observable,
     hoeffding_component_oracle,
     random_canonical_pair_kernel,
     random_ergodic_chain,
     random_symmetric_circle_kernel,
     random_symmetric_markov_kernel,
+    reconstruct,
     rng_for,
 )
 

@@ -15,14 +15,12 @@ from vmstat.kernels import (
     MarkovBase,
     PiecewiseConstant,
     SeparableKernel,
-    constant_kernel,
     coordinate_op,
     diag_restrict,
     expand_modes,
     kernel_add,
     kernel_eval,
     kernel_mean,
-    kernel_scale,
     kernel_sup_coeff,
     kernels_allclose,
     partition_restrict,
@@ -34,7 +32,15 @@ from vmstat.kernels import (
 )
 from vmstat.markov import MarkovChain, StateFunction
 
-from helpers import grid, random_ergodic_chain, random_poly, reparse, rng_for
+from helpers import (
+    constant_kernel,
+    grid,
+    kernel_scale,
+    random_ergodic_chain,
+    random_poly,
+    reparse,
+    rng_for,
+)
 
 CIRCLE = CircleBase(2)
 

@@ -18,7 +18,6 @@ from vmstat.kernels import (
     expand_modes,
     kernel_add,
     kernel_mean,
-    kernel_scale,
     kernels_allclose,
     to_tensor,
     zero_kernel,
@@ -39,6 +38,7 @@ from vmstat.martingale import (
 )
 
 from helpers import (
+    kernel_scale,
     random_canonical_pair_kernel,
     random_ergodic_chain,
     random_poly,
