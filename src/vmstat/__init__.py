@@ -18,7 +18,6 @@ from .markov import (
     MarkovChain,
     NotErgodicError,
     StateFunction,
-    green_kubo_variance,
     mixing_coefficients,
     solve_poisson,
     stationary_dist,

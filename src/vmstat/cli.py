@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import MAX_N
-from .fourier import FourierPoly, integral
+from .fourier import FourierPoly
 from .hoeffding import symmetric_parts
 from .kernels import (
     CircleBase,
@@ -27,10 +27,9 @@ from .kernels import (
     MarkovBase,
     SeparableKernel,
     diag_restrict,
-    same_base,
     summability_certificate,
 )
-from .markov import MarkovChain, StateFunction, green_kubo_variance, mixing_coefficients
+from .markov import MarkovChain, StateFunction, mixing_coefficients
 from .martingale import (
     LimitLaw,
     clt_variance,
@@ -168,7 +167,7 @@ def _parse_factor(d, path: str):
 def _parse_kernel(d, path: str, base) -> SeparableKernel:
     _check_keys(d, path, {"arity", "terms"}, {"base"})
     arity = _integer(d["arity"], f"{path}.arity")
-    if "base" in d and not same_base(_parse_base(d["base"], f"{path}.base"), base):
+    if "base" in d and _parse_base(d["base"], f"{path}.base") != base:
         raise ConfigError(f"kernel base at {path}.base does not match the system")
     terms_d = d["terms"]
     if not isinstance(terms_d, list):
@@ -323,8 +322,8 @@ def _cmd_variance(args) -> int:
         if f is None:
             raise ConfigError("variance on a chain config needs the field 'f'")
         centered = StateFunction(f.values - chain.mean(f))
-        sigma2 = green_kubo_variance(chain, centered)
-        _emit({"sigma_squared": sigma2})
+        kernel = SeparableKernel(1, MarkovBase(chain), (KernelTerm(1.0, (centered,)),))
+        _emit({"sigma_squared": clt_variance(kernel)})
         return 0
     kernel = fields["kernel"]
     parts = symmetric_parts(kernel)
@@ -345,11 +344,7 @@ def _cmd_spectrum(args) -> int:
         target = kernel
     pairs = spectral_decompose(target)
     lambdas = [lam for lam, _ in pairs]
-    diag = diag_restrict(target)
-    if isinstance(diag, FourierPoly):
-        trace = float(integral(diag).real)
-    else:
-        trace = target.base.chain.mean(diag)
+    trace = float(target.base.mean(diag_restrict(target)).real)
     _emit({"lambdas": lambdas, "sum": float(sum(lambdas)), "diag_mean": trace})
     return 0
 

@@ -35,15 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeding import stream
-from .fourier import FourierPoly
-from .kernels import (
-    CircleBase,
-    MarkovBase,
-    SeparableKernel,
-    kernel_mean,
-)
+from .kernels import SeparableKernel, kernel_mean
 from .hoeffding import is_canonical
-from .markov import MarkovChain, StateFunction
+from .markov import MarkovChain
 
 #: largest circle map base; digits are drawn as uint8
 MAX_BASE = 256
@@ -191,24 +185,9 @@ def _check_traj(f: SeparableKernel, traj: Trajectory, n: int) -> np.ndarray:
         raise ValueError("n must be positive")
     if n > len(traj.points):
         raise ValueError(f"trajectory holds {len(traj.points)} points, need {n}")
-    if isinstance(f.base, CircleBase) and traj.kind != "circle":
-        raise ValueError("circle kernel needs a circle trajectory")
-    if isinstance(f.base, MarkovBase) and traj.kind != "markov":
-        raise ValueError("markov kernel needs a markov trajectory")
+    if traj.kind != f.base.kind:
+        raise ValueError(f"{f.base.kind} kernel needs a {f.base.kind} trajectory")
     return traj.points[:n]
-
-
-def _factor_values(f: SeparableKernel, pts: np.ndarray) -> list[list[np.ndarray]]:
-    out = []
-    for t in f.terms:
-        row = []
-        for u in t.factors:
-            if isinstance(u, FourierPoly):
-                row.append(u.evaluate(pts))
-            else:
-                row.append(u.values[pts])
-        out.append(row)
-    return out
 
 
 def vstat_naive(f: SeparableKernel, traj: Trajectory, n: int) -> float:
@@ -222,7 +201,7 @@ def vstat_naive(f: SeparableKernel, traj: Trajectory, n: int) -> float:
     d = f.arity
     if float(n) ** d > NAIVE_BUDGET:
         raise BudgetError(f"n^d = {float(n) ** d:.3g} exceeds the {NAIVE_BUDGET:.0e} tuple budget")
-    vals = _factor_values(f, pts)
+    vals = [[u.evaluate(pts) for u in t.factors] for t in f.terms]
     total = 0.0 + 0.0j
     if d == 1:
         grid = np.zeros(n, dtype=np.complex128)
@@ -255,17 +234,16 @@ def contract(f: SeparableKernel, stat: np.ndarray) -> float:
     stat is a circle trajectory's points, so a slot sum is
     u.evaluate(points, table).sum() with one table of e_k(points) shared
     by every factor, or a Markov trajectory's occupation counts
-    (markov_occupations), so a slot sum is values @ counts.
+    (markov_occupations), so a slot sum is values @ counts; the base's
+    slot_sum does either.
     """
+    slot_sum = f.base.slot_sum
     table = {}
     total = 0.0 + 0.0j
     for t in f.terms:
         prod = complex(t.coeff)
         for u in t.factors:
-            if isinstance(u, StateFunction):
-                prod *= u.values @ stat
-            else:
-                prod *= u.evaluate(stat, table).sum()
+            prod *= slot_sum(u, stat, table)
         total += prod
     return float(total.real)
 

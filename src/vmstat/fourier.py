@@ -22,6 +22,8 @@ import numpy as np
 DROP_TOL = 1e-15
 #: two polynomials are equal iff coefficients agree within this
 EQ_TOL = 1e-12
+#: grid points of the quadrature behind every L_p norm with p != 2
+QUAD_POINTS = 4096
 
 _TWO_PI_I = 2j * np.pi
 
@@ -155,19 +157,13 @@ def integral(p: FourierPoly) -> complex:
     return p.coeff(0)
 
 
-def lp_norm(p: FourierPoly, exponent: float, quad_points: int = 4096) -> float:
-    """L_p norm for p >= 1; exact via coefficients for p = 2, quadrature otherwise."""
-    if exponent < 1:
-        raise ValueError("exponent must be >= 1")
+def lp_norm(p: FourierPoly, exponent: float) -> float:
+    """L_p norm, 1 <= p < inf: exact for p = 2, else QUAD_POINTS-point uniform quadrature."""
+    if not 1 <= exponent < np.inf:
+        raise ValueError("exponent must be finite and >= 1")
     if exponent == 2:
         return float(np.sqrt(sum(abs(c) ** 2 for _, c in p.items())))
-    return _lp_norm_quadrature(p, exponent, quad_points)
-
-
-def _lp_norm_quadrature(p: FourierPoly, exponent: float, quad_points: int = 4096) -> float:
-    if quad_points < 1:
-        raise ValueError("quad_points must be positive")
-    x = np.arange(quad_points, dtype=np.float64) / quad_points
+    x = np.arange(QUAD_POINTS, dtype=np.float64) / QUAD_POINTS
     vals = np.abs(p.evaluate(x))
     return float(np.mean(vals ** exponent) ** (1.0 / exponent))
 

@@ -26,23 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierPoly
 from .kernels import (
     COEFF_TOL,
     Base,
     CircleBase,
     KernelTerm,
-    Observable,
     SeparableKernel,
     expand_modes,
     kernel_mean,
     kernel_sup_coeff,
-    mean_factor,
-    observable_mean,
-    same_base,
     to_tensor,
 )
-from .markov import StateFunction
 
 
 class SymmetryError(ValueError):
@@ -63,24 +57,19 @@ def integrate_out(f: SeparableKernel, slot: int) -> SeparableKernel:
     terms = []
     for t in f.terms:
         factors = list(t.factors)
-        factors[slot] = mean_factor(f.base, factors[slot])
+        factors[slot] = f.base.constant(f.base.mean(factors[slot]))
         terms.append(KernelTerm(t.coeff, tuple(factors)))
     return SeparableKernel(f.arity, f.base, tuple(terms))
 
 
-def _centred_factor(base: Base, u: Observable) -> Observable:
-    """u - E[u], the part of a factor that (I - E) keeps."""
-    if isinstance(u, FourierPoly):
-        return FourierPoly({k: c for k, c in u.items() if k != 0})
-    return StateFunction(u.values - base.chain.mean(u))
-
-
 def _split_terms(f: SeparableKernel) -> list:
     """Every term as its coefficient and one (E[u], u - E[u]) pair per slot."""
-    return [
-        (t.coeff, [(mean_factor(f.base, u), _centred_factor(f.base, u)) for u in t.factors])
-        for t in f.terms
-    ]
+    base = f.base
+    split = []
+    for t in f.terms:
+        means = [base.constant(base.mean(u)) for u in t.factors]
+        split.append((t.coeff, [(c, u - c) for c, u in zip(means, t.factors)]))
+    return split
 
 
 def _component(f: SeparableKernel, split: list, S) -> SeparableKernel:
@@ -174,7 +163,7 @@ class HoeffdingParts:
         if len(self.levels) != self.arity:
             raise ValueError("need one level kernel per arity 1..d")
         for m, g in enumerate(self.levels, start=1):
-            if g.arity != m or not same_base(g.base, self.base):
+            if g.arity != m or g.base != self.base:
                 raise ValueError("level kernels must have arity 1..d over the same base")
 
     def degree(self, tol: float = COEFF_TOL) -> int:
@@ -195,15 +184,11 @@ def _level(base: Base, split: list, m: int) -> SeparableKernel:
     """Q_S f for S = {0, ..., m-1} at arity m: slots m..d-1 fold their means into slot 0."""
     terms = []
     for coeff, pairs in split:
-        scalar = 1.0 + 0.0j
+        scalar = 1.0
         for mean, _ in pairs[m:]:
-            scalar *= observable_mean(base, mean)
+            scalar *= base.mean(mean)
         factors = [centred for _, centred in pairs[:m]]
-        first = factors[0]
-        if isinstance(first, FourierPoly):
-            factors[0] = scalar * first
-        else:
-            factors[0] = StateFunction(scalar.real * first.values)
+        factors[0] = scalar * factors[0]
         terms.append(KernelTerm(coeff, tuple(factors)))
     return SeparableKernel(m, base, tuple(terms))
 

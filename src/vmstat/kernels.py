@@ -10,6 +10,10 @@ All structural operations (diagonal and partition restriction, per-slot
 composition and transfer application, mode expansion) are exact on this
 representation; floating point enters only through coefficient
 arithmetic.
+
+CircleBase and MarkovBase carry the same operations on one observable,
+so most kernel functions below have one body for both bases;
+docs/correspondence.md tables the operations.
 """
 
 from __future__ import annotations
@@ -22,14 +26,14 @@ import numpy as np
 
 from .fourier import (
     FourierPoly,
+    adjoint_orbit_sum,
     apply_koopman,
     apply_transfer,
     integral,
     lp_norm,
-    poly_product,
     transfer_orbit_length,
 )
-from .markov import MarkovChain, StateFunction
+from .markov import MarkovChain, StateFunction, solve_poisson
 
 Observable = Union[FourierPoly, StateFunction]
 
@@ -43,9 +47,10 @@ class BaseMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class CircleBase:
-    """Circle with the m-fold covering map x -> m x mod 1."""
+    """Circle with the m-fold map x -> m x mod 1; the adjoint step is the transfer operator."""
 
     m: int = 2
+    kind = "circle"
 
     def __post_init__(self):
         if not isinstance(self.m, (int, np.integer)) or self.m < 2:
@@ -53,30 +58,100 @@ class CircleBase:
         object.__setattr__(self, "m", int(self.m))
 
     def to_json_dict(self) -> dict:
-        return {"kind": "circle", "m": self.m}
+        return {"kind": self.kind, "m": self.m}
+
+    def check(self, u) -> None:
+        if not isinstance(u, FourierPoly):
+            raise BaseMismatchError("circle kernels take trigonometric polynomial factors")
+
+    def mean(self, u: FourierPoly) -> complex:
+        return integral(u)
+
+    def constant(self, c) -> FourierPoly:
+        return FourierPoly.constant(c)
+
+    def lp_norm(self, u: FourierPoly, exponent: float) -> float:
+        return lp_norm(u, exponent)
+
+    def sq_norm(self, u: FourierPoly) -> float:
+        return lp_norm(u, 2) ** 2
+
+    def adjoint_step(self, u: FourierPoly, e: int) -> FourierPoly:
+        for _ in range(e):
+            u = apply_transfer(u, self.m)
+        return u
+
+    def forward_step(self, u: FourierPoly, e: int) -> FourierPoly:
+        for _ in range(e):
+            u = apply_koopman(u, self.m)
+        return u
+
+    def adjoint_series(self, u: FourierPoly) -> FourierPoly:
+        return adjoint_orbit_sum(u, self.m)
+
+    def slot_sum(self, u: FourierPoly, points: np.ndarray, table: dict) -> complex:
+        """sum_i u(x_i) over circle points, sharing table (FourierPoly.evaluate)."""
+        return u.evaluate(points, table).sum()
 
 
 @dataclass(frozen=True, eq=False)
 class MarkovBase:
-    """Finite ergodic Markov chain as the underlying system."""
+    """Finite ergodic Markov chain; the adjoint step is Q, its series the Poisson solve.
+
+    Two bases are equal when their transition matrices agree to 1e-12.
+    """
 
     chain: MarkovChain
+    kind = "markov"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MarkovBase):
+            return NotImplemented
+        a, b = self.chain.Q, other.chain.Q
+        return a.shape == b.shape and np.allclose(a, b, atol=1e-12)
+
+    __hash__ = None  # tolerance-based equality
 
     def to_json_dict(self) -> dict:
-        return {"kind": "markov", "chain": self.chain.to_json_dict()}
+        return {"kind": self.kind, "chain": self.chain.to_json_dict()}
+
+    def check(self, u) -> None:
+        if not isinstance(u, StateFunction):
+            raise BaseMismatchError("markov kernels take state function factors")
+        if len(u) != self.chain.n_states:
+            raise ValueError("state function length does not match the chain")
+
+    def mean(self, u: StateFunction) -> float:
+        return self.chain.mean(u)
+
+    def constant(self, c) -> StateFunction:
+        return StateFunction(np.full(self.chain.n_states, float(c)))
+
+    def lp_norm(self, u: StateFunction, exponent: float) -> float:
+        return self.chain.lp_norm(u, exponent)
+
+    def sq_norm(self, u: StateFunction) -> float:
+        return self.chain.inner(u, u)
+
+    def adjoint_step(self, u: StateFunction, e: int) -> StateFunction:
+        return self.chain.apply(u, e)
+
+    @property
+    def forward_step(self):
+        """No state-function form; raises on lookup, so even a kernel with no terms is rejected."""
+        raise BaseMismatchError(
+            "forward composition has no state-function representation on the markov base"
+        )
+
+    def adjoint_series(self, u: StateFunction) -> StateFunction:
+        return solve_poisson(self.chain, u)
+
+    def slot_sum(self, u: StateFunction, counts: np.ndarray, table: dict) -> float:
+        """sum_i u(X_i) from the occupation counts of the states; table is unused."""
+        return u.values @ counts
 
 
 Base = Union[CircleBase, MarkovBase]
-
-
-def same_base(a: Base, b: Base) -> bool:
-    if isinstance(a, CircleBase) and isinstance(b, CircleBase):
-        return a.m == b.m
-    if isinstance(a, MarkovBase) and isinstance(b, MarkovBase):
-        return a.chain.Q.shape == b.chain.Q.shape and np.allclose(
-            a.chain.Q, b.chain.Q, atol=1e-12
-        )
-    return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,23 +164,6 @@ class KernelTerm:
             raise TypeError("term coefficients are real; fold phases into a factor")
         object.__setattr__(self, "coeff", float(self.coeff))
         object.__setattr__(self, "factors", tuple(self.factors))
-
-
-def _check_factor(base: Base, obs: Observable) -> None:
-    if isinstance(base, CircleBase):
-        if not isinstance(obs, FourierPoly):
-            raise BaseMismatchError("circle kernels take trigonometric polynomial factors")
-    else:
-        if not isinstance(obs, StateFunction):
-            raise BaseMismatchError("markov kernels take state function factors")
-        if len(obs) != base.chain.n_states:
-            raise ValueError("state function length does not match the chain")
-
-
-def _factor_is_zero(obs: Observable) -> bool:
-    if isinstance(obs, FourierPoly):
-        return len(obs) == 0
-    return not obs.values.any()
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +183,8 @@ class SeparableKernel:
             if len(t.factors) != self.arity:
                 raise ValueError("every term needs one factor per slot")
             for obs in t.factors:
-                _check_factor(self.base, obs)
-            if t.coeff == 0.0 or any(_factor_is_zero(u) for u in t.factors):
+                self.base.check(obs)
+            if t.coeff == 0.0 or not all(t.factors):
                 continue
             norm.append(t)
         object.__setattr__(self, "terms", tuple(norm))
@@ -149,35 +207,11 @@ class SeparableKernel:
         }
 
     def __repr__(self) -> str:
-        kind = "circle" if isinstance(self.base, CircleBase) else "markov"
-        return f"SeparableKernel(arity={self.arity}, base={kind}, terms={self.n_terms})"
+        return f"SeparableKernel(arity={self.arity}, base={self.base.kind}, terms={self.n_terms})"
 
 
 def zero_kernel(arity: int, base: Base) -> SeparableKernel:
     return SeparableKernel(arity, base, ())
-
-
-def observable_mean(base: Base, obs: Observable) -> complex:
-    """Mean of an observable under the invariant measure of the base."""
-    _check_factor(base, obs)
-    if isinstance(obs, FourierPoly):
-        return integral(obs)
-    return complex(base.chain.mean(obs))  # type: ignore[union-attr]
-
-
-def mean_factor(base: Base, obs: Observable) -> Observable:
-    """Constant observable carrying the mean of ``obs``."""
-    c = observable_mean(base, obs)
-    if isinstance(base, CircleBase):
-        return FourierPoly.constant(c)
-    return StateFunction(np.full(base.chain.n_states, c.real))
-
-
-def observable_lp_norm(base: Base, obs: Observable, exponent: float) -> float:
-    _check_factor(base, obs)
-    if isinstance(obs, FourierPoly):
-        return lp_norm(obs, exponent)
-    return base.chain.lp_norm(obs, exponent)  # type: ignore[union-attr]
 
 
 def kernel_mean(f: SeparableKernel) -> float:
@@ -186,7 +220,7 @@ def kernel_mean(f: SeparableKernel) -> float:
     for t in f.terms:
         prod = complex(t.coeff)
         for u in t.factors:
-            prod *= observable_mean(f.base, u)
+            prod *= f.base.mean(u)
         total += prod
     if abs(total.imag) > 1e-10:
         raise ValueError("kernel mean is not real")
@@ -196,7 +230,7 @@ def kernel_mean(f: SeparableKernel) -> float:
 def kernel_add(f: SeparableKernel, g: SeparableKernel) -> SeparableKernel:
     if f.arity != g.arity:
         raise ValueError("kernels must share arity")
-    if not same_base(f.base, g.base):
+    if f.base != g.base:
         raise BaseMismatchError("kernels must share a base")
     return SeparableKernel(f.arity, f.base, f.terms + g.terms)
 
@@ -205,8 +239,8 @@ def kernel_eval(f: SeparableKernel, point: Sequence) -> float:
     """Value of the kernel at one tuple of base points.
 
     Circle points are fractions of the turn in [0, 1); Markov points are
-    state indices.  For real-valued kernels the imaginary part of the
-    complex accumulation is below 1e-10 and is dropped.
+    state indices in [0, s).  For real-valued kernels the imaginary part
+    of the complex accumulation is below 1e-10 and is dropped.
     """
     if len(point) != f.arity:
         raise ValueError("point tuple length must equal the kernel arity")
@@ -214,32 +248,20 @@ def kernel_eval(f: SeparableKernel, point: Sequence) -> float:
     for t in f.terms:
         prod = complex(t.coeff)
         for u, x in zip(t.factors, point):
-            if isinstance(u, FourierPoly):
-                prod *= u.evaluate(float(x))
-            else:
-                prod *= u.values[int(x)]
+            prod *= u.evaluate(x)
         total += prod
     return float(total.real)
 
 
 def diag_restrict(f: SeparableKernel) -> Observable:
     """Restriction to the diagonal, f(x, x, ..., x), as one observable."""
-    if isinstance(f.base, CircleBase):
-        out = FourierPoly.zero()
-        for t in f.terms:
-            prod = FourierPoly.constant(t.coeff)
-            for u in t.factors:
-                prod = poly_product(prod, u)
-            out = out + prod
-        return out
-    s = f.base.chain.n_states
-    acc = np.zeros(s)
+    out = f.base.constant(0.0)
     for t in f.terms:
-        prod = np.full(s, t.coeff)
+        prod = f.base.constant(t.coeff)
         for u in t.factors:
-            prod = prod * u.values
-        acc += prod
-    return StateFunction(acc)
+            prod = prod * u
+        out = out + prod
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,27 +337,12 @@ def coordinate_op(f: SeparableKernel, exponents: Sequence[int], adjoint: bool) -
     exps = [int(e) for e in exponents]
     if any(e < 0 for e in exps):
         raise ValueError("exponents must be nonnegative")
-    if isinstance(f.base, CircleBase):
-        m = f.base.m
-        terms = []
-        for t in f.terms:
-            factors = []
-            for u, e in zip(t.factors, exps):
-                for _ in range(e):
-                    u = apply_transfer(u, m) if adjoint else apply_koopman(u, m)
-                factors.append(u)
-            terms.append(KernelTerm(t.coeff, tuple(factors)))
-        return SeparableKernel(f.arity, f.base, tuple(terms))
-    if not adjoint:
-        raise BaseMismatchError(
-            "forward composition has no state-function representation on the markov base"
-        )
-    chain = f.base.chain
-    terms = []
-    for t in f.terms:
-        factors = tuple(chain.apply(u, e) for u, e in zip(t.factors, exps))
-        terms.append(KernelTerm(t.coeff, factors))
-    return SeparableKernel(f.arity, f.base, tuple(terms))
+    step = f.base.adjoint_step if adjoint else f.base.forward_step
+    terms = tuple(
+        KernelTerm(t.coeff, tuple(step(u, e) for u, e in zip(t.factors, exps)))
+        for t in f.terms
+    )
+    return SeparableKernel(f.arity, f.base, terms)
 
 
 def projective_bound(f: SeparableKernel, exponent: float) -> float:
@@ -344,7 +351,7 @@ def projective_bound(f: SeparableKernel, exponent: float) -> float:
     for t in f.terms:
         prod = abs(t.coeff)
         for u in t.factors:
-            prod *= observable_lp_norm(f.base, u, exponent)
+            prod *= f.base.lp_norm(u, exponent)
         total += prod
     return total
 
@@ -398,7 +405,7 @@ def kernel_sup_coeff(f: SeparableKernel) -> float:
 
 def kernels_allclose(f: SeparableKernel, g: SeparableKernel, tol: float = COEFF_TOL) -> bool:
     """Equality as functions, coefficientwise on the expanded representation."""
-    if f.arity != g.arity or not same_base(f.base, g.base):
+    if f.arity != g.arity or f.base != g.base:
         return False
     if isinstance(f.base, CircleBase):
         df, dg = expand_modes(f), expand_modes(g)
@@ -440,8 +447,8 @@ def summability_certificate(f: SeparableKernel, exponent: float = 2.0) -> Summab
     """
     if not isinstance(f.base, CircleBase):
         raise BaseMismatchError("the summability certificate is defined on the circle base")
-    if exponent < 1:
-        raise ValueError("exponent must be >= 1")
+    if not 1 <= exponent < np.inf:
+        raise ValueError("exponent must be finite and >= 1")
     m = f.base.m
     table: dict[int, int] = {}
     certificate = 0.0

@@ -11,9 +11,10 @@ resolvent route: solve (I - Q) phi = f with pi-mean zero, then
     sigma^2 = <phi, phi>_pi - <Q phi, Q phi>_pi,
 
 which equals the covariance series Var f + 2 sum_{k>=1} Cov(f_0, f_k).
-See docs/correspondence.md for how this maps onto the circle-side
-transfer operator algebra; all limit-variance code for chains routes
-through :func:`green_kubo_variance`.
+That is the circle's |g|^2 - |V* g|^2 with the Poisson solve as the
+summed adjoint series and Q as the adjoint step: MarkovBase
+(vmstat.kernels) supplies those operations and martingale.clt_variance
+computes the one formula on both bases; see docs/correspondence.md.
 """
 
 from __future__ import annotations
@@ -43,6 +44,31 @@ class StateFunction:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def __bool__(self) -> bool:
+        """True unless every value is zero, as a FourierPoly with no modes is false."""
+        return bool(self.values.any())
+
+    def __add__(self, other: "StateFunction") -> "StateFunction":
+        return StateFunction(self.values + other.values)
+
+    def __sub__(self, other: "StateFunction") -> "StateFunction":
+        return StateFunction(self.values - other.values)
+
+    def __mul__(self, other):
+        """Pointwise product with a state function, or scaling by a real number."""
+        if isinstance(other, StateFunction):
+            return StateFunction(self.values * other.values)
+        return StateFunction(float(other) * self.values)
+
+    __rmul__ = __mul__
+
+    def evaluate(self, x):
+        """Value at state x, or at every state of an integer array x."""
+        x = np.asarray(x, dtype=np.int64)
+        if x.size and not (0 <= x.min() and x.max() < len(self.values)):
+            raise ValueError(f"states must be in [0, {len(self.values)})")
+        return self.values[x]
 
     def to_json_dict(self) -> dict:
         return {"values": [float(v) for v in self.values]}
@@ -125,8 +151,8 @@ class MarkovChain:
         return float(np.sum(self.pi * f.values * g.values))
 
     def lp_norm(self, f: StateFunction, exponent: float) -> float:
-        if exponent < 1:
-            raise ValueError("exponent must be >= 1")
+        if not 1 <= exponent < np.inf:
+            raise ValueError("exponent must be finite and >= 1")
         return float(np.sum(self.pi * np.abs(f.values) ** exponent) ** (1.0 / exponent))
 
     def apply(self, f: StateFunction, power: int = 1) -> StateFunction:
@@ -159,15 +185,6 @@ def solve_poisson(chain: MarkovChain, f: StateFunction, tol: float = 1e-10) -> S
     A = np.eye(s) - chain.Q + np.outer(np.ones(s), chain.pi)
     phi = np.linalg.solve(A, f.values)
     return StateFunction(phi)
-
-
-def green_kubo_variance(chain: MarkovChain, f: StateFunction) -> float:
-    """Asymptotic variance of n^{-1/2} sum f(X_k) for pi-centered f."""
-    phi = solve_poisson(chain, f)
-    qphi = chain.apply(phi)
-    sigma2 = chain.inner(phi, phi) - chain.inner(qphi, qphi)
-    # nonnegative up to roundoff because Q is an L2(pi) contraction
-    return max(sigma2, 0.0)
 
 
 def mixing_coefficients(chain: MarkovChain, n_max: int) -> np.ndarray:

@@ -30,18 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeding import stream
-from .fourier import (
-    FourierPoly,
-    adjoint_orbit_sum,
-    apply_transfer,
-    lp_norm,
-    transfer_orbit_length,
-)
+from .fourier import FourierPoly, lp_norm, transfer_orbit_length
 from .kernels import (
     COEFF_TOL,
     CircleBase,
     KernelTerm,
-    MarkovBase,
     SeparableKernel,
     coordinate_op,
     diag_restrict,
@@ -50,7 +43,7 @@ from .kernels import (
     to_tensor,
 )
 from .hoeffding import is_symmetric
-from .markov import StateFunction, green_kubo_variance, solve_poisson
+from .markov import StateFunction
 
 #: eigenvalues below this modulus are dropped from spectral results
 SPECTRUM_TOL = 1e-12
@@ -142,46 +135,40 @@ def adjoint_series_sum(f: SeparableKernel) -> SeparableKernel:
 
     Circle base: exact, one term per expanded mode component, each slot
     holding the finite transfer orbit sum of its mode.  Markov base: the
-    slotwise resolvent (I - Q)^{-1} applied to centered factors.
+    slotwise resolvent (I - Q)^{-1}, the base's adjoint_series, applied
+    to every factor, which must be centered.
     """
-    if isinstance(f.base, CircleBase):
-        m = f.base.m
+    base = f.base
+    if isinstance(base, CircleBase):
         terms = []
         for key, lam in _canonical_expansion(f).items():
-            factors = [adjoint_orbit_sum(FourierPoly.mode(k), m) for k in key]
+            factors = [base.adjoint_series(FourierPoly.mode(k)) for k in key]
             factors[0] = lam * factors[0]
             terms.append(KernelTerm(1.0, tuple(factors)))
-        return SeparableKernel(f.arity, f.base, tuple(terms))
-    chain = f.base.chain
-    terms = []
-    for t in f.terms:
-        factors = []
-        for u in t.factors:
-            if abs(chain.mean(u)) > 1e-10:
-                raise ValueError("markov factors must be centered for the adjoint series")
-            factors.append(solve_poisson(chain, u))
-        terms.append(KernelTerm(t.coeff, tuple(factors)))
-    return SeparableKernel(f.arity, f.base, tuple(terms))
+        return SeparableKernel(f.arity, base, tuple(terms))
+    terms = tuple(
+        KernelTerm(t.coeff, tuple(base.adjoint_series(u) for u in t.factors)) for t in f.terms
+    )
+    return SeparableKernel(f.arity, base, terms)
 
 
 def clt_variance(r1: SeparableKernel) -> float:
     """Asymptotic variance of partial sums of an arity-1 canonical kernel.
 
-    Circle base: with g = sum_{k>=0} V*^k r1 the value is
-    |g|_2^2 - |V* g|_2^2.  Markov base: the Green-Kubo value through the
-    chain's Poisson equation.
+    With u the kernel's one observable, g its summed adjoint series and
+    A the adjoint step, the value is max(|g|_2^2 - |A g|_2^2, 0) on both
+    bases: g = sum_{k>=0} V*^k u and A = V* on the circle, g the Poisson
+    solution of (I - Q) g = u and A = Q on a chain (the Green-Kubo value);
+    see docs/correspondence.md.  The clamp absorbs rounding.
     """
     if r1.arity != 1:
         raise ValueError("variance takes the arity-1 canonical part")
+    base = r1.base
     u = diag_restrict(r1)
-    if isinstance(f_base := r1.base, MarkovBase):
-        return green_kubo_variance(f_base.chain, u)
-    m = r1.base.m
-    if abs(u.coeff(0)) > 1e-10:
+    if abs(base.mean(u)) > 1e-10:
         raise ValueError("arity-1 part must have mean zero")
-    g1 = adjoint_orbit_sum(u, m)
-    tail = apply_transfer(g1, m)
-    sigma2 = lp_norm(g1, 2) ** 2 - lp_norm(tail, 2) ** 2
+    g = base.adjoint_series(u)
+    sigma2 = base.sq_norm(g) - base.sq_norm(base.adjoint_step(g, 1))
     return max(sigma2, 0.0)
 
 

@@ -39,7 +39,6 @@ from .kernels import (
     MarkovBase,
     SeparableKernel,
     kernel_mean,
-    same_base,
 )
 from .markov import MarkovChain
 from .martingale import (
@@ -116,7 +115,7 @@ class ExperimentConfig:
             raise ValueError("replicas must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if not same_base(self.system.base(), self.kernel.base):
+        if self.system.base() != self.kernel.base:
             raise ValueError("kernel base does not match the system")
 
     def to_json_dict(self) -> dict:

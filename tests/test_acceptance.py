@@ -30,10 +30,11 @@ from vmstat.kernels import (
     projective_bound,
     zero_kernel,
 )
-from vmstat.markov import MarkovChain, StateFunction, green_kubo_variance, mixing_coefficients
+from vmstat.markov import MarkovChain, StateFunction, mixing_coefficients
 from vmstat.martingale import (
     GROWTH_CONSTANT_D2,
     adjoint_series_sum,
+    clt_variance,
     growth_bound,
     growth_ratios,
     martingale_coboundary_d2,
@@ -310,9 +311,9 @@ def test_c10_markov_variance():
     t0 = time.perf_counter()
     chain = MarkovChain(np.array([[0.75, 0.25], [0.25, 0.75]]))
     f_obs = StateFunction(np.array([1.0, -1.0]))
-    sigma2 = green_kubo_variance(chain, f_obs)
-    ok = abs(sigma2 - 3.0) <= 1e-12
     kernel = SeparableKernel(1, MarkovBase(chain), (KernelTerm(1.0, (f_obs,)),))
+    sigma2 = clt_variance(kernel)
+    ok = abs(sigma2 - 3.0) <= 1e-12
     cfg = ExperimentConfig(MarkovSystem(chain), kernel, "clt",
                            n=4096, replicas=2000, seed=0, alpha=0.01)
     res = run_experiment(cfg)

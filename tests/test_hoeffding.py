@@ -120,6 +120,39 @@ class TestComponents:
         assert kernels_allclose(total, f, tol=1e-11)
 
 
+def random_symmetric_kernel(seed: int, d: int, base: str) -> SeparableKernel:
+    """A random symmetric kernel on the circle with m = 2 or 3, or on a random chain."""
+    rng = rng_for(seed)
+    if base == "markov":
+        chain = random_ergodic_chain(rng, int(rng.integers(1, 6)))
+        return random_symmetric_markov_kernel(rng, d, chain, max_terms=12)
+    return random_symmetric_circle_kernel(rng, d, max_terms=12, m=int(base[-1]))
+
+
+class TestPropertiesBothBases:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+           base=st.sampled_from(["circle m=2", "circle m=3", "markov"]))
+    def test_components_sum_back(self, seed, d, base):
+        f = random_symmetric_kernel(seed, d, base)
+        comp = hoeffding_components(f)
+        assert len(comp) == 2 ** d
+        total = zero_kernel(d, f.base)
+        for piece in comp.values():
+            total = kernel_add(total, piece)
+        assert kernels_allclose(total, f, tol=1e-11)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+           base=st.sampled_from(["circle m=2", "circle m=3", "markov"]))
+    def test_levels_canonical_and_reconstruct(self, seed, d, base):
+        f = random_symmetric_kernel(seed, d, base)
+        parts = symmetric_parts(f)
+        for level in parts.levels:
+            assert is_canonical(level, tol=1e-10)
+        assert kernels_allclose(reconstruct(parts), f, tol=1e-10)
+
+
 class TestIntegrateOut:
     def test_matches_quadrature(self):
         rng = rng_for(405)

@@ -45,3 +45,36 @@ def test_no_unused_imports(path):
         f"{name} (line {line})" for name, line in _imported_names(tree).items() if name not in read
     )
     assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"
+
+
+#: classes an ``isinstance`` test names when it branches on the base
+BASE_TYPES = {"CircleBase", "MarkovBase", "FourierPoly", "StateFunction", "CircleSystem", "MarkovSystem"}
+#: most such tests ``src/vmstat`` may hold outside ``fourier.py``; the per-base
+#: operations live on CircleBase and MarkovBase, so a new branch needs a reason
+MAX_BASE_BRANCHES = 19
+
+
+def _base_branches(tree: ast.Module) -> list[int]:
+    """Line of every ``isinstance(x, T)`` call whose T names one of BASE_TYPES."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            named = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            named |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+            if named & BASE_TYPES:
+                out.append(node.lineno)
+    return out
+
+
+def test_base_branches_bounded():
+    found = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        if path.name != "fourier.py"
+        for line in _base_branches(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert len(found) <= MAX_BASE_BRANCHES, (
+        f"{len(found)} isinstance tests on base types, at most {MAX_BASE_BRANCHES}: "
+        + ", ".join(found)
+    )

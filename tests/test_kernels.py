@@ -25,7 +25,6 @@ from vmstat.kernels import (
     kernels_allclose,
     partition_restrict,
     projective_bound,
-    same_base,
     summability_certificate,
     to_tensor,
     zero_kernel,
@@ -87,11 +86,11 @@ class TestConstruction:
                 KernelTerm(1.0, (StateFunction(np.array([1.0, 2.0, 3.0])),)),))
 
     def test_same_base(self):
-        assert same_base(CircleBase(2), CircleBase(2))
-        assert not same_base(CircleBase(2), CircleBase(3))
+        assert CircleBase(2) == CircleBase(2)
+        assert CircleBase(2) != CircleBase(3)
         chain = two_state_chain()
-        assert same_base(MarkovBase(chain), MarkovBase(two_state_chain()))
-        assert not same_base(CircleBase(2), MarkovBase(chain))
+        assert MarkovBase(chain) == MarkovBase(two_state_chain())
+        assert CircleBase(2) != MarkovBase(chain)
 
     def test_add_requires_shared_base(self):
         f = zero_kernel(1, CIRCLE)
@@ -113,6 +112,49 @@ class TestConstruction:
         assert kernels_allclose(f, g)
 
 
+class TestBaseInterface:
+    """The per-base operations CircleBase and MarkovBase share."""
+
+    @staticmethod
+    def bases_with_observable():
+        return [
+            (CIRCLE, FourierPoly.constant(5.0)),
+            (MarkovBase(two_state_chain()), StateFunction(np.array([3.0, -4.0]))),
+        ]
+
+    @pytest.mark.parametrize("exponent", [math.inf, math.nan, -math.inf, 0.5])
+    def test_lp_norm_rejects_exponent_outside_one_to_inf(self, exponent):
+        for base, u in self.bases_with_observable():
+            with pytest.raises(ValueError):
+                base.lp_norm(u, exponent)
+        with pytest.raises(ValueError):
+            summability_certificate(example_kernel(), exponent=exponent)
+
+    def test_lp_norm_finite_exponents(self):
+        (circle, five), (chain, u) = self.bases_with_observable()
+        for p in (1.0, 2.0, 3.5):
+            assert abs(circle.lp_norm(five, p) - 5.0) < 1e-12
+        # pi = (1/2, 1/2) on the symmetric two-state chain
+        assert abs(chain.lp_norm(u, 1.0) - 3.5) < 1e-15
+        assert abs(chain.lp_norm(u, 2.0) - math.sqrt(12.5)) < 1e-15
+        assert abs(chain.sq_norm(u) - 12.5) < 1e-15
+
+    def test_centring_and_invariant_mean(self):
+        for base, u in self.bases_with_observable():
+            assert abs(base.mean(u - base.constant(base.mean(u)))) < 1e-15
+            # the adjoint step preserves the invariant mean
+            assert abs(base.mean(base.adjoint_step(u, 3)) - base.mean(u)) < 1e-14
+
+    def test_state_function_arithmetic(self):
+        u = StateFunction(np.array([3.0, -4.0]))
+        v = StateFunction(np.array([0.5, 2.0]))
+        assert np.array_equal((u + v).values, [3.5, -2.0])
+        assert np.array_equal((u - v).values, [2.5, -6.0])
+        assert np.array_equal((u * v).values, [1.5, -8.0])
+        assert np.array_equal((2.0 * u).values, (u * 2.0).values)
+        assert u and not StateFunction(np.zeros(2))
+
+
 class TestEvaluation:
     def test_eval_matches_manual_circle(self):
         f = example_kernel()
@@ -131,6 +173,16 @@ class TestEvaluation:
     def test_eval_arity_checked(self):
         with pytest.raises(ValueError):
             kernel_eval(example_kernel(), (0.5,))
+
+    @pytest.mark.parametrize("state", [-1, 2, 7])
+    def test_eval_rejects_state_outside_chain(self, state):
+        f = SeparableKernel(1, MarkovBase(two_state_chain()), (
+            KernelTerm(1.0, (StateFunction(np.array([3.0, -4.0])),)),))
+        assert kernel_eval(f, (1,)) == -4.0
+        with pytest.raises(ValueError):
+            kernel_eval(f, (state,))
+        with pytest.raises(ValueError):
+            f.terms[0].factors[0].evaluate(np.array([0, 1, state]))
 
     def test_mean_circle_against_quadrature(self):
         rng = rng_for(301)

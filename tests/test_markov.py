@@ -10,11 +10,12 @@ from vmstat.markov import (
     MarkovChain,
     NotErgodicError,
     StateFunction,
-    green_kubo_variance,
     mixing_coefficients,
     solve_poisson,
     stationary_dist,
 )
+
+from vmstat.martingale import clt_variance
 
 from helpers import random_ergodic_chain, random_state_function, reparse, rng_for
 
@@ -125,11 +126,16 @@ class TestPoisson:
             solve_poisson(chain, StateFunction(np.array([1.0, 0.0])))
 
 
+def chain_variance(chain: MarkovChain, f: StateFunction) -> float:
+    """clt_variance of the one-term arity-1 kernel f over the chain."""
+    return clt_variance(SeparableKernel(1, MarkovBase(chain), (KernelTerm(1.0, (f,)),)))
+
+
 class TestVariance:
     def test_two_state_green_kubo_closed_form(self):
         chain = two_state(0.25, 0.25)
         f = StateFunction(np.array([1.0, -1.0]))
-        assert abs(green_kubo_variance(chain, f) - 3.0) < 1e-13
+        assert abs(chain_variance(chain, f) - 3.0) < 1e-13
 
     def test_green_kubo_matches_covariance_series(self):
         # sigma^2 = var_pi(f) + 2 sum_{k>=1} cov_pi(f, Q^k f); the series
@@ -139,7 +145,7 @@ class TestVariance:
             s = int(rng.integers(2, 7))
             chain = random_ergodic_chain(rng, s)
             f = random_state_function(rng, s, chain, zero_mean=True)
-            direct = green_kubo_variance(chain, f)
+            direct = chain_variance(chain, f)
             acc = chain.inner(f, f)
             g = f
             for _k in range(400):

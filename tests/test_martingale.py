@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmstat.fourier import FourierPoly, apply_koopman, lp_norm, poly_product
 from vmstat.kernels import (
@@ -22,7 +23,7 @@ from vmstat.kernels import (
     to_tensor,
     zero_kernel,
 )
-from vmstat.markov import MarkovChain, StateFunction, green_kubo_variance
+from vmstat.markov import MarkovChain, StateFunction
 from vmstat.martingale import (
     GROWTH_CONSTANT_D2,
     LimitLaw,
@@ -169,13 +170,6 @@ class TestCltVariance:
                 oracle += 2.0 * inner(w, u)
             assert abs(clt_variance(arity1(u)) - oracle) < 1e-10
 
-    def test_markov_route_is_green_kubo(self):
-        rng = rng_for(505)
-        chain = random_ergodic_chain(rng, 5)
-        u = random_state_function(rng, 5, chain, zero_mean=True)
-        f = SeparableKernel(1, MarkovBase(chain), (KernelTerm(1.0, (u,)),))
-        assert abs(clt_variance(f) - green_kubo_variance(chain, u)) < 1e-12
-
     def test_variance_nonnegative(self):
         rng = rng_for(506)
         for _ in range(20):
@@ -224,6 +218,22 @@ class TestDecompositionD2:
             f = random_canonical_pair_kernel(rng, n_pairs=4, m=m)
             parts = martingale_coboundary_d2(f)
             assert kernels_allclose(reconstruct_from_parts(parts), f, tol=1e-11)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3, 5]),
+           n_terms=st.integers(1, 5), max_abs_mode=st.integers(1, 12))
+    def test_reconstruct_property(self, seed, m, n_terms, max_abs_mode):
+        # canonical because every factor has mean zero; neither symmetric nor real
+        rng = rng_for(seed)
+        terms = tuple(
+            KernelTerm(float(rng.normal()), tuple(
+                random_poly(rng, max_abs_mode=max_abs_mode, n_modes=2, zero_mean=True)
+                for _ in range(2)))
+            for _ in range(n_terms)
+        )
+        f = SeparableKernel(2, CircleBase(m), terms)
+        parts = martingale_coboundary_d2(f)
+        assert kernels_allclose(reconstruct_from_parts(parts), f, tol=1e-11)
 
     def test_rejects_non_canonical(self):
         f = SeparableKernel(2, CIRCLE, (
