@@ -45,8 +45,8 @@ MAX_BASE = 256
 #: largest naive enumeration budget, in index tuples
 NAIVE_BUDGET = 1_000_000_000
 
-#: largest trajectory length an experiment accepts; generation allocates
-#: at most about 65 bytes per point
+#: largest trajectory length an experiment accepts; generating and
+#: evaluating a circle replica allocates at most about 72 bytes per point
 MAX_N = 2 ** 22
 
 #: most uniforms one lockstep batch of Markov replicas holds (8 MB), and

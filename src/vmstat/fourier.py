@@ -8,6 +8,12 @@ on modes as k -> m k, and its L2 adjoint (the averaging operator over
 the m preimages) acts as k -> k / m when m divides k and annihilates the
 mode otherwise.  Both actions are exact on this representation.
 
+Evaluation takes the phase of a point in exact integers: turns(x) is
+v = frac(x) 2^64 as a uint64, so the phase of e_k is k v mod 2^64 in
+wrapping uint64 arithmetic for every integer k, and turns_exp reads
+e(v / 2^64) off three 2048-entry tables and a first-order tail, with an
+error below about 1e-15 whatever k is (docs/constants.md).
+
 Norms: the L2 norm is computed exactly from coefficients, every other
 L_p norm by uniform-grid quadrature on the circle.
 """
@@ -25,7 +31,71 @@ EQ_TOL = 1e-12
 #: grid points of the quadrature behind every L_p norm with p != 2
 QUAD_POINTS = 4096
 
-_TWO_PI_I = 2j * np.pi
+#: points turns_exp works through at a time, so its temporaries stay in cache
+BLOCK = 2 ** 14
+
+
+def _turn_table(bits: int) -> np.ndarray:
+    """e(j / 2^bits) for j < 2^11, exact at quarter turns, else rounded once from long double."""
+    tau = 8 * np.arctan(np.longdouble(1))
+    quarter, rest = np.divmod(np.arange(2 ** 11), 2 ** (bits - 2))
+    e = np.exp(1j * tau * (rest / np.longdouble(2) ** bits)).astype(np.complex128)
+    return e * np.array([1, 1j, -1, -1j])[quarter]
+
+
+#: e(j / 2^11), e(j / 2^22) and e(j / 2^33) for j < 2^11 (3 x 32 KB)
+_TURN_TABLES = tuple(_turn_table(bits) for bits in (11, 22, 33))
+#: low 31 bits of a phase, which turns_exp takes to first order
+_TAIL_MASK = np.uint64(2 ** 31 - 1)
+#: radians per unit of a uint64 phase
+_RADIANS_PER_UNIT = 2 * np.pi * 2.0 ** -64
+
+
+def turns(x) -> np.ndarray:
+    """Phases v = frac(x) 2^64 of finite points x, as uint64.
+
+    x - rint(x) is exact and lies in [-1/2, 1/2]; times 2^63 it is cast
+    to int64 and doubled in wrapping uint64 arithmetic.  So v is exact
+    whenever 2^63 x is an integer, which holds for every |x| >= 2^-11,
+    and otherwise within 2 of frac(x) 2^64.  For every integer k >= 0,
+    e_k(x) = turns_exp(k v) with k v taken mod 2^64.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("circle points must be finite")
+    r = np.rint(x, out=np.empty_like(x))
+    np.subtract(x, r, out=r)
+    r *= 2.0 ** 63
+    v = r.astype(np.int64).view(np.uint64)
+    v <<= np.uint64(1)
+    return v
+
+
+def turns_exp(v) -> np.ndarray:
+    """e(v / 2^64) = exp(2 pi i v / 2^64) for uint64 phases v.
+
+    Bits 63-53, 52-42 and 41-31 of v index e(j / 2^11), e(j / 2^22) and
+    e(j / 2^33); the low 31 bits t, under 2^-33 turns, enter as the factor
+    1 + 2 pi i t / 2^64, whose error is below (2 pi 2^-33)^2 / 2 < 2.7e-19.
+    Points are taken BLOCK at a time, which changes no bit of the result.
+    """
+    v = np.asarray(v, dtype=np.uint64)
+    out = np.empty(v.shape, dtype=np.complex128)
+    flat, res = v.reshape(-1), out.reshape(-1)
+    high, mid, low = _TURN_TABLES
+    for a in range(0, flat.size, BLOCK):
+        w, o = flat[a:a + BLOCK], res[a:a + BLOCK]
+        i = (w >> np.uint64(31)).view(np.int64)  # bits 63-31
+        np.take(high, i >> 22, out=o)
+        i &= 2 ** 22 - 1
+        o *= mid.take(i >> 11)
+        o *= low.take(i & 2 ** 11 - 1)
+        tail = np.empty_like(o)
+        tail.real = 1.0
+        tail.imag = w & _TAIL_MASK
+        tail.imag *= _RADIANS_PER_UNIT
+        o *= tail
+    return out
 
 
 class FourierPoly:
@@ -111,16 +181,21 @@ class FourierPoly:
         return f"FourierPoly({{{body}}})"
 
     def evaluate(self, x, table=None):
-        """Value sum_k c_k exp(2 pi i k x); x is a scalar or an array in [0, 1).
+        """Value sum_k c_k exp(2 pi i k x) at finite points x, taken mod 1.
 
-        table maps |k| > 0 to e_{|k|}(x) at these same x; a missing entry
-        is computed and stored, so polynomials evaluated at the same points
-        can share one table and take one exponential per distinct |k|.
-        Mode 0 takes none, and mode -k reads conj(e_k), which is e_{-k}
-        bit for bit; the terms are added in the order of the modes.
+        table holds, for these same x, the phases turns(x) under key 0 and
+        e_{|k|}(x) = turns_exp(|k| turns(x) mod 2^64) under each |k| > 0,
+        so the phase is exact integer arithmetic for every k.  A missing
+        entry is computed and stored: polynomials evaluated at the same
+        points can share one table, which takes one phase array and one
+        table exponential per distinct |k|.  Mode 0 takes none, mode -k
+        reads conj(e_k), and the terms are added in mode order.  Raises
+        ValueError on a non-finite x.
         """
         x = np.asarray(x, dtype=np.float64)
         table = {} if table is None else table
+        if 0 not in table:
+            table[0] = turns(x)
         out = np.zeros(x.shape, dtype=np.complex128)
         for k, c in self._coeffs.items():
             if k == 0:
@@ -128,7 +203,7 @@ class FourierPoly:
                 continue
             e = table.get(abs(k))
             if e is None:
-                e = table[abs(k)] = np.exp(_TWO_PI_I * abs(k) * x)
+                e = table[abs(k)] = turns_exp(np.multiply(table[0], np.uint64(abs(k) % 2 ** 64)))
             out += c * (e if k > 0 else e.conj())
         return out if out.shape else complex(out)
 

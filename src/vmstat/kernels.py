@@ -238,9 +238,9 @@ def kernel_add(f: SeparableKernel, g: SeparableKernel) -> SeparableKernel:
 def kernel_eval(f: SeparableKernel, point: Sequence) -> float:
     """Value of the kernel at one tuple of base points.
 
-    Circle points are fractions of the turn in [0, 1); Markov points are
-    state indices in [0, s).  For real-valued kernels the imaginary part
-    of the complex accumulation is below 1e-10 and is dropped.
+    Circle points are fractions of the turn, taken mod 1; Markov points
+    are integer state indices in [0, s).  For real-valued kernels the
+    imaginary part of the complex accumulation is below 1e-10 and is dropped.
     """
     if len(point) != f.arity:
         raise ValueError("point tuple length must equal the kernel arity")

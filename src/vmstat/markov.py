@@ -64,11 +64,18 @@ class StateFunction:
     __rmul__ = __mul__
 
     def evaluate(self, x):
-        """Value at state x, or at every state of an integer array x."""
-        x = np.asarray(x, dtype=np.int64)
+        """Value at state x, or at every state of an array x of integers.
+
+        Integer arrays index directly; a float state must be integral, so
+        1.7 raises ValueError rather than reading state 1.
+        """
+        x = np.asarray(x)
+        integral = x.dtype.kind in "biu" or (x.dtype.kind == "f" and np.array_equal(x, np.trunc(x)))
+        if not integral:
+            raise ValueError("states must be integers")
         if x.size and not (0 <= x.min() and x.max() < len(self.values)):
             raise ValueError(f"states must be in [0, {len(self.values)})")
-        return self.values[x]
+        return self.values[x.astype(np.int64, copy=False)]
 
     def to_json_dict(self) -> dict:
         return {"values": [float(v) for v in self.values]}

@@ -16,7 +16,7 @@ import numpy as np
 
 from vmstat._seeding import stream
 from vmstat.cli import parse_config
-from vmstat.fourier import FourierPoly
+from vmstat.fourier import FourierPoly, turns, turns_exp
 from vmstat.hoeffding import HoeffdingParts, integrate_out
 from vmstat.kernels import (
     Base,
@@ -147,10 +147,21 @@ def exact_windows(m: int, n: int, seed: int, window: int = 64) -> list[int]:
     return out
 
 
-def vstat_by_factor(f: SeparableKernel, points: np.ndarray) -> float:
+def exp_by_turns(k: int, points: np.ndarray) -> np.ndarray:
+    """e_k at the points as FourierPoly.evaluate takes it: turns_exp(|k| v), conj for k < 0."""
+    e = turns_exp(np.multiply(turns(points), np.uint64(abs(k))))
+    return e if k > 0 else e.conj()
+
+
+def exp_by_numpy(k: int, points: np.ndarray) -> np.ndarray:
+    """e_k at the points as np.exp of the float phase 2 pi k x, off by about |k| 2^-53 turns."""
+    return np.exp(2j * np.pi * k * points)
+
+
+def vstat_by_factor(f: SeparableKernel, points: np.ndarray, exp=exp_by_turns) -> float:
     """sum_t c_t prod_j sum_i u_tj(x_i) with every factor evaluated on its own.
 
-    Each mode takes its own np.exp(2j*np.pi*k*x), mode 0 adds c, and the
+    Each mode k != 0 takes its own exp(k, points), mode 0 adds c, and the
     terms are added in mode order, so no exponential is shared between
     modes or factors.
     """
@@ -160,7 +171,7 @@ def vstat_by_factor(f: SeparableKernel, points: np.ndarray) -> float:
         for u in t.factors:
             out = np.zeros(points.shape, dtype=np.complex128)
             for k, c in u.items():
-                out += c if k == 0 else c * np.exp(2j * np.pi * k * points)
+                out += c if k == 0 else c * exp(k, points)
             prod *= out.sum()
         total += prod
     return float(total.real)

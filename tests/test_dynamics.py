@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vmstat import fourier
 from vmstat.cli import parse_config
 from vmstat.fourier import FourierPoly
 from vmstat.kernels import (
@@ -36,6 +37,7 @@ from vmstat.dynamics import (
 
 from helpers import (
     exact_windows,
+    exp_by_numpy,
     random_ergodic_chain,
     random_poly,
     random_state_function,
@@ -362,6 +364,21 @@ class TestFactorizedPath:
         traj = gen_madic_trajectory(m, 300, seed)
         assert vstat_fast(f, traj, 300) == vstat_by_factor(f, traj.points)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]), arity=st.integers(1, 3),
+           ks=st.lists(st.integers(-2**8, 2**8), min_size=1, max_size=4))
+    def test_fast_matches_numpy_exponentials(self, seed, m, arity, ks):
+        # np.exp of the float phase is off by about |k| 2^-53 turns, so the
+        # modes stay small enough for that oracle to resolve 1e-12
+        rng = rng_for(seed)
+        def factor():
+            return FourierPoly({int(k): complex(rng.normal(), rng.normal()) for k in ks})
+        f = SeparableKernel(arity, CircleBase(m), tuple(
+            KernelTerm(rng.normal(), tuple(factor() for _ in range(arity))) for _ in range(3)))
+        traj = gen_madic_trajectory(m, 300, seed)
+        want = vstat_by_factor(f, traj.points, exp_by_numpy)
+        assert abs(vstat_fast(f, traj, 300) - want) <= 1e-12 * l1_bound(f, 300)
+
     @pytest.mark.parametrize("kernel, calls", [
         ("clt_doubling", 1), ("degen_doubling", 1), ("slln_doubling", 1), ("mixed_modes", 2)])
     def test_one_exponential_per_distinct_mode(self, monkeypatch, kernel, calls):
@@ -372,8 +389,8 @@ class TestFactorizedPath:
         else:
             f = parse_config(json.loads((CONFIGS / f"{kernel}.json").read_text()))[1]["kernel"]
         traj = gen_madic_trajectory(2, 64, seed=1)
-        exp, count = np.exp, []
-        monkeypatch.setattr(np, "exp", lambda z: count.append(z.size) or exp(z))
+        fill, count = fourier.turns_exp, []
+        monkeypatch.setattr(fourier, "turns_exp", lambda v: count.append(v.size) or fill(v))
         vstat_fast(f, traj, 64)
         monkeypatch.undo()
         assert count == [64] * calls

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from vmstat import fourier
 from vmstat.fourier import (
     FourierPoly,
     adjoint_orbit_sum,
@@ -72,12 +73,28 @@ class TestAlgebra:
         x = grid()[::16]
         want = sum(c * np.exp(2j * np.pi * k * x) for k, c in p.items())
         calls = []
-        exp = np.exp
-        monkeypatch.setattr(np, "exp", lambda z: calls.append(z.size) or exp(z))
+        fill = fourier.turns_exp
+        monkeypatch.setattr(fourier, "turns_exp", lambda v: calls.append(v.size) or fill(v))
         got = p.evaluate(x)
         monkeypatch.undo()
         assert calls == [x.size] * 3
         assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_evaluate_reduces_points_mod_one(self):
+        p = FourierPoly({1: 0.5, -3: 1j, 5: 2.0})
+        for x, y in ((1.25, 0.25), (-0.25, 0.75), (7.5, 0.5), (1.0, 0.0), (-1e-300, 0.0)):
+            a, b = p.evaluate(x), p.evaluate(y)
+            assert (a.real, a.imag) == (b.real, b.imag)
+        xs = grid()[::16]
+        assert np.array_equal(p.evaluate(xs + 3.0), p.evaluate(xs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_evaluate_rejects_non_finite_points(self, bad):
+        for p in (FourierPoly({1: 1.0}), FourierPoly.constant(2.0)):
+            with pytest.raises(ValueError, match="finite"):
+                p.evaluate(bad)
+            with pytest.raises(ValueError, match="finite"):
+                p.evaluate(np.array([0.25, bad]))
 
     def test_conjugate_and_is_real(self):
         p = FourierPoly({3: 1 + 2j, -3: 1 - 2j})
@@ -98,6 +115,49 @@ class TestAlgebra:
         assert d["modes"][0][0] == -2
         f = SeparableKernel(1, CircleBase(2), (KernelTerm(1.0, (p,)),))
         assert reparse(f)["kernel"].terms[0].factors[0] == p
+
+
+#: 2 pi to long double precision, for the exponential references below
+TAU = 8 * np.arctan(np.longdouble(1))
+
+
+class TestExactPhases:
+    @pytest.mark.parametrize("k", [1, 3, 2**30, 2**53])
+    def test_turns_exp_against_long_double(self, k):
+        if np.finfo(np.longdouble).nmant < 63:
+            pytest.skip("long double is no wider than double here")
+        v = rng_for(7).integers(0, 2**64, size=10**5, dtype=np.uint64)
+        edges = np.array([0, 2**31 - 1, 2**31, 2**63, 2**64 - 1], dtype=np.uint64)
+        w = np.multiply(np.concatenate([v, edges]), np.uint64(k))
+        want = np.exp(1j * TAU * (w.astype(np.longdouble) / np.longdouble(2) ** 64))
+        got = fourier.turns_exp(w).astype(np.clongdouble)
+        assert float(np.max(np.abs(got - want))) <= 2e-15
+
+    def test_turns_exp_exact_at_quarter_turns(self):
+        got = fourier.turns_exp(np.arange(4, dtype=np.uint64) << np.uint64(62))
+        assert np.array_equal(got, [1, 1j, -1, -1j])
+
+    def test_turns_are_exact_phases(self):
+        # exact wherever 2^63 x is an integer, which covers every x >= 2^-11
+        x = np.concatenate([grid(), np.maximum(rng_for(8).random(1000), 2.0**-11), [1 - 2.0**-53]])
+        want = [int(v * 2**64) for v in x.tolist()]
+        assert fourier.turns(x).tolist() == want
+        assert fourier.turns(-x).tolist() == [-w % 2**64 for w in want]
+        tiny = np.array([3 * 2.0**-64, 2.0**-12 + 2.0**-64])
+        assert np.all(np.abs(fourier.turns(tiny).astype(np.int64) - tiny * 2**64) <= 2)
+
+    def test_huge_mode_is_one_on_its_dyadic_grid(self):
+        # 2^52 j / 2^20 turns is a whole number of turns for every j
+        x = np.arange(2**20) / 2**20
+        assert np.all(FourierPoly.mode(2**52).evaluate(x) == 1)
+        assert np.all(FourierPoly.mode(-2**52).evaluate(x) == 1)
+
+    def test_mode_enters_mod_two_to_the_64(self):
+        # k v mod 2^64 depends on k mod 2^64 only, so no mode overflows
+        x = rng_for(9).random(500)
+        for k, wrapped in ((3, 2**64 + 3), (-5, -5 - 2**64)):
+            want = FourierPoly.mode(k).evaluate(x)
+            assert np.array_equal(FourierPoly.mode(wrapped).evaluate(x), want)
 
 
 class TestNorms:

@@ -18,11 +18,11 @@ from vmstat.cli import main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 RESULT_DIGESTS = {
-    ("clt_doubling", "clt"): "2832d8bb8ee59cc58b9060bce704d3ff48f53468751577db4214b79f5abb23a2",
+    ("clt_doubling", "clt"): "d436be85232b6cb24be1d2098382c25c1b7d1e6b3fdd5b61245244c35401564a",
     ("clt_markov", "clt"): "ebdce869423abe4b8c5cd0b94ccada23425bbb1df74f132654f574401652aea8",
-    ("degen_doubling", "degen"): "db70bfc596d0dacaafdff293a467c62c14ef44c4121feb031152dea9ca6d12b6",
+    ("degen_doubling", "degen"): "d8a16978da45adca45270fc7dfa2ed5f18c7eceb3fa3bfb733cd4cdc07062fd8",
     ("growth_doubling", "growth"): "dfdb4f695f0e93da2d0c6e5c349cc05e2692263f4e9b165fdbc0120d0fa00b02",
-    ("slln_doubling", "slln"): "bae29d3e897458cfc00dfc296ad541b162ce64fc39b576f5abe9825c310e0af4",
+    ("slln_doubling", "slln"): "248f549d38eadf74e062be4594013fba69896d329388c5fc0366be52a0c9ba38",
 }
 
 STDOUT_DIGESTS = {

@@ -1,8 +1,9 @@
-"""Source hygiene of the package: every imported name is read somewhere.
+"""Source hygiene of the package, checked with the standard library's ``ast``.
 
-Scans each module of ``src/vmstat`` with the standard library's ``ast``.
-``__init__.py`` is skipped because its imports are the public re-exports,
-and ``from __future__`` imports bind no name.
+Every imported name is read somewhere: ``__init__.py`` is skipped because
+its imports are the public re-exports, and ``from __future__`` imports
+bind no name.  Branches on the base type stay bounded, and the circle
+evaluation path takes its exponentials from ``fourier.turns_exp`` alone.
 """
 
 from __future__ import annotations
@@ -78,3 +79,29 @@ def test_base_branches_bounded():
         f"{len(found)} isinstance tests on base types, at most {MAX_BASE_BRANCHES}: "
         + ", ".join(found)
     )
+
+
+#: functions on the circle evaluation path, as (module, qualified name)
+EVALUATION_PATH = [("fourier.py", "FourierPoly.evaluate"), ("dynamics.py", "contract")]
+
+
+def _function(tree: ast.Module, qualname: str) -> ast.FunctionDef:
+    nodes = [tree]
+    for name in qualname.split("."):
+        (node,) = [n for parent in nodes for n in parent.body
+                   if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name]
+        nodes = [node]
+    return nodes[0]
+
+
+@pytest.mark.parametrize("module, qualname", EVALUATION_PATH, ids=[q for _, q in EVALUATION_PATH])
+def test_evaluation_path_takes_no_numpy_exp(module, qualname):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    calls = [
+        node.lineno
+        for node in ast.walk(_function(tree, qualname))
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Attribute) and node.func.attr == "exp"
+             or isinstance(node.func, ast.Name) and node.func.id == "exp")
+    ]
+    assert not calls, f"{module}: {qualname} calls exp on lines {calls}; use fourier.turns_exp"

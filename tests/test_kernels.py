@@ -184,6 +184,17 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             f.terms[0].factors[0].evaluate(np.array([0, 1, state]))
 
+    @pytest.mark.parametrize("state", [1.7, 0.9])
+    def test_eval_rejects_non_integral_state(self, state):
+        # truncating toward zero would read state 1 for 1.7 and state 0 for 0.9
+        f = SeparableKernel(1, MarkovBase(two_state_chain()), (
+            KernelTerm(1.0, (StateFunction(np.array([3.0, -4.0])),)),))
+        assert kernel_eval(f, (1.0,)) == -4.0
+        with pytest.raises(ValueError, match="integers"):
+            kernel_eval(f, (state,))
+        with pytest.raises(ValueError, match="integers"):
+            f.terms[0].factors[0].evaluate(np.array([0.0, state]))
+
     def test_mean_circle_against_quadrature(self):
         rng = rng_for(301)
         xs = grid()[::8]
