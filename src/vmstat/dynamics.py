@@ -8,7 +8,9 @@ supported generator.  The windows are integers u_i = m^W x_i built in
 uint64 by Horner's rule, doubling the width per pass; W is the requested
 window capped at the most base-m digits 64 bits hold (64 for m = 2, 40
 for m = 3), and x_i = u_i / m^W.  For m = 2 the windows are exact 64-bit
-dyadic integers, kept on the trajectory next to the points.
+dyadic integers, kept on the trajectory next to the points: they are
+the exact phases frac(x_i) 2^64 that evaluation reads, where the float
+point x_i is rounded.
 
 The statistic of an arity-d kernel over the first n points is
 
@@ -17,14 +19,18 @@ The statistic of an arity-d kernel over the first n points is
 vstat_naive enumerates every tuple (the oracle; refuses n^d > 1e9).
 vstat_fast exchanges summation and product: per term it multiplies the
 slot sums sum_i u(x_i), which contract reads off the trajectory's points
-on the circle (u.evaluate(points, table).sum(), O(n) per factor, with
-one complex exponential per point for each distinct |k| > 0 among the
-kernel's modes, shared through the table) and off its occupation counts
-on a Markov base (values @ counts).
+on the circle and off its occupation counts on a Markov base (values @
+counts).  On the circle the points are taken fourier.BLOCK at a time:
+each block has one table with one complex exponential per point for each
+distinct |k| > 0 among the kernel's modes, shared by every factor, and
+its phases are the windows on m = 2 and turns(x) otherwise.  So
+evaluation holds about a megabyte whatever n is.
 
-markov_occupations steps a batch of Markov replicas in lockstep, each on
-its own uniforms, and keeps only their occupation counts, so the Markov
-statistic never holds a path per replica.
+markov_occupations steps a batch of Markov replicas in lockstep through
+every step, each on its own uniforms drawn a time chunk at a time, and
+keeps only their occupation counts, so the Markov statistic never holds
+a path per replica and its working set grows with neither n nor the
+replica count.
 """
 
 from __future__ import annotations
@@ -45,13 +51,17 @@ MAX_BASE = 256
 #: largest naive enumeration budget, in index tuples
 NAIVE_BUDGET = 1_000_000_000
 
-#: largest trajectory length an experiment accepts; generating and
-#: evaluating a circle replica allocates at most about 72 bytes per point
+#: largest trajectory length an experiment accepts; generating a circle
+#: replica allocates at most about 26 bytes per point, evaluating it 1.1 MB more
 MAX_N = 2 ** 22
 
-#: most uniforms one lockstep batch of Markov replicas holds (8 MB), and
-#: most cumulative values one of its steps gathers
+#: most uniforms one time chunk of a lockstep batch of Markov replicas
+#: holds (8 MB), and most cumulative values one of its steps gathers
 BATCH_UNIFORMS = 2 ** 20
+
+#: most Markov replicas one lockstep batch steps together, so a full
+#: batch's time chunks are at least BATCH_UNIFORMS / MAX_LANES = 512 steps
+MAX_LANES = 2 ** 11
 
 
 class BudgetError(RuntimeError):
@@ -62,9 +72,10 @@ class BudgetError(RuntimeError):
 class Trajectory:
     """Finite orbit of a circle map or a chain.
 
-    points: circle points in [0, 1) as float64, or integer state indices.
+    points: circle points in [0, 1] as float64, or integer state indices.
     windows: for base-2 circle trajectories, the exact dyadic integers
-    u_i with x_i = u_i / 2^64.
+    u_i, with x_i = u_i / 2^64 rounded to float64 (to 1.0 when u_i >=
+    2^64 - 2^10).  Evaluation takes u_i itself as the phase of x_i.
     """
 
     kind: str
@@ -147,32 +158,45 @@ def gen_markov_trajectory(chain: MarkovChain, n: int, seed: int) -> Trajectory:
 def markov_occupations(chain: MarkovChain, n: int, seeds) -> np.ndarray:
     """Occupation counts of gen_markov_trajectory(chain, n, seed), one row per seed.
 
-    The replicas of a batch step together: the next states are the
-    counts of each current row's first s - 1 cumulative values at or
-    below the replicas' uniforms, which is bisect_right, so every path
-    is the one gen_markov_trajectory draws.  A batch of B replicas holds
-    B n uniforms and gathers B (s - 1) cumulative values per step, both at
-    most BATCH_UNIFORMS.  A step compares against all s - 1 values, where
-    bisect_right takes about log2(s); docs/constants.md has timings.
+    A lane batch of replicas steps together through all n steps: the next
+    states are the counts of each current row's first s - 1 cumulative
+    values at or below the replicas' uniforms, which is bisect_right, so
+    every path is the one gen_markov_trajectory draws.  Each replica's
+    uniforms come a time chunk at a time, successive random calls on its
+    stream, which give the doubles of one random(n); each chunk's states
+    are counted by one bincount, offset by s per lane.  A batch of L <=
+    MAX_LANES replicas holds L span <= BATCH_UNIFORMS uniforms and gathers
+    L (s - 1) cumulative values per step, so what it holds grows with
+    neither n nor the replica count.  A step compares against all s - 1
+    values, where bisect_right takes about log2(s); docs/constants.md has
+    timings.
     """
     if n < 1:
         raise ValueError("trajectory length must be positive")
     s = chain.n_states
     cum_pi = np.cumsum(chain.pi)[:-1]
     cum_rows = np.cumsum(chain.Q, axis=1)[:, :-1]
-    batch = max(1, BATCH_UNIFORMS // max(n, s))
+    lanes = max(1, min(len(seeds), MAX_LANES, BATCH_UNIFORMS // s))
     out = np.empty((len(seeds), s), dtype=np.int64)
-    for a in range(0, len(seeds), batch):
-        keys = seeds[a:a + batch]
-        u = np.empty((n, len(keys)))
-        for b, key in enumerate(keys):
-            u[:, b] = stream(key).random(n)
-        states = np.empty(u.shape, dtype=np.min_scalar_type(s - 1))
-        states[0] = (u[0, :, None] >= cum_pi).sum(1)
-        for i in range(1, n):
-            states[i] = (u[i, :, None] >= cum_rows[states[i - 1]]).sum(1)
-        for b in range(len(keys)):
-            out[a + b] = np.bincount(states[:, b], minlength=s)
+    for a in range(0, len(seeds), lanes):
+        gens = [stream(key) for key in seeds[a:a + lanes]]
+        span = max(1, min(n, BATCH_UNIFORMS // len(gens)))
+        u = np.empty((len(gens), span))
+        # row 0 holds each lane's state before the chunk, row i + 1 its state at step t + i
+        states = np.empty((span + 1, len(gens)), dtype=np.min_scalar_type(s - 1))
+        offset = np.arange(len(gens)) * s
+        counts = np.zeros(len(gens) * s, dtype=np.int64)
+        for t in range(0, n, span):
+            steps = min(span, n - t)
+            for b, g in enumerate(gens):
+                u[b, :steps] = g.random(steps)
+            if t == 0:
+                states[1] = (u[:, 0, None] >= cum_pi).sum(1)
+            for i in range(1 if t == 0 else 0, steps):
+                states[i + 1] = (u[:, i, None] >= cum_rows[states[i]]).sum(1)
+            counts += np.bincount((states[1:steps + 1] + offset).ravel(), minlength=counts.size)
+            states[0] = states[steps]
+        out[a:a + len(gens)] = counts.reshape(-1, s)
     return out
 
 
@@ -194,14 +218,17 @@ def vstat_naive(f: SeparableKernel, traj: Trajectory, n: int) -> float:
     """Direct enumeration of the full d-fold sum; the reference evaluator.
 
     Every index tuple is visited and the kernel value accumulated, with
-    no use of the product structure across the summation.  Raises
-    BudgetError when n^d exceeds 1e9 tuples.
+    no use of the product structure across the summation.  Each factor is
+    evaluated on its own, at the phases vstat_fast takes (_phases).
+    Raises BudgetError when n^d exceeds 1e9 tuples.
     """
     pts = _check_traj(f, traj, n)
     d = f.arity
     if float(n) ** d > NAIVE_BUDGET:
         raise BudgetError(f"n^d = {float(n) ** d:.3g} exceeds the {NAIVE_BUDGET:.0e} tuple budget")
-    vals = [[u.evaluate(pts) for u in t.factors] for t in f.terms]
+    phases = _phases(traj, n)
+    vals = [[u.evaluate(pts) if phases is None else u.evaluate(pts, {0: phases})
+             for u in t.factors] for t in f.terms]
     total = 0.0 + 0.0j
     if d == 1:
         grid = np.zeros(n, dtype=np.complex128)
@@ -220,30 +247,35 @@ def vstat_naive(f: SeparableKernel, traj: Trajectory, n: int) -> float:
     return float(total.real)
 
 
+def _phases(traj: Trajectory, n: int) -> np.ndarray | None:
+    """Exact uint64 phases of the first n circle points: the windows on m = 2, else None."""
+    return None if traj.windows is None else traj.windows[:n]
+
+
 def vstat_fast(f: SeparableKernel, traj: Trajectory, n: int) -> float:
     """Factorized evaluation: per term the product of slot sums; see contract."""
     pts = _check_traj(f, traj, n)
     if traj.kind == "markov":
         return contract(f, np.bincount(pts, minlength=f.base.chain.n_states))
-    return contract(f, pts)
+    return contract(f, pts, _phases(traj, n))
 
 
-def contract(f: SeparableKernel, stat: np.ndarray) -> float:
+def contract(f: SeparableKernel, stat: np.ndarray, phases: np.ndarray | None = None) -> float:
     """sum_t c_t prod_j sum_i u_{t,j}(x_i), each slot sum read off stat.
 
-    stat is a circle trajectory's points, so a slot sum is
-    u.evaluate(points, table).sum() with one table of e_k(points) shared
-    by every factor, or a Markov trajectory's occupation counts
-    (markov_occupations), so a slot sum is values @ counts; the base's
-    slot_sum does either.
+    stat is a circle trajectory's points, with their exact phases when
+    the trajectory keeps them, so the slot sums are taken a block of
+    points at a time with one table of e_k shared by every factor, or a
+    Markov trajectory's occupation counts (markov_occupations), so a slot
+    sum is values @ counts; the base's slot_sums does either.  Every slot
+    sum is complete before the products are taken.
     """
-    slot_sum = f.base.slot_sum
-    table = {}
+    sums = iter(f.base.slot_sums([u for t in f.terms for u in t.factors], stat, phases))
     total = 0.0 + 0.0j
     for t in f.terms:
         prod = complex(t.coeff)
-        for u in t.factors:
-            prod *= slot_sum(u, stat, table)
+        for _ in t.factors:
+            prod *= next(sums)
         total += prod
     return float(total.real)
 

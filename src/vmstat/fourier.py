@@ -31,7 +31,8 @@ EQ_TOL = 1e-12
 #: grid points of the quadrature behind every L_p norm with p != 2
 QUAD_POINTS = 4096
 
-#: points turns_exp works through at a time, so its temporaries stay in cache
+#: points turns_exp, and dynamics.contract, work through at a time, so
+#: their temporaries stay in cache
 BLOCK = 2 ** 14
 
 

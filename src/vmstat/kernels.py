@@ -25,6 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .fourier import (
+    BLOCK,
     FourierPoly,
     adjoint_orbit_sum,
     apply_koopman,
@@ -89,9 +90,20 @@ class CircleBase:
     def adjoint_series(self, u: FourierPoly) -> FourierPoly:
         return adjoint_orbit_sum(u, self.m)
 
-    def slot_sum(self, u: FourierPoly, points: np.ndarray, table: dict) -> complex:
-        """sum_i u(x_i) over circle points, sharing table (FourierPoly.evaluate)."""
-        return u.evaluate(points, table).sum()
+    def slot_sums(self, us, points: np.ndarray, phases: np.ndarray | None = None) -> list:
+        """sum_i u(x_i) over circle points for each u, BLOCK points at a time.
+
+        Every u of a block reads one table (FourierPoly.evaluate), whose
+        phases are phases[a:b] when given and turns(points[a:b]) otherwise;
+        each sum adds its blocks' partial sums in order.
+        """
+        sums = [0.0] * len(us)
+        for a in range(0, len(points), BLOCK):
+            table = {} if phases is None else {0: phases[a:a + BLOCK]}
+            x = points[a:a + BLOCK]
+            for i, u in enumerate(us):
+                sums[i] += u.evaluate(x, table).sum()
+        return sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,9 +158,9 @@ class MarkovBase:
     def adjoint_series(self, u: StateFunction) -> StateFunction:
         return solve_poisson(self.chain, u)
 
-    def slot_sum(self, u: StateFunction, counts: np.ndarray, table: dict) -> float:
-        """sum_i u(X_i) from the occupation counts of the states; table is unused."""
-        return u.values @ counts
+    def slot_sums(self, us, counts: np.ndarray, phases=None) -> list:
+        """sum_i u(X_i) for each u, from the occupation counts of the states; phases is unused."""
+        return [u.values @ counts for u in us]
 
 
 Base = Union[CircleBase, MarkovBase]
@@ -278,7 +290,15 @@ class PiecewiseConstant:
         object.__setattr__(self, "values", v)
 
     def evaluate(self, x):
+        """Value on the arc holding each finite point x, taken mod 1.
+
+        x - floor(x) may round up to 1.0 (for x = -1e-17, say), which reads
+        the last arc.  Raises ValueError on a non-finite x.
+        """
         x = np.asarray(x, dtype=np.float64)
+        if not np.isfinite(x).all():
+            raise ValueError("circle points must be finite")
+        x = x - np.floor(x)
         idx = np.minimum((x * 2 ** self.level).astype(np.int64), 2 ** self.level - 1)
         out = self.values[idx]
         return out if out.shape else float(out)

@@ -147,21 +147,26 @@ def exact_windows(m: int, n: int, seed: int, window: int = 64) -> list[int]:
     return out
 
 
-def exp_by_turns(k: int, points: np.ndarray) -> np.ndarray:
-    """e_k at the points as FourierPoly.evaluate takes it: turns_exp(|k| v), conj for k < 0."""
-    e = turns_exp(np.multiply(turns(points), np.uint64(abs(k))))
+def exp_by_turns(k: int, traj) -> np.ndarray:
+    """e_k on a circle trajectory as vstat_fast takes it: turns_exp(|k| v), conj for k < 0.
+
+    The phases v are the exact windows when the trajectory keeps them
+    (m = 2) and turns of its points otherwise.
+    """
+    v = turns(traj.points) if traj.windows is None else traj.windows
+    e = turns_exp(np.multiply(v, np.uint64(abs(k))))
     return e if k > 0 else e.conj()
 
 
-def exp_by_numpy(k: int, points: np.ndarray) -> np.ndarray:
-    """e_k at the points as np.exp of the float phase 2 pi k x, off by about |k| 2^-53 turns."""
-    return np.exp(2j * np.pi * k * points)
+def exp_by_numpy(k: int, traj) -> np.ndarray:
+    """e_k on a circle trajectory as np.exp of the float phase 2 pi k x, off by about |k| 2^-53 turns."""
+    return np.exp(2j * np.pi * k * traj.points)
 
 
-def vstat_by_factor(f: SeparableKernel, points: np.ndarray, exp=exp_by_turns) -> float:
-    """sum_t c_t prod_j sum_i u_tj(x_i) with every factor evaluated on its own.
+def vstat_by_factor(f: SeparableKernel, traj, exp=exp_by_turns) -> float:
+    """sum_t c_t prod_j sum_i u_tj(x_i) over every point of traj, each factor on its own.
 
-    Each mode k != 0 takes its own exp(k, points), mode 0 adds c, and the
+    Each mode k != 0 takes its own exp(k, traj), mode 0 adds c, and the
     terms are added in mode order, so no exponential is shared between
     modes or factors.
     """
@@ -169,9 +174,9 @@ def vstat_by_factor(f: SeparableKernel, points: np.ndarray, exp=exp_by_turns) ->
     for t in f.terms:
         prod = complex(t.coeff)
         for u in t.factors:
-            out = np.zeros(points.shape, dtype=np.complex128)
+            out = np.zeros(len(traj), dtype=np.complex128)
             for k, c in u.items():
-                out += c if k == 0 else c * exp(k, points)
+                out += c if k == 0 else c * exp(k, traj)
             prod *= out.sum()
         total += prod
     return float(total.real)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vmstat import fourier
+from vmstat._seeding import stream
 from vmstat.cli import parse_config
 from vmstat.fourier import FourierPoly
 from vmstat.kernels import (
@@ -336,16 +338,35 @@ class TestFactorizedPath:
         assert float(np.max(np.abs(traj.points - want))) <= 2.0**-52
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 5), n=st.integers(1, 60),
-           replicas=st.integers(1, 9), batch=st.integers(1, 4))
-    def test_lockstep_counts_follow_each_replica_path(self, seed, s, n, replicas, batch):
+    @given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 5), n=st.integers(6, 60),
+           replicas=st.integers(2, 9), lanes=st.integers(1, 8), span=st.integers(0, 2**16))
+    def test_lockstep_counts_follow_each_replica_path(self, seed, s, n, replicas, lanes, span):
+        # bounds that cut the replicas into batches of fewer lanes and each
+        # path into time chunks of s <= span < n steps
+        lanes = 1 + lanes % (replicas - 1)
+        span = s + span % (n - s)
         chain = random_ergodic_chain(rng_for(seed), s)
         keys = [seed + r for r in range(replicas)]
-        with mock.patch("vmstat.dynamics.BATCH_UNIFORMS", batch * n):
+        events = []  # None per stream opened, then the size of each draw
+
+        class Spy:
+            def __init__(self, key):
+                events.append(None)
+                self.rng = stream(key)
+
+            def random(self, size):
+                events.append(size)
+                return self.rng.random(size)
+
+        with mock.patch("vmstat.dynamics.MAX_LANES", lanes), \
+                mock.patch("vmstat.dynamics.BATCH_UNIFORMS", lanes * span), \
+                mock.patch("vmstat.dynamics.stream", Spy):
             counts = markov_occupations(chain, n, keys)
         want = [np.bincount(gen_markov_trajectory(chain, n, key).points, minlength=s)
                 for key in keys]
         assert np.array_equal(counts, np.array(want))
+        assert events[:lanes + 1] == [None] * lanes + [span]
+        assert sum(e for e in events if e is not None) == replicas * n
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]), arity=st.integers(1, 3),
@@ -362,7 +383,7 @@ class TestFactorizedPath:
         f = SeparableKernel(arity, CircleBase(m), tuple(
             KernelTerm(rng.normal(), tuple(factor() for _ in range(arity))) for _ in range(3)))
         traj = gen_madic_trajectory(m, 300, seed)
-        assert vstat_fast(f, traj, 300) == vstat_by_factor(f, traj.points)
+        assert vstat_fast(f, traj, 300) == vstat_by_factor(f, traj)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]), arity=st.integers(1, 3),
@@ -376,24 +397,69 @@ class TestFactorizedPath:
         f = SeparableKernel(arity, CircleBase(m), tuple(
             KernelTerm(rng.normal(), tuple(factor() for _ in range(arity))) for _ in range(3)))
         traj = gen_madic_trajectory(m, 300, seed)
-        want = vstat_by_factor(f, traj.points, exp_by_numpy)
+        want = vstat_by_factor(f, traj, exp_by_numpy)
         assert abs(vstat_fast(f, traj, 300) - want) <= 1e-12 * l1_bound(f, 300)
 
     @pytest.mark.parametrize("kernel, calls", [
         ("clt_doubling", 1), ("degen_doubling", 1), ("slln_doubling", 1), ("mixed_modes", 2)])
     def test_one_exponential_per_distinct_mode(self, monkeypatch, kernel, calls):
+        # one table fill per distinct |k| > 0 in each block of the points
         if kernel == "mixed_modes":  # 2, -3, 3 and 0, each in its own factor
             e = {k: FourierPoly({k: 1.0}) for k in (2, -3, 3, 0)}
             f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (e[2], e[-3])),
                                             KernelTerm(0.5, (e[3], e[0]))))
         else:
             f = parse_config(json.loads((CONFIGS / f"{kernel}.json").read_text()))[1]["kernel"]
-        traj = gen_madic_trajectory(2, 64, seed=1)
         fill, count = fourier.turns_exp, []
         monkeypatch.setattr(fourier, "turns_exp", lambda v: count.append(v.size) or fill(v))
-        vstat_fast(f, traj, 64)
+        for n, blocks in ((64, [64]), (2 * fourier.BLOCK + 7, [fourier.BLOCK] * 2 + [7])):
+            count.clear()
+            vstat_fast(f, gen_madic_trajectory(2, n, seed=1), n)
+            assert count == [size for size in blocks for _ in range(calls)]
         monkeypatch.undo()
-        assert count == [64] * calls
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fast_matches_by_factor_over_several_blocks(self, m):
+        rng = rng_for(605 + m)
+        def factor():
+            return FourierPoly({int(k): complex(rng.normal(), rng.normal())
+                                for k in rng.integers(-2**40, 2**40, size=3)})
+        f = SeparableKernel(2, CircleBase(m), tuple(
+            KernelTerm(rng.normal(), (factor(), factor())) for _ in range(3)))
+        n = 3 * fourier.BLOCK + 5
+        traj = gen_madic_trajectory(m, n, seed=606)
+        assert abs(vstat_fast(f, traj, n) - vstat_by_factor(f, traj)) <= 1e-12 * l1_bound(f, n)
+
+    @pytest.mark.parametrize("m, n", [(2, 64), (2, 2 * fourier.BLOCK + 7),
+                                      (3, 64), (3, 2 * fourier.BLOCK + 7)])
+    def test_phases_come_from_the_windows_on_m2(self, monkeypatch, m, n):
+        # m = 2 reads the exact windows; m = 3 takes turns of each block's points
+        e = FourierPoly({1: 1.0, -1: 1.0})
+        f = SeparableKernel(2, CircleBase(m), (KernelTerm(1.0, (e, e)),))
+        traj = gen_madic_trajectory(m, n, seed=2)
+        phase, calls = fourier.turns, []
+        monkeypatch.setattr(fourier, "turns", lambda x: calls.append(x.size) or phase(x))
+        vstat_fast(f, traj, n)
+        blocks = [min(fourier.BLOCK, n - a) for a in range(0, n, fourier.BLOCK)]
+        assert calls == ([] if m == 2 else blocks)
+        calls.clear()
+        vstat_naive(f, traj, NAIVE_SIZES[2])
+        monkeypatch.undo()
+        assert len(calls) == (0 if m == 2 else 2)  # one per factor
+
+    def test_evaluation_memory_stays_within_a_few_blocks(self):
+        # contract holds one block's table at a time, not n-point arrays
+        n = 2**20
+        traj = gen_madic_trajectory(2, n, seed=3)
+        for name in ("clt_doubling", "degen_doubling", "slln_doubling"):
+            f = parse_config(json.loads((CONFIGS / f"{name}.json").read_text()))[1]["kernel"]
+            tracemalloc.start()
+            try:
+                vstat_fast(f, traj, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2**20, (name, peak)
 
     def test_lockstep_top_draw_lands_in_last_state(self, monkeypatch):
         top = np.nextafter(1.0, 0.0)

@@ -18,11 +18,11 @@ from vmstat.cli import main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 RESULT_DIGESTS = {
-    ("clt_doubling", "clt"): "d436be85232b6cb24be1d2098382c25c1b7d1e6b3fdd5b61245244c35401564a",
+    ("clt_doubling", "clt"): "d1868afd07cde5988a82cf07e3b2fcfc19496c19afb50170a94ca1d8f264db98",
     ("clt_markov", "clt"): "ebdce869423abe4b8c5cd0b94ccada23425bbb1df74f132654f574401652aea8",
-    ("degen_doubling", "degen"): "d8a16978da45adca45270fc7dfa2ed5f18c7eceb3fa3bfb733cd4cdc07062fd8",
+    ("degen_doubling", "degen"): "0106faaa3d65da22d4786104958d0e17946e5b0148b7a18fb8aa391e874183de",
     ("growth_doubling", "growth"): "dfdb4f695f0e93da2d0c6e5c349cc05e2692263f4e9b165fdbc0120d0fa00b02",
-    ("slln_doubling", "slln"): "248f549d38eadf74e062be4594013fba69896d329388c5fc0366be52a0c9ba38",
+    ("slln_doubling", "slln"): "0e6f39b52372e2ce0fcdc51dd81f7a6a11707c3af30beb41c470af49432447a4",
 }
 
 STDOUT_DIGESTS = {

@@ -257,6 +257,19 @@ class TestRestrictions:
         with pytest.raises(ValueError):
             PiecewiseConstant(2, np.array([1.0]))
 
+    def test_piecewise_constant_takes_points_mod_one(self):
+        step = PiecewiseConstant(2, np.array([1.0, 2.0, 3.0, 4.0]))
+        assert step.evaluate(-0.3) == 3.0
+        assert step.evaluate(1.25) == 2.0
+        # -1e-17 mod 1 rounds to 1.0, which reads the last arc
+        assert step.evaluate(-1e-17) == 4.0
+        assert step.evaluate(np.array([-0.3, 1.25, 7.0])).tolist() == [3.0, 2.0, 1.0]
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                step.evaluate(bad)
+            with pytest.raises(ValueError, match="finite"):
+                step.evaluate(np.array([0.25, bad]))
+
     def test_partition_closed_form_sinc_squared(self):
         f = SeparableKernel(2, CIRCLE, (
             KernelTerm(1.0, (FourierPoly({1: 1.0}), FourierPoly({-1: 1.0}))),))
