@@ -14,9 +14,10 @@ equal cardinality coincide up to slot relabeling, so the decomposition
 collapses to one canonical kernel per level m, stored at native arity m.
 
 Symmetry is checked exactly on the function, not on its term
-representation: the mode expansion of the real part (circle) or the
-dense tensor (Markov base) is compared coefficient by coefficient with
-its adjacent slot transposes.  Slots are 0-based.
+representation: the base's real_coefficients, the mode expansion of the
+real part (circle) or the kernel's values (Markov base), are compared
+coefficient by coefficient with their adjacent slot transposes.  Slots
+are 0-based.
 """
 
 from __future__ import annotations
@@ -24,18 +25,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kernels import (
     COEFF_TOL,
     Base,
-    CircleBase,
     KernelTerm,
     SeparableKernel,
-    expand_modes,
     kernel_mean,
     kernel_sup_coeff,
-    to_tensor,
 )
 
 
@@ -103,36 +99,24 @@ def find_asymmetry_witness(f: SeparableKernel, tol: float = 1e-9):
 
     Returns (index, j, a, b): swapping slots j and j+1 moves the
     coefficient b at the swapped index onto ``index``, where the kernel
-    has a, and |a - b| > tol.  On the circle the index is a mode tuple
-    and a, b are coefficients of the real part's mode expansion,
-    (c_k + conj(c_{-k})) / 2, since kernel values are real parts.  On a
-    Markov base the index is a state tuple and a, b are entries of the
-    dense tensor, i.e. kernel values.  Indices are scanned in sorted
-    order, one transpose at a time, so the witness is deterministic.
+    has a, and |a - b| > tol; b is 0.0 where the swapped index is absent.
+    The coefficients are the base's real_coefficients: on the circle the
+    index is a mode tuple and a, b are coefficients of the real part's
+    mode expansion, (c_k + conj(c_{-k})) / 2, since kernel values are
+    real parts; on a Markov base the index is a state tuple and a, b are
+    kernel values.  Indices are scanned in sorted order, one transpose at
+    a time, so the witness is deterministic.
     """
     if f.arity == 1:
         return None
-    if isinstance(f.base, CircleBase):
-        modes = expand_modes(f)
-        keys = set(modes) | {tuple(-k for k in index) for index in modes}
-        coeffs = {
-            index: (modes.get(index, 0.0) + np.conj(modes.get(tuple(-k for k in index), 0.0))) / 2
-            for index in keys
-        }
-        for j in range(f.arity - 1):
-            for index in sorted(coeffs):
-                swapped = index[:j] + (index[j + 1], index[j]) + index[j + 2:]
-                a, b = coeffs[index], coeffs.get(swapped, 0.0)
-                if abs(a - b) > tol:
-                    return index, j, complex(a), complex(b)
-        return None
-    tensor = to_tensor(f)
+    coeffs = f.base.real_coefficients(f)
+    indices = sorted(coeffs)
     for j in range(f.arity - 1):
-        swapped = np.swapaxes(tensor, j, j + 1)
-        differs = np.argwhere(np.abs(tensor - swapped) > tol)
-        if len(differs):
-            index = tuple(int(i) for i in differs[0])
-            return index, j, float(tensor[index]), float(swapped[index])
+        for index in indices:
+            swapped = index[:j] + (index[j + 1], index[j]) + index[j + 2:]
+            a, b = coeffs[index], coeffs.get(swapped, 0.0)
+            if abs(a - b) > tol:
+                return index, j, a, b
     return None
 
 

@@ -11,9 +11,11 @@ composition and transfer application, mode expansion) are exact on this
 representation; floating point enters only through coefficient
 arithmetic.
 
-CircleBase and MarkovBase carry the same operations on one observable,
-so most kernel functions below have one body for both bases;
-docs/correspondence.md tables the operations.
+CircleBase and MarkovBase carry the same operations on one observable
+and write a kernel exactly (coefficients, real_coefficients,
+spectral_form: the mode expansion on the circle, the value tensor on a
+chain), so every kernel function below that takes both bases has one
+body; docs/correspondence.md tables the operations.
 """
 
 from __future__ import annotations
@@ -105,6 +107,63 @@ class CircleBase:
                 sums[i] += u.evaluate(x, table).sum()
         return sums
 
+    def coefficients(self, f) -> dict:
+        """The kernel exactly: its mode expansion (expand_modes)."""
+        return expand_modes(f)
+
+    def real_coefficients(self, f) -> dict:
+        """Mode expansion of the real part: (c_k + conj(c_{-k})) / 2 at every k."""
+        modes = expand_modes(f)
+        out = {}
+        for index in set(modes) | {tuple(-k for k in index) for index in modes}:
+            conj = np.conj(modes.get(tuple(-k for k in index), 0.0))
+            out[index] = complex((modes.get(index, 0.0) + conj) / 2)
+        return out
+
+    def spectral_form(self, g) -> tuple:
+        """Matrix of a real arity-2 kernel in a real orthonormal basis, and the basis map.
+
+        The basis is sqrt2 cos 2 pi j x (index j - 1), sqrt2 sin 2 pi j x
+        (index kmax + j - 1) for j = 1..kmax, then the constant 1 (index
+        2 kmax) when a mode 0 occurs.  The map takes a coordinate vector
+        to its polynomial.
+        """
+        modes = expand_modes(g)
+        kmax = 0
+        for (k1, k2), c in modes.items():
+            if abs(np.conj(c) - modes.get((-k1, -k2), 0.0)) > 1e-9:
+                raise ValueError("kernel is not real-valued")
+            kmax = max(kmax, abs(k1), abs(k2))
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        basis = [FourierPoly({j: inv_sqrt2, -j: inv_sqrt2}) for j in range(1, kmax + 1)]
+        basis += [FourierPoly({j: -1j * inv_sqrt2, -j: 1j * inv_sqrt2}) for j in range(1, kmax + 1)]
+        if any(0 in key for key in modes):
+            basis.append(FourierPoly.constant(1.0))
+
+        def coords(k: int) -> tuple:
+            # (a, integral of e_k against basis function a) for the nonzero integrals
+            if k == 0:
+                return ((2 * kmax, 1.0),)
+            sine = 1j * (1 if k > 0 else -1) * inv_sqrt2
+            return ((abs(k) - 1, inv_sqrt2), (kmax + abs(k) - 1, sine))
+
+        M = np.zeros((len(basis), len(basis)), dtype=np.complex128)
+        for (k1, k2), c in modes.items():
+            for a, ha in coords(k1):
+                for b, hb in coords(k2):
+                    M[a, b] += c * ha * hb
+        if np.max(np.abs(M.imag), initial=0.0) > 1e-9:
+            raise ValueError("mode matrix of a non-real kernel")
+
+        def eigenfunction(v) -> FourierPoly:
+            phi = FourierPoly.zero()
+            for a, u in enumerate(basis):
+                if abs(v[a]) > 1e-15:
+                    phi = phi + v[a] * u
+            return phi
+
+        return M.real, eigenfunction
+
 
 @dataclass(frozen=True, eq=False)
 class MarkovBase:
@@ -161,6 +220,18 @@ class MarkovBase:
     def slot_sums(self, us, counts: np.ndarray, phases=None) -> list:
         """sum_i u(X_i) for each u, from the occupation counts of the states; phases is unused."""
         return [u.values @ counts for u in us]
+
+    def coefficients(self, f) -> dict:
+        """The kernel exactly: state tuple -> value, in the C order of to_tensor."""
+        values = to_tensor(f).ravel().tolist()
+        return dict(zip(itertools.product(range(self.chain.n_states), repeat=f.arity), values))
+
+    real_coefficients = coefficients  # state-function kernels are real
+
+    def spectral_form(self, g) -> tuple:
+        """pi^(1/2) G pi^(1/2) for the tensor G, and v -> pi^(-1/2) v as a state function."""
+        sq = np.sqrt(self.chain.pi)
+        return sq[:, None] * to_tensor(g) * sq[None, :], lambda v: StateFunction(v / sq)
 
 
 Base = Union[CircleBase, MarkovBase]
@@ -415,23 +486,16 @@ def to_tensor(f: SeparableKernel) -> np.ndarray:
 
 
 def kernel_sup_coeff(f: SeparableKernel) -> float:
-    """Largest coefficient modulus of the expanded kernel (tensor max for markov)."""
-    if isinstance(f.base, CircleBase):
-        d = expand_modes(f)
-        return max((abs(c) for c in d.values()), default=0.0)
-    t = to_tensor(f)
-    return float(np.max(np.abs(t))) if t.size else 0.0
+    """Largest coefficient modulus of the kernel's exact form (largest |value| on a chain)."""
+    return max((abs(c) for c in f.base.coefficients(f).values()), default=0.0)
 
 
 def kernels_allclose(f: SeparableKernel, g: SeparableKernel, tol: float = COEFF_TOL) -> bool:
-    """Equality as functions, coefficientwise on the expanded representation."""
+    """Equality as functions, coefficientwise on the exact forms."""
     if f.arity != g.arity or f.base != g.base:
         return False
-    if isinstance(f.base, CircleBase):
-        df, dg = expand_modes(f), expand_modes(g)
-        keys = set(df) | set(dg)
-        return all(abs(df.get(k, 0.0) - dg.get(k, 0.0)) <= tol for k in keys)
-    return bool(np.max(np.abs(to_tensor(f) - to_tensor(g)), initial=0.0) <= tol)
+    df, dg = f.base.coefficients(f), f.base.coefficients(g)
+    return all(abs(df.get(k, 0.0) - dg.get(k, 0.0)) <= tol for k in set(df) | set(dg))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ where the coefficient of g at the mode (a, b) goes to
 
 so that E_1 g0 = E_2 g0 = 0, E_2 g1 = 0, E_1 g2 = 0.  The degenerate
 limit of arity-2 statistics is the quadratic form of g0, diagonalized
-here in an orthonormal real basis; the nondegenerate limit is Gaussian
-with variance determined by the arity-1 adjoint series.
+in the orthonormal real basis of the base's spectral_form (sqrt2 cos
+and sqrt2 sin of each frequency, and 1 when a mode 0 occurs, on the
+circle; pi-weighted states on a chain); the nondegenerate limit is
+Gaussian with variance determined by the arity-1 adjoint series.
 """
 
 from __future__ import annotations
@@ -40,10 +42,8 @@ from .kernels import (
     diag_restrict,
     expand_modes,
     projective_bound,
-    to_tensor,
 )
 from .hoeffding import is_symmetric
-from .markov import StateFunction
 
 #: eigenvalues below this modulus are dropped from spectral results
 SPECTRUM_TOL = 1e-12
@@ -259,78 +259,21 @@ def reconstruct_from_parts(parts: MartingaleCoboundaryParts) -> SeparableKernel:
 # spectral decomposition of the martingale part
 
 
-def _real_symmetric_mode_matrix(g0: SeparableKernel) -> tuple[np.ndarray, int]:
-    modes = expand_modes(g0)
-    kmax = 0
-    for (k1, k2), c in modes.items():
-        partner = modes.get((-k1, -k2), 0.0)
-        if abs(np.conj(c) - partner) > 1e-9:
-            raise ValueError("kernel is not real-valued")
-        kmax = max(kmax, abs(k1), abs(k2))
-    if kmax == 0:
-        return np.zeros((0, 0)), 0
-    dim = 2 * kmax
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-
-    def hat(a: int, k: int) -> complex:
-        # integral of e_k against basis function a
-        if a < kmax:  # cos, frequency a+1
-            j = a + 1
-            return ((k == j) + (k == -j)) * inv_sqrt2
-        j = a - kmax + 1  # sin
-        return 1j * ((k == j) - (k == -j)) * inv_sqrt2
-
-    M = np.zeros((dim, dim), dtype=np.complex128)
-    for (k1, k2), c in modes.items():
-        for a in (abs(k1) - 1, kmax + abs(k1) - 1):
-            ha = hat(a, k1)
-            if ha == 0:
-                continue
-            for b in (abs(k2) - 1, kmax + abs(k2) - 1):
-                hb = hat(b, k2)
-                if hb != 0:
-                    M[a, b] += c * ha * hb
-    if np.max(np.abs(M.imag), initial=0.0) > 1e-9:
-        raise ValueError("mode matrix of a non-real kernel")
-    return M.real, kmax
-
-
-def _basis_poly(a: int, kmax: int) -> FourierPoly:
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    if a < kmax:
-        j = a + 1
-        return FourierPoly({j: inv_sqrt2, -j: inv_sqrt2})
-    j = a - kmax + 1
-    return FourierPoly({j: -1j * inv_sqrt2, -j: 1j * inv_sqrt2})
-
-
 def spectral_decompose(g0: SeparableKernel, tol: float = SPECTRUM_TOL):
     """Eigenpairs (lambda_m, phi_m) of a symmetric real arity-2 kernel.
 
     The eigenfunctions are orthonormal in L2 of the invariant measure
-    and the kernel equals sum_m lambda_m phi_m(x) phi_m(y).  Pairs with
-    |lambda| <= tol are dropped; the result is sorted by descending
-    |lambda|.
+    and the kernel equals sum_m lambda_m phi_m(x) phi_m(y).  The base's
+    spectral_form gives the kernel's real symmetric matrix in an
+    orthonormal basis and the map from an eigenvector to its observable.
+    Pairs with |lambda| <= tol are dropped; the result is sorted by
+    descending |lambda|.
     """
     if g0.arity != 2:
         raise ValueError("spectral decomposition takes an arity-2 kernel")
     if not is_symmetric(g0):
         raise ValueError("spectral decomposition needs a symmetric kernel")
-    if isinstance(g0.base, CircleBase):
-        M, kmax = _real_symmetric_mode_matrix(g0)
-
-        def eigenfunction(v):
-            phi = FourierPoly.zero()
-            for a in range(2 * kmax):
-                if abs(v[a]) > 1e-15:
-                    phi = phi + v[a] * _basis_poly(a, kmax)
-            return phi
-    else:
-        sq = np.sqrt(g0.base.chain.pi)
-        M = sq[:, None] * to_tensor(g0) * sq[None, :]
-
-        def eigenfunction(v):
-            return StateFunction(v / sq)
+    M, eigenfunction = g0.base.spectral_form(g0)
     w, V = np.linalg.eigh(M)
     pairs = [(float(w[i]), eigenfunction(V[:, i])) for i in range(len(w)) if abs(w[i]) > tol]
     pairs.sort(key=lambda p: abs(p[0]), reverse=True)

@@ -297,6 +297,15 @@ class TestExperimentCommands:
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_clt_rejects_weighted_chi_square_comparison(self, tmp_path, capsys):
+        data = clt_config()
+        data["comparison"] = {"kind": "wcs", "lambdas": [1.0, 1.0]}
+        rc = main(["clt", "--config", write_config(tmp_path, data)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "comparison" in err
+        assert "Traceback" not in err
+
     def test_degen_runs(self, tmp_path, capsys):
         rc = main(["degen", "--config", write_config(tmp_path, degen_config())])
         assert rc == 0

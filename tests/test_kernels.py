@@ -393,6 +393,16 @@ class TestBoundsAndExpansion:
         g = kernel_scale(f, 1.0 + 5e-13)
         assert kernels_allclose(f, g)
         assert not kernels_allclose(f, kernel_scale(f, 1.001))
+        # on a chain the exact form is the value tensor
+        u = StateFunction(np.array([1.0, -3.0]))
+        v = StateFunction(np.array([0.5, 2.0]))
+        h = SeparableKernel(2, MarkovBase(two_state_chain()), (KernelTerm(1.0, (u, v)),
+                                                               KernelTerm(-0.5, (v, v))))
+        assert kernel_sup_coeff(h) == np.max(np.abs(to_tensor(h))) == 8.0
+        assert kernels_allclose(h, kernel_scale(h, 1.0 + 1e-13))
+        # the largest change is 8e-4, at the entry -8
+        assert kernels_allclose(h, kernel_scale(h, 1.0 + 1e-4), tol=1e-3)
+        assert not kernels_allclose(h, kernel_scale(h, 1.0 + 1e-4), tol=5e-4)
 
     def test_allclose_sees_through_representation(self):
         # same function written with different term groupings

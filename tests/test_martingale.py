@@ -339,6 +339,27 @@ class TestSpectral:
         with pytest.raises(ValueError, match="symmetric"):
             spectral_decompose(SeparableKernel(2, MarkovBase(chain), (KernelTerm(1.0, (u, v)),)))
 
+    def test_constant_mode_gets_its_own_basis_function(self):
+        # 1 is an eigenfunction of weight 1 of the constant kernel, of
+        # 2 cos 2 pi (x - y) + 1 next to sqrt2 cos and sqrt2 sin, and
+        # cos 4 pi x + cos 4 pi y couples 1 with sqrt2 cos 4 pi x at 1/sqrt2
+        one = FourierPoly.constant(1.0)
+        cos2 = FourierPoly({2: 0.5, -2: 0.5})
+        constant = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (one, one)),))
+        shifted = kernel_add(mode_pair_kernel(1), constant)
+        coupled = kernel_add(mode_pair_kernel(1), SeparableKernel(2, CIRCLE, (
+            KernelTerm(1.0, (cos2, one)), KernelTerm(1.0, (one, cos2)))))
+        r = 1.0 / math.sqrt(2.0)
+        for f, want in ((constant, [1.0]), (shifted, [1.0, 1.0, 1.0]),
+                        (coupled, [-r, r, 1.0, 1.0])):
+            pairs = spectral_decompose(f)
+            assert np.allclose(sorted(lam for lam, _ in pairs), want, atol=1e-12)
+            total = zero_kernel(2, CIRCLE)
+            for lam, phi in pairs:
+                term = KernelTerm(lam, (phi, phi))
+                total = kernel_add(total, SeparableKernel(2, CIRCLE, (term,)))
+            assert kernels_allclose(total, f, tol=1e-12)
+
     def test_degenerate_law_frozen_example(self):
         law = degenerate_limit_law(mode_pair_kernel(1))
         assert law.kind == "wcs"

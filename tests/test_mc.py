@@ -230,6 +230,15 @@ class TestConfig:
                                comparison=law)
         assert derive_law(cfg) == law
 
+    def test_clt_comparison_must_be_gaussian(self):
+        wcs = LimitLaw.weighted_chi_square([1.0, 1.0])
+        with pytest.raises(ValueError, match="comparison"):
+            ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 64, comparison=wcs)
+        # the two-sample test of degen samples either kind
+        for law in (wcs, LimitLaw.gaussian(2.0)):
+            cfg = ExperimentConfig(CircleSystem(), degen_kernel(), "degen", 64, comparison=law)
+            assert derive_law(cfg) == law
+
     def test_markov_degen_needs_explicit_law(self):
         chain = MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
         u = StateFunction(np.array([1.0, -1.0]))
