@@ -4,13 +4,16 @@ Circle trajectories are built from an i.i.d. digit stream, one window
 per point: x_i = sum_{j=1..W} b_{i+j} m^{-j}.  Iterating the map in
 floating point instead would collapse onto the fixed point after about
 53 steps for m = 2, so the digit-window construction is the only
-supported generator.  The windows are integers u_i = m^W x_i built in
-uint64 by Horner's rule, doubling the width per pass; W is the requested
-window capped at the most base-m digits 64 bits hold (64 for m = 2, 40
-for m = 3), and x_i = u_i / m^W.  For m = 2 the windows are exact 64-bit
-dyadic integers, kept on the trajectory next to the points: they are
-the exact phases frac(x_i) 2^64 that evaluation reads, where the float
-point x_i is rounded.
+supported generator.  W is the requested window capped at the most
+base-m digits 64 bits hold (64 for m = 2, 40 for m = 3), and the
+windows are the integers u_i = m^W x_i in uint64.  For m != 2 they are
+built from uint8 digits by Horner's rule, doubling the width per pass,
+and x_i = u_i / m^W.  For m = 2 each digit is one bit of the replica's
+raw Philox words (_binary_windows), so the windows are shifts of those
+bits packed into 64-bit words; they are exact dyadic integers, the
+exact phases frac(x_i) 2^64 that evaluation reads where the float
+point x_i is rounded, and the trajectory keeps them alone, building
+the float points u_i / 2^64 only when they are read.
 
 The statistic of an arity-d kernel over the first n points is
 
@@ -23,8 +26,9 @@ on the circle and off its occupation counts on a Markov base (values @
 counts).  On the circle the points are taken fourier.BLOCK at a time:
 each block has one table with one complex exponential per point for each
 distinct |k| > 0 among the kernel's modes, shared by every factor, and
-its phases are the windows on m = 2 and turns(x) otherwise.  So
-evaluation holds about a megabyte whatever n is.
+its phases are the windows on m = 2, so the float points are never
+built, and turns(x) otherwise.  So evaluation holds about a megabyte
+whatever n is.
 
 markov_occupations steps a batch of Markov replicas in lockstep through
 every step, each on its own uniforms drawn a time chunk at a time, and
@@ -36,7 +40,7 @@ replica count.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -52,7 +56,8 @@ MAX_BASE = 256
 NAIVE_BUDGET = 1_000_000_000
 
 #: largest trajectory length an experiment accepts; generating a circle
-#: replica allocates at most about 26 bytes per point, evaluating it 1.1 MB more
+#: replica allocates at most about 17 bytes per point on m = 2 and 25 on
+#: m != 2, evaluating it 1.1 MB more
 MAX_N = 2 ** 22
 
 #: most uniforms one time chunk of a lockstep batch of Markov replicas
@@ -68,22 +73,32 @@ class BudgetError(RuntimeError):
     """Raised when a naive evaluation would exceed the enumeration budget."""
 
 
-@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Finite orbit of a circle map or a chain.
 
     points: circle points in [0, 1] as float64, or integer state indices.
     windows: for base-2 circle trajectories, the exact dyadic integers
     u_i, with x_i = u_i / 2^64 rounded to float64 (to 1.0 when u_i >=
-    2^64 - 2^10).  Evaluation takes u_i itself as the phase of x_i.
+    2^64 - 2^10).  Evaluation takes u_i itself as the phase of x_i.  A
+    trajectory given only its windows builds its points on first read.
     """
 
-    kind: str
-    points: np.ndarray
-    windows: np.ndarray | None = None
+    __slots__ = ("kind", "windows", "_points")
+
+    def __init__(self, kind: str, points: np.ndarray | None = None,
+                 windows: np.ndarray | None = None):
+        if points is None and windows is None:
+            raise ValueError("a trajectory needs its points or its windows")
+        self.kind, self.windows, self._points = kind, windows, points
+
+    @property
+    def points(self) -> np.ndarray:
+        if self._points is None:
+            self._points = self.windows.astype(np.float64) * 2.0 ** -64
+        return self._points
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.points if self.windows is None else self.windows)
 
 
 def _digit_stream(m: int, count: int, seed: int) -> np.ndarray:
@@ -91,6 +106,7 @@ def _digit_stream(m: int, count: int, seed: int) -> np.ndarray:
     return rng.integers(0, m, size=count, dtype=np.uint8)
 
 
+@cache
 def _word_digits(m: int) -> int:
     """Most base-m digits a 64-bit window holds: the largest w with m^w <= 2^64."""
     w, power = 0, 1
@@ -115,6 +131,32 @@ def _windows(d: np.ndarray, w: int, m: int) -> np.ndarray:
     return v
 
 
+#: shift of each of the 64 windows that start in one packed word
+_SHIFTS = np.arange(64, dtype=np.uint64)
+
+
+def _binary_windows(n: int, seed: int, width: int) -> np.ndarray:
+    """The first n base-2 windows of _digit_stream(2, ., seed), left-aligned in 64 bits.
+
+    integers(0, 2, dtype=uint8) takes bytes of the raw Philox words in
+    little-endian order and, by Lemire's method, which never rejects for
+    a range of 2, returns each byte's top bit: digit j is bit 7 of raw
+    byte j.  Packed 64 digits to a big-endian word W_j, the window at
+    64 j + s is (W_j << s) | (W_{j+1} >> (64 - s)), where numpy shifts
+    by 64 to 0, and a width below 64 keeps its top width bits.
+    ceil(n / 64) + 1 words hold every digit.
+    """
+    words = -(-n // 64) + 1
+    raw = stream(seed).bit_generator.random_raw(8 * words).astype("<u8", copy=False)
+    w = np.packbits(raw.view(np.uint8) >> 7).view(">u8").astype(np.uint64)
+    u = w[:-1, None] << _SHIFTS
+    u |= w[1:, None] >> (np.uint64(64) - _SHIFTS)
+    u = u.reshape(-1)[:n]
+    if width < 64:
+        u &= np.uint64(2 ** 64 - 2 ** (64 - width))
+    return u
+
+
 def gen_madic_trajectory(m: int, n: int, seed: int, window: int = 64) -> Trajectory:
     """Length-n trajectory of x -> m x mod 1 from a seeded digit stream."""
     if not 2 <= m <= MAX_BASE:
@@ -124,12 +166,11 @@ def gen_madic_trajectory(m: int, n: int, seed: int, window: int = 64) -> Traject
     if not 16 <= window <= 64:
         raise ValueError("window must be between 16 and 64 digits")
     width = min(window, _word_digits(m))
+    if m == 2:
+        return Trajectory("circle", windows=_binary_windows(n, seed, width))
     digits = _digit_stream(m, n + width - 1, seed)
     u = _windows(digits.astype(np.uint64), width, m)
-    if m != 2:
-        return Trajectory("circle", u.astype(np.float64) / float(m ** width))
-    u <<= np.uint64(64 - width)
-    return Trajectory("circle", u.astype(np.float64) * 2.0 ** -64, windows=u)
+    return Trajectory("circle", u.astype(np.float64) / float(m ** width))
 
 
 def gen_markov_trajectory(chain: MarkovChain, n: int, seed: int) -> Trajectory:
@@ -205,13 +246,14 @@ def markov_occupations(chain: MarkovChain, n: int, seeds) -> np.ndarray:
 
 
 def _check_traj(f: SeparableKernel, traj: Trajectory, n: int) -> np.ndarray:
+    """The first n points as evaluation reads them: the exact windows when kept, else the points."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > len(traj.points):
-        raise ValueError(f"trajectory holds {len(traj.points)} points, need {n}")
+    if n > len(traj):
+        raise ValueError(f"trajectory holds {len(traj)} points, need {n}")
     if traj.kind != f.base.kind:
         raise ValueError(f"{f.base.kind} kernel needs a {f.base.kind} trajectory")
-    return traj.points[:n]
+    return traj.points[:n] if traj.windows is None else traj.windows[:n]
 
 
 def vstat_naive(f: SeparableKernel, traj: Trajectory, n: int) -> float:
@@ -219,15 +261,15 @@ def vstat_naive(f: SeparableKernel, traj: Trajectory, n: int) -> float:
 
     Every index tuple is visited and the kernel value accumulated, with
     no use of the product structure across the summation.  Each factor is
-    evaluated on its own, at the phases vstat_fast takes (_phases).
-    Raises BudgetError when n^d exceeds 1e9 tuples.
+    evaluated on its own, at the phases vstat_fast takes: the windows on
+    m = 2, else turns of the points.  Raises BudgetError when n^d exceeds
+    1e9 tuples.
     """
-    pts = _check_traj(f, traj, n)
+    x = _check_traj(f, traj, n)
     d = f.arity
     if float(n) ** d > NAIVE_BUDGET:
         raise BudgetError(f"n^d = {float(n) ** d:.3g} exceeds the {NAIVE_BUDGET:.0e} tuple budget")
-    phases = _phases(traj, n)
-    vals = [[u.evaluate(pts) if phases is None else u.evaluate(pts, {0: phases})
+    vals = [[u.evaluate(x) if traj.windows is None else u.evaluate(x, {0: x})
              for u in t.factors] for t in f.terms]
     total = 0.0 + 0.0j
     if d == 1:
@@ -247,30 +289,26 @@ def vstat_naive(f: SeparableKernel, traj: Trajectory, n: int) -> float:
     return float(total.real)
 
 
-def _phases(traj: Trajectory, n: int) -> np.ndarray | None:
-    """Exact uint64 phases of the first n circle points: the windows on m = 2, else None."""
-    return None if traj.windows is None else traj.windows[:n]
-
-
 def vstat_fast(f: SeparableKernel, traj: Trajectory, n: int) -> float:
     """Factorized evaluation: per term the product of slot sums; see contract."""
-    pts = _check_traj(f, traj, n)
+    x = _check_traj(f, traj, n)
     if traj.kind == "markov":
-        return contract(f, np.bincount(pts, minlength=f.base.chain.n_states))
-    return contract(f, pts, _phases(traj, n))
+        return contract(f, np.bincount(x, minlength=f.base.chain.n_states))
+    return contract(f, x)
 
 
-def contract(f: SeparableKernel, stat: np.ndarray, phases: np.ndarray | None = None) -> float:
+def contract(f: SeparableKernel, stat: np.ndarray) -> float:
     """sum_t c_t prod_j sum_i u_{t,j}(x_i), each slot sum read off stat.
 
-    stat is a circle trajectory's points, with their exact phases when
-    the trajectory keeps them, so the slot sums are taken a block of
-    points at a time with one table of e_k shared by every factor, or a
-    Markov trajectory's occupation counts (markov_occupations), so a slot
-    sum is values @ counts; the base's slot_sums does either.  Every slot
-    sum is complete before the products are taken.
+    stat is a circle trajectory's points as float64, or as uint64 their
+    exact phases (the windows of an m = 2 trajectory), so the slot sums
+    are taken a block of points at a time with one table of e_k shared
+    by every factor; or a Markov trajectory's occupation counts
+    (markov_occupations), so a slot sum is values @ counts.  The base's
+    slot_sums does either.  Every slot sum is complete before the
+    products are taken.
     """
-    sums = iter(f.base.slot_sums([u for t in f.terms for u in t.factors], stat, phases))
+    sums = iter(f.base.slot_sums([u for t in f.terms for u in t.factors], stat))
     total = 0.0 + 0.0j
     for t in f.terms:
         prod = complex(t.coeff)

@@ -189,23 +189,31 @@ class FourierPoly:
         so the phase is exact integer arithmetic for every k.  A missing
         entry is computed and stored: polynomials evaluated at the same
         points can share one table, which takes one phase array and one
-        table exponential per distinct |k|.  Mode 0 takes none, mode -k
-        reads conj(e_k), and the terms are added in mode order.  Raises
-        ValueError on a non-finite x.
+        table exponential per distinct |k|.  Given the phases, x itself is
+        not read.  Mode 0 takes none and mode -k reads conj(e_k).  The
+        terms are added in stored order from the first one, not into
+        zeros, so a zero part of that term keeps its sign (an empty
+        polynomial gives zeros).  Raises ValueError on a non-finite x.
         """
-        x = np.asarray(x, dtype=np.float64)
         table = {} if table is None else table
         if 0 not in table:
             table[0] = turns(x)
-        out = np.zeros(x.shape, dtype=np.complex128)
+        v = table[0]
+        out = None
         for k, c in self._coeffs.items():
             if k == 0:
-                out += c
-                continue
-            e = table.get(abs(k))
-            if e is None:
-                e = table[abs(k)] = turns_exp(np.multiply(table[0], np.uint64(abs(k) % 2 ** 64)))
-            out += c * (e if k > 0 else e.conj())
+                term = c
+            else:
+                e = table.get(abs(k))
+                if e is None:
+                    e = table[abs(k)] = turns_exp(np.multiply(v, np.uint64(abs(k) % 2 ** 64)))
+                term = c * (e if k > 0 else e.conj())
+            if out is None:
+                out = np.full(v.shape, term) if k == 0 else term
+            else:
+                out += term
+        if out is None:
+            out = np.zeros(v.shape, dtype=np.complex128)
         return out if out.shape else complex(out)
 
     def conjugate(self) -> "FourierPoly":

@@ -92,17 +92,18 @@ class CircleBase:
     def adjoint_series(self, u: FourierPoly) -> FourierPoly:
         return adjoint_orbit_sum(u, self.m)
 
-    def slot_sums(self, us, points: np.ndarray, phases: np.ndarray | None = None) -> list:
-        """sum_i u(x_i) over circle points for each u, BLOCK points at a time.
+    def slot_sums(self, us, stat: np.ndarray) -> list:
+        """sum_i u(x_i) for each u over circle points, BLOCK points at a time.
 
-        Every u of a block reads one table (FourierPoly.evaluate), whose
-        phases are phases[a:b] when given and turns(points[a:b]) otherwise;
-        each sum adds its blocks' partial sums in order.
+        stat holds the points as float64, or their exact phases as uint64.
+        Every u of a block reads one table (FourierPoly.evaluate), seeded
+        with the block itself when it holds phases, so the float points
+        are not needed; each sum adds its blocks' partial sums in order.
         """
         sums = [0.0] * len(us)
-        for a in range(0, len(points), BLOCK):
-            table = {} if phases is None else {0: phases[a:a + BLOCK]}
-            x = points[a:a + BLOCK]
+        for a in range(0, len(stat), BLOCK):
+            x = stat[a:a + BLOCK]
+            table = {0: x} if x.dtype == np.uint64 else {}
             for i, u in enumerate(us):
                 sums[i] += u.evaluate(x, table).sum()
         return sums
@@ -217,8 +218,8 @@ class MarkovBase:
     def adjoint_series(self, u: StateFunction) -> StateFunction:
         return solve_poisson(self.chain, u)
 
-    def slot_sums(self, us, counts: np.ndarray, phases=None) -> list:
-        """sum_i u(X_i) for each u, from the occupation counts of the states; phases is unused."""
+    def slot_sums(self, us, counts: np.ndarray) -> list:
+        """sum_i u(X_i) for each u, from the occupation counts of the states."""
         return [u.values @ counts for u in us]
 
     def coefficients(self, f) -> dict:

@@ -117,10 +117,13 @@ class ExperimentConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.system.base() != self.kernel.base:
             raise ValueError("kernel base does not match the system")
-        # degen's two-sample test can sample any law; clt's KS test needs a variance
+        # degen's two-sample test can sample any law; clt's KS test needs a
+        # variance; the slln band and the growth bound read none
         law = self.comparison
         if self.mode == "clt" and law is not None and law.kind != "gaussian":
             raise ValueError("clt needs a Gaussian comparison law")
+        if self.mode in ("slln", "growth") and law is not None:
+            raise ValueError(f"{self.mode} takes no comparison law")
 
     def to_json_dict(self) -> dict:
         return {

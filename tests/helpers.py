@@ -132,8 +132,9 @@ def hoeffding_component_oracle(f: SeparableKernel, S) -> SeparableKernel:
 def exact_windows(m: int, n: int, seed: int, window: int = 64) -> list[int]:
     """Exact integer windows v_i = sum_j b_{i+j} m^(window-j), x_i = v_i / m^window.
 
-    Python integers over the digit stream gen_madic_trajectory draws, so
-    for m = 2 they equal the trajectory's ``windows`` field.
+    Python integers over the digits stream(seed).integers(0, m, dtype=uint8)
+    draws, an oracle that shares no code with gen_madic_trajectory: on
+    m = 2 they equal its ``windows`` field shifted right by 64 - window.
     """
     digits = stream(seed).integers(0, m, size=n + window - 1, dtype=np.uint8)
     modulus = m ** window

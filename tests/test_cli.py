@@ -306,6 +306,18 @@ class TestExperimentCommands:
         assert err.startswith("error: ") and "comparison" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["slln", "growth"])
+    def test_comparison_rejected_where_no_test_reads_it(self, tmp_path, capsys, command):
+        data = clt_config()
+        data["mode"] = command
+        data["comparison"] = {"kind": "wcs", "lambdas": [5.0]}
+        out = tmp_path / "out"
+        rc = main([command, "--config", write_config(tmp_path, data), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "comparison" in err
+        assert not (out / "result.json").exists()
+
     def test_degen_runs(self, tmp_path, capsys):
         rc = main(["degen", "--config", write_config(tmp_path, degen_config())])
         assert rc == 0

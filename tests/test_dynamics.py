@@ -78,6 +78,36 @@ class TestCircleTrajectories:
         assert np.array_equal(traj.points, want)
         assert np.all((0.0 <= traj.points) & (traj.points < 1.0))
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 4096, 100000])
+    @pytest.mark.parametrize("window", [16, 17, 64])
+    def test_base2_windows_are_the_bounded_uint8_digits(self, n, window):
+        # the raw-word route must read exactly the digits integers() draws,
+        # so a change to numpy's bounded draws fails here rather than drifts
+        for key in (0, 7, 2**40 + 3, 2**64 - 1):
+            digits = stream(key).integers(0, 2, size=n + window - 1, dtype=np.uint8)
+            want = np.zeros(n, dtype=np.uint64)
+            for j in range(window):
+                want |= digits[j:j + n].astype(np.uint64) << np.uint64(63 - j)
+            assert np.array_equal(gen_madic_trajectory(2, n, key, window).windows, want)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 4096])
+    def test_base2_windows_are_a_prefix_of_longer_ones(self, n):
+        for window in (16, 17, 64):
+            longer = gen_madic_trajectory(2, n + 129, seed=12, window=window).windows
+            assert np.array_equal(gen_madic_trajectory(2, n, 12, window).windows, longer[:n])
+
+    def test_base2_generation_memory(self):
+        # windows are 8 bytes per point; the packed words and one shift temporary add the rest
+        n = 2**20
+        tracemalloc.start()
+        try:
+            traj = gen_madic_trajectory(2, n, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == n
+        assert peak <= 20 * n, peak
+
     def test_base3_iterates_the_map(self):
         traj = gen_madic_trajectory(3, 2000, seed=11)
         x = traj.points
@@ -446,6 +476,13 @@ class TestFactorizedPath:
         vstat_naive(f, traj, NAIVE_SIZES[2])
         monkeypatch.undo()
         assert len(calls) == (0 if m == 2 else 2)  # one per factor
+
+    def test_m2_evaluation_leaves_the_points_unbuilt(self):
+        traj = gen_madic_trajectory(2, 2 * fourier.BLOCK + 7, seed=5)
+        f = parse_config(json.loads((CONFIGS / "clt_doubling.json").read_text()))[1]["kernel"]
+        vstat_fast(f, traj, len(traj))
+        assert traj._points is None
+        assert np.array_equal(traj.points, traj.windows.astype(np.float64) * 2.0**-64)
 
     def test_evaluation_memory_stays_within_a_few_blocks(self):
         # contract holds one block's table at a time, not n-point arrays

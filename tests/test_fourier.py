@@ -80,6 +80,29 @@ class TestAlgebra:
         assert calls == [x.size] * 3
         assert np.max(np.abs(got - want)) < 1e-13
 
+    def test_evaluate_equals_the_zero_fill_sum(self):
+        # values and bits agree, but for the sign of a zero part of the first term
+        rng = rng_for(611)
+        x = np.concatenate([grid()[::16], rng.random(300), [0.0, 0.25, 0.5, 0.75]])
+        polys = [random_poly(rng, n_modes=n) for n in (1, 2, 3, 5)] + [
+            FourierPoly.zero(),
+            FourierPoly.constant(-1.5 + 0.5j),
+            FourierPoly({-3: 1 - 2j, -1: 0.5}),
+            FourierPoly({4: 1j, 0: 2.0, -4: -1j}),
+            FourierPoly.mode(1, -1.0),
+        ]
+        for p in polys:
+            for pts in (x, 0.3, 0.25):
+                got, want = p.evaluate(pts), zero_fill_sum(p, pts)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                a = np.atleast_1d(got).view(np.float64)
+                b = np.atleast_1d(want).view(np.float64)
+                assert np.array_equal(a, b)
+                assert np.all((a.view(np.uint64) == b.view(np.uint64)) | (a == 0.0))
+        got = FourierPoly.mode(1, -1.0).evaluate(0.25)  # -1 times (0, 1) exactly
+        assert (math.copysign(1.0, got.real), got.imag) == (-1.0, -1.0)
+        assert math.copysign(1.0, zero_fill_sum(FourierPoly.mode(1, -1.0), 0.25).real) == 1.0
+
     def test_evaluate_reduces_points_mod_one(self):
         p = FourierPoly({1: 0.5, -3: 1j, 5: 2.0})
         for x, y in ((1.25, 0.25), (-0.25, 0.75), (7.5, 0.5), (1.0, 0.0), (-1e-300, 0.0)):
@@ -115,6 +138,19 @@ class TestAlgebra:
         assert d["modes"][0][0] == -2
         f = SeparableKernel(1, CircleBase(2), (KernelTerm(1.0, (p,)),))
         assert reparse(f)["kernel"].terms[0].factors[0] == p
+
+
+def zero_fill_sum(p: FourierPoly, x):
+    """p at x as evaluate summed it before: every term added into a zero array."""
+    v = fourier.turns(x)
+    out = np.zeros(v.shape, dtype=np.complex128)
+    for k, c in p.items():
+        if k == 0:
+            out += c
+            continue
+        e = fourier.turns_exp(np.multiply(v, np.uint64(abs(k) % 2**64)))
+        out += c * (e if k > 0 else e.conj())
+    return out if out.shape else complex(out)
 
 
 #: 2 pi to long double precision, for the exponential references below

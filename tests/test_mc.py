@@ -238,6 +238,10 @@ class TestConfig:
         for law in (wcs, LimitLaw.gaussian(2.0)):
             cfg = ExperimentConfig(CircleSystem(), degen_kernel(), "degen", 64, comparison=law)
             assert derive_law(cfg) == law
+        # no test of slln or growth reads a law
+        for mode in ("slln", "growth"):
+            with pytest.raises(ValueError, match="comparison"):
+                ExperimentConfig(CircleSystem(), clt_kernel(), mode, 64, comparison=wcs)
 
     def test_markov_degen_needs_explicit_law(self):
         chain = MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
