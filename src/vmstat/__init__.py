@@ -71,10 +71,8 @@ from .dynamics import (
     vstat_naive,
 )
 from .mc import (
-    CircleSystem,
     ExperimentConfig,
     ExperimentResult,
-    MarkovSystem,
     ks_critical,
     ks_one_sample_gaussian,
     ks_two_sample,

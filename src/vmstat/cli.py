@@ -38,9 +38,7 @@ from .martingale import (
 )
 from .mc import (
     MODES,
-    CircleSystem,
     ExperimentConfig,
-    MarkovSystem,
     canonical_json_bytes,
     run_experiment,
     write_replicas_csv,
@@ -119,14 +117,17 @@ def _kind(d, path: str) -> str:
 
 
 def _parse_system(d, path: str):
+    """The base and the trajectory window a system block names (64 on a chain)."""
     if _kind(d, path) == "circle":
         _check_keys(d, path, {"kind"}, {"m", "window"})
         m = _integer(d.get("m", 2), f"{path}.m")
         window = _integer(d.get("window", 64), f"{path}.window")
-        _build(lambda: CircleSystem(m), f"{path}.m")
-        return _build(lambda: CircleSystem(m, window), f"{path}.window")
+        _build(lambda: CircleBase(m).system(64), f"{path}.m")
+        base = CircleBase(m)
+        _build(lambda: base.system(window), f"{path}.window")
+        return base, window
     _check_keys(d, path, {"kind", "Q"})
-    return MarkovSystem(_chain(d["Q"], f"{path}.Q"))
+    return MarkovBase(_chain(d["Q"], f"{path}.Q")), 64
 
 
 def _parse_base(d, path: str):
@@ -206,7 +207,8 @@ def parse_config(data: dict):
     Two shapes are accepted: a bare chain object {"Q": ..., "f": ...},
     read as ("chain", {"chain": chain, "f": f or None}), and the
     experiment shape with system and kernel blocks, read as
-    ("experiment", fields) with the ExperimentConfig fields it sets.
+    ("experiment", fields) with the ExperimentConfig fields it sets; the
+    system block gives the kernel's base and the window.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -226,9 +228,8 @@ def parse_config(data: dict):
         {"system", "kernel"},
         {"mode", "n", "replicas", "seed", "alpha", "comparison"},
     )
-    system = _parse_system(data["system"], "system")
-    kernel = _parse_kernel(data["kernel"], "kernel", system.base())
-    out = {"system": system, "kernel": kernel}
+    base, window = _parse_system(data["system"], "system")
+    out = {"kernel": _parse_kernel(data["kernel"], "kernel", base), "window": window}
     if "mode" in data:
         if data["mode"] not in MODES:
             raise ConfigError(f"mode must be one of {MODES} at mode")
@@ -368,10 +369,10 @@ def _cmd_mixing(args) -> int:
     if kind == "chain":
         chain = fields["chain"]
     else:
-        system = fields["system"]
-        if not isinstance(system, MarkovSystem):
+        base = fields["kernel"].base
+        if base.kind != "markov":
             raise ConfigError("mixing needs a markov chain config")
-        chain = system.chain
+        chain = base.chain
     n_max = args.n if args.n is not None else 20
     table = mixing_coefficients(chain, n_max)
     lines = ["n,phi,psi"]

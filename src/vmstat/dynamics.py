@@ -45,12 +45,9 @@ from functools import cache
 import numpy as np
 
 from ._seeding import stream
-from .kernels import SeparableKernel, kernel_mean
+from .kernels import CircleBase, SeparableKernel, kernel_mean
 from .hoeffding import is_canonical
 from .markov import MarkovChain
-
-#: largest circle map base; digits are drawn as uint8
-MAX_BASE = 256
 
 #: largest naive enumeration budget, in index tuples
 NAIVE_BUDGET = 1_000_000_000
@@ -158,13 +155,13 @@ def _binary_windows(n: int, seed: int, width: int) -> np.ndarray:
 
 
 def gen_madic_trajectory(m: int, n: int, seed: int, window: int = 64) -> Trajectory:
-    """Length-n trajectory of x -> m x mod 1 from a seeded digit stream."""
-    if not 2 <= m <= MAX_BASE:
-        raise ValueError(f"map base must be between 2 and {MAX_BASE}")
+    """Length-n trajectory of x -> m x mod 1 from a seeded digit stream.
+
+    Raises ValueError where CircleBase(m).system(window) does, or for n < 1.
+    """
+    CircleBase(m).system(window)
     if n < 1:
         raise ValueError("trajectory length must be positive")
-    if not 16 <= window <= 64:
-        raise ValueError("window must be between 16 and 64 digits")
     width = min(window, _word_digits(m))
     if m == 2:
         return Trajectory("circle", windows=_binary_windows(n, seed, width))

@@ -15,7 +15,9 @@ CircleBase and MarkovBase carry the same operations on one observable
 and write a kernel exactly (coefficients, real_coefficients,
 spectral_form: the mode expansion on the circle, the value tensor on a
 chain), so every kernel function below that takes both bases has one
-body; docs/correspondence.md tables the operations.
+body; docs/correspondence.md tables the operations.  A base is also the
+system an experiment simulates: system writes its result.json block and
+statistics computes S_n of a kernel on one trajectory per seed key.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ Observable = Union[FourierPoly, StateFunction]
 #: expanded mode coefficients below this are dropped
 COEFF_TOL = 1e-12
 
+#: largest circle map base a trajectory takes; its digits are drawn as uint8
+MAX_BASE = 256
+
 
 class BaseMismatchError(ValueError):
     """Raised when an operation does not support the kernel's base space."""
@@ -62,6 +67,24 @@ class CircleBase:
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "m": self.m}
+
+    def system(self, window: int) -> dict:
+        """The system block of a run whose trajectories are window digits wide.
+
+        Raises ValueError unless m <= MAX_BASE and 16 <= window <= 64.
+        """
+        if self.m > MAX_BASE:
+            raise ValueError(f"map base must be between 2 and {MAX_BASE}")
+        if not 16 <= window <= 64:
+            raise ValueError("window must be between 16 and 64 digits")
+        return {"kind": self.kind, "m": self.m, "window": window}
+
+    def statistics(self, f, n: int, keys, window: int) -> list:
+        """S_n of f on the window-digit trajectory of each seed key."""
+        from . import dynamics  # dynamics imports this module
+
+        return [dynamics.vstat_fast(f, dynamics.gen_madic_trajectory(self.m, n, key, window), n)
+                for key in keys]
 
     def check(self, u) -> None:
         if not isinstance(u, FourierPoly):
@@ -186,6 +209,16 @@ class MarkovBase:
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "chain": self.chain.to_json_dict()}
+
+    def system(self, window: int) -> dict:
+        """The system block of a run on this chain; a chain has no window."""
+        return {"kind": self.kind, **self.chain.to_json_dict()}
+
+    def statistics(self, f, n: int, keys, window: int) -> list:
+        """S_n of f on the path of each seed key, from its occupation counts."""
+        from . import dynamics  # dynamics imports this module
+
+        return [dynamics.contract(f, c) for c in dynamics.markov_occupations(self.chain, n, keys)]
 
     def check(self, u) -> None:
         if not isinstance(u, StateFunction):

@@ -1,12 +1,15 @@
 """Reproducible Monte Carlo verification of limit laws.
 
-An experiment fixes a system, a kernel, a normalization mode, a length
-n, a replica count and a master seed.  Replica r draws its trajectory
-from a stream keyed by derive_seed(master, r), so the value vector is a
-pure function of the configuration: worker count and scheduling cannot
-change any byte of the output.  Distributional agreement is checked
-with Kolmogorov-Smirnov statistics against the derived (or explicitly
-supplied) limit law; moments come with leave-one-out standard errors.
+An experiment fixes a kernel, whose base is the system simulated, a
+normalization mode, a length n, a replica count, a master seed and, on
+the circle, the digit window of a trajectory.  Replica r draws its
+trajectory from a stream keyed by derive_seed(master, r), and the base
+computes the statistics (CircleBase.statistics, MarkovBase.statistics),
+so the value vector is a pure function of the configuration: worker
+count and scheduling cannot change any byte of the output.
+Distributional agreement is checked with Kolmogorov-Smirnov statistics
+against the derived (or explicitly supplied) limit law; moments come
+with leave-one-out standard errors.
 
 Wall-clock timing is kept on the in-memory result only; the canonical
 JSON serialization excludes it so repeated runs are byte-identical.
@@ -18,29 +21,16 @@ import json
 import math
 import os
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._seeding import derive_seed, reference_seed
-from .dynamics import (
-    MAX_BASE,
-    MAX_N,
-    contract,
-    gen_madic_trajectory,
-    markov_occupations,
-    normalization,
-    vstat_fast,
-)
+from .dynamics import MAX_N, normalization
 from .hoeffding import symmetric_parts
-from .kernels import (
-    CircleBase,
-    MarkovBase,
-    SeparableKernel,
-    kernel_mean,
-)
-from .markov import MarkovChain
+from .kernels import CircleBase, SeparableKernel, kernel_mean
 from .martingale import (
     LimitLaw,
     clt_variance,
@@ -60,44 +50,16 @@ SLLN_FRACTION = 0.95
 REFERENCE_FACTOR = 10
 
 
-@dataclass(frozen=True)
-class CircleSystem:
-    """Circle with the m-fold map and the digit-window trajectory width."""
-
-    m: int = 2
-    window: int = 64
-
-    def __post_init__(self):
-        self.base()  # CircleBase checks m >= 2
-        if self.m > MAX_BASE:
-            raise ValueError(f"map base must be between 2 and {MAX_BASE}")
-        if not 16 <= self.window <= 64:
-            raise ValueError("window must be between 16 and 64 digits")
-
-    def base(self) -> CircleBase:
-        return CircleBase(self.m)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "circle", "m": self.m, "window": self.window}
-
-
-@dataclass(frozen=True, eq=False)
-class MarkovSystem:
-    chain: MarkovChain
-
-    def base(self) -> MarkovBase:
-        return MarkovBase(self.chain)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "markov", **self.chain.to_json_dict()}
-
-
-System = CircleSystem | MarkovSystem
+#: what ExperimentConfig.system gives, the records perfbench/harness.py reads;
+#: they go with the next change to the benchmark (ROADMAP item 3)
+CircleSystem = namedtuple("CircleSystem", "m window")
+MarkovSystem = namedtuple("MarkovSystem", "chain")
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    system: System
+    """A run on the kernel's base; window is the circle trajectory's digit width."""
+
     kernel: SeparableKernel
     mode: str
     n: int
@@ -105,6 +67,7 @@ class ExperimentConfig:
     seed: int = 0
     alpha: float = 0.01
     comparison: LimitLaw | None = None  # None derives the law from the kernel
+    window: int = 64
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -115,8 +78,8 @@ class ExperimentConfig:
             raise ValueError("replicas must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.system.base() != self.kernel.base:
-            raise ValueError("kernel base does not match the system")
+        derive_seed(self.seed, 0)  # rejects a master seed outside [0, 2^64)
+        self.kernel.base.system(self.window)  # bounds the circle's m and window
         # degen's two-sample test can sample any law; clt's KS test needs a
         # variance; the slln band and the growth bound read none
         law = self.comparison
@@ -125,9 +88,16 @@ class ExperimentConfig:
         if self.mode in ("slln", "growth") and law is not None:
             raise ValueError(f"{self.mode} takes no comparison law")
 
+    @property
+    def system(self) -> CircleSystem | MarkovSystem:
+        base = self.kernel.base
+        if isinstance(base, CircleBase):
+            return CircleSystem(base.m, self.window)
+        return MarkovSystem(base.chain)
+
     def to_json_dict(self) -> dict:
         return {
-            "system": self.system.to_json_dict(),
+            "system": self.kernel.base.system(self.window),
             "kernel": self.kernel.to_json_dict(),
             "mode": self.mode,
             "n": self.n,
@@ -304,13 +274,7 @@ def replica_seed(cfg: ExperimentConfig, r: int) -> int:
 def _replica_values(cfg: ExperimentConfig, indices) -> list[float]:
     shift, scale = normalization(cfg.kernel, cfg.n, cfg.mode)
     keys = [replica_seed(cfg, r) for r in indices]
-    if isinstance(cfg.system, CircleSystem):
-        m, window = cfg.system.m, cfg.system.window
-        stats = [vstat_fast(cfg.kernel, gen_madic_trajectory(m, cfg.n, key, window), cfg.n)
-                 for key in keys]
-    else:
-        counts = markov_occupations(cfg.system.chain, cfg.n, keys)
-        stats = [contract(cfg.kernel, c) for c in counts]
+    stats = cfg.kernel.base.statistics(cfg.kernel, cfg.n, keys, cfg.window)
     return [(s - shift) / scale for s in stats]
 
 

@@ -29,7 +29,6 @@ from vmstat.kernels import (
     zero_kernel,
 )
 from vmstat.markov import MarkovChain, StateFunction
-from vmstat.mc import CircleSystem, MarkovSystem
 
 
 def rng_for(label: int) -> np.random.Generator:
@@ -189,9 +188,7 @@ def reparse(kernel: SeparableKernel, comparison=None) -> dict:
     The system block comes from the kernel's base, so the reader also
     checks the kernel's own "base" block against it.
     """
-    base = kernel.base
-    system = CircleSystem(base.m) if isinstance(base, CircleBase) else MarkovSystem(base.chain)
-    data = {"system": system.to_json_dict(), "kernel": kernel.to_json_dict()}
+    data = {"system": kernel.base.system(64), "kernel": kernel.to_json_dict()}
     if comparison is not None:
         data["comparison"] = comparison.to_json_dict()
     kind, parsed = parse_config(json.loads(json.dumps(data)))

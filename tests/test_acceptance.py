@@ -42,7 +42,7 @@ from vmstat.martingale import (
     spectral_decompose,
 )
 from vmstat.dynamics import gen_madic_trajectory, normalized_stat, vstat_fast, vstat_naive
-from vmstat.mc import CircleSystem, ExperimentConfig, MarkovSystem, run_experiment
+from vmstat.mc import ExperimentConfig, run_experiment
 
 from helpers import (
     random_canonical_pair_kernel,
@@ -85,7 +85,7 @@ def growth_example_kernel() -> SeparableKernel:
 
 @pytest.fixture(scope="module")
 def clt_run():
-    cfg = ExperimentConfig(CircleSystem(), clt_example_kernel(), "clt",
+    cfg = ExperimentConfig(clt_example_kernel(), "clt",
                            n=4096, replicas=2000, seed=0, alpha=0.01)
     return run_experiment(cfg)
 
@@ -249,7 +249,7 @@ def test_c07_degenerate_limit():
     # kernel 2 cos(2 pi (x - y)): derived law is the weighted chi-square
     # with weights (1, 1); two-sample KS against 20000 reference draws at
     # alpha = 0.01 passes and the mean is within 5% of 2; budget 120 s
-    cfg = ExperimentConfig(CircleSystem(), degen_example_kernel(), "degen",
+    cfg = ExperimentConfig(degen_example_kernel(), "degen",
                            n=4096, replicas=2000, seed=0, alpha=0.01)
     res = run_experiment(cfg)
     ok = res.law.kind == "wcs"
@@ -314,7 +314,7 @@ def test_c10_markov_variance():
     kernel = SeparableKernel(1, MarkovBase(chain), (KernelTerm(1.0, (f_obs,)),))
     sigma2 = clt_variance(kernel)
     ok = abs(sigma2 - 3.0) <= 1e-12
-    cfg = ExperimentConfig(MarkovSystem(chain), kernel, "clt",
+    cfg = ExperimentConfig(kernel, "clt",
                            n=4096, replicas=2000, seed=0, alpha=0.01)
     res = run_experiment(cfg)
     mc_var = float(np.var(res.values))
@@ -363,7 +363,7 @@ def test_c13_worker_determinism():
     # identical result bytes with 1 worker and with the maximum worker
     # count; replica seeds make the schedule irrelevant
     workers = max(2, min(os.cpu_count() or 1, 8))
-    cfg = ExperimentConfig(CircleSystem(), clt_example_kernel(), "clt",
+    cfg = ExperimentConfig(clt_example_kernel(), "clt",
                            n=512, replicas=200, seed=9, alpha=0.01)
     a = run_experiment(cfg, workers=1).to_json_bytes()
     b = run_experiment(cfg, workers=workers).to_json_bytes()

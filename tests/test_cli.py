@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vmstat.cli import build_parser, main, parse_config
 from vmstat.dynamics import MAX_N, gen_madic_trajectory
+from vmstat.mc import ExperimentConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -190,7 +194,7 @@ class TestSchema:
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_length_beyond_max_n(self, tmp_path, capsys, monkeypatch, where):
         generated = []
-        monkeypatch.setattr("vmstat.mc.gen_madic_trajectory",
+        monkeypatch.setattr("vmstat.dynamics.gen_madic_trajectory",
                             lambda *args: generated.append(args))
         data, extra = clt_config(), []
         if where == "config":
@@ -223,7 +227,7 @@ class TestSchema:
             traj = gen_madic_trajectory(*args)
             points.append(traj.points)
             return traj
-        monkeypatch.setattr("vmstat.mc.gen_madic_trajectory", traced)
+        monkeypatch.setattr("vmstat.dynamics.gen_madic_trajectory", traced)
         data = clt_config(n=128, replicas=40)
         data["system"]["m"] = m
         assert main(["clt", "--config", write_config(tmp_path, data), "--workers", "1"]) == rc
@@ -317,6 +321,31 @@ class TestExperimentCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "comparison" in err
         assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["-1", "2^64"])
+    def test_growth_rejects_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        # growth derives no replica key, so the config itself must reject the seed
+        data = json.loads((CONFIGS / "growth_doubling.json").read_text())
+        data["seed"] = seed
+        out = tmp_path / "out"
+        rc = main(["growth", "--config", write_config(tmp_path, data), "--out", str(out)])
+        assert rc == 1
+        assert "master seed must fit in 64 bits" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")
+                                            if "system" in json.loads(p.read_text())))
+    def test_result_config_reads_back(self, tmp_path, capsys, name):
+        # the config block of result.json, system block included, is a config
+        data = json.loads((CONFIGS / f"{name}.json").read_text())
+        data.update(n=64, replicas=8)
+        out = tmp_path / "out"
+        assert main([data["mode"], "--config", write_config(tmp_path, data),
+                     "--out", str(out)]) in (0, 2)
+        written = json.loads((out / "result.json").read_text())["config"]
+        kind, fields = parse_config(written)
+        assert kind == "experiment"
+        assert ExperimentConfig(**fields).to_json_dict() == written
 
     def test_degen_runs(self, tmp_path, capsys):
         rc = main(["degen", "--config", write_config(tmp_path, degen_config())])

@@ -25,7 +25,6 @@ from vmstat.kernels import (
     kernel_mean,
 )
 from vmstat.markov import MarkovChain, StateFunction
-from vmstat.mc import CircleSystem
 from vmstat.dynamics import (
     BudgetError,
     Trajectory,
@@ -145,7 +144,7 @@ class TestCircleTrajectories:
         with pytest.raises(ValueError, match="between 2 and 256"):
             gen_madic_trajectory(257, 10, seed=0)
         with pytest.raises(ValueError, match="between 2 and 256"):
-            CircleSystem(257)
+            CircleBase(257).system(64)
         traj = gen_madic_trajectory(256, 50, seed=3)
         want = np.array([v / 256**8 for v in exact_windows(256, 50, seed=3, window=8)])
         assert np.max(np.abs(traj.points - want)) <= 2.0**-52

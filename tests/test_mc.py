@@ -15,9 +15,7 @@ from vmstat.kernels import CircleBase, KernelTerm, MarkovBase, SeparableKernel
 from vmstat.markov import MarkovChain, StateFunction
 from vmstat.martingale import LimitLaw, sample_limit_law
 from vmstat.mc import (
-    CircleSystem,
     ExperimentConfig,
-    MarkovSystem,
     canonical_json_bytes,
     derive_law,
     ks_critical,
@@ -187,75 +185,80 @@ class TestSummary:
 
 class TestConfig:
     def test_mode_and_domain_validation(self):
-        sys_ = CircleSystem()
         f = clt_kernel()
         with pytest.raises(ValueError):
-            ExperimentConfig(sys_, f, "bogus", 64)
+            ExperimentConfig(f, "bogus", 64)
         with pytest.raises(ValueError):
-            ExperimentConfig(sys_, f, "clt", 0)
+            ExperimentConfig(f, "clt", 0)
         with pytest.raises(ValueError):
-            ExperimentConfig(sys_, f, "clt", MAX_N + 1)
+            ExperimentConfig(f, "clt", MAX_N + 1)
         with pytest.raises(ValueError):
-            ExperimentConfig(sys_, f, "clt", 64, replicas=0)
+            ExperimentConfig(f, "clt", 64, replicas=0)
         with pytest.raises(ValueError):
-            ExperimentConfig(sys_, f, "clt", 64, alpha=1.5)
+            ExperimentConfig(f, "clt", 64, alpha=1.5)
 
     def test_circle_system_validated(self):
         with pytest.raises(ValueError):
-            CircleSystem(m=1)
+            CircleBase(m=1)
         for window in (15, 65):
-            with pytest.raises(ValueError):
-                CircleSystem(window=window)
+            with pytest.raises(ValueError, match="window"):
+                ExperimentConfig(clt_kernel(), "clt", 64, window=window)
+        f = SeparableKernel(1, CircleBase(257), (KernelTerm(1.0, (FourierPoly({1: 1.0}),)),))
+        with pytest.raises(ValueError, match="between 2 and 256"):
+            ExperimentConfig(f, "slln", 64)
 
-    def test_base_mismatch_rejected(self):
-        chain = MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            ExperimentConfig(MarkovSystem(chain), clt_kernel(), "clt", 64)
+    @pytest.mark.parametrize("mode", ["slln", "clt", "degen", "growth"])
+    def test_master_seed_fits_in_64_bits(self, mode):
+        # rejected when the config is built, before any law or replica
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="master seed must fit in 64 bits"):
+                ExperimentConfig(degen_kernel(), mode, 64, seed=seed)
+        assert ExperimentConfig(degen_kernel(), mode, 64, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
     def test_law_derivation_clt(self):
-        cfg = ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 64)
+        cfg = ExperimentConfig(clt_kernel(), "clt", 64)
         law = derive_law(cfg)
         assert law.kind == "gaussian"
         assert abs(law.variance - 8.0) < 1e-9
 
     def test_law_derivation_degen(self):
-        cfg = ExperimentConfig(CircleSystem(), degen_kernel(), "degen", 64)
+        cfg = ExperimentConfig(degen_kernel(), "degen", 64)
         law = derive_law(cfg)
         assert law.kind == "wcs"
         assert np.allclose(law.lambdas, [1.0, 1.0], atol=1e-9)
 
     def test_explicit_comparison_wins(self):
         law = LimitLaw.gaussian(5.0)
-        cfg = ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 64,
+        cfg = ExperimentConfig(clt_kernel(), "clt", 64,
                                comparison=law)
         assert derive_law(cfg) == law
 
     def test_clt_comparison_must_be_gaussian(self):
         wcs = LimitLaw.weighted_chi_square([1.0, 1.0])
         with pytest.raises(ValueError, match="comparison"):
-            ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 64, comparison=wcs)
+            ExperimentConfig(clt_kernel(), "clt", 64, comparison=wcs)
         # the two-sample test of degen samples either kind
         for law in (wcs, LimitLaw.gaussian(2.0)):
-            cfg = ExperimentConfig(CircleSystem(), degen_kernel(), "degen", 64, comparison=law)
+            cfg = ExperimentConfig(degen_kernel(), "degen", 64, comparison=law)
             assert derive_law(cfg) == law
         # no test of slln or growth reads a law
         for mode in ("slln", "growth"):
             with pytest.raises(ValueError, match="comparison"):
-                ExperimentConfig(CircleSystem(), clt_kernel(), mode, 64, comparison=wcs)
+                ExperimentConfig(clt_kernel(), mode, 64, comparison=wcs)
 
     def test_markov_degen_needs_explicit_law(self):
         chain = MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
         u = StateFunction(np.array([1.0, -1.0]))
-        f = SeparableKernel(2, MarkovSystem(chain).base(),
+        f = SeparableKernel(2, MarkovBase(chain),
                             (KernelTerm(1.0, (u, u)),))
-        cfg = ExperimentConfig(MarkovSystem(chain), f, "degen", 64)
+        cfg = ExperimentConfig(f, "degen", 64)
         with pytest.raises(ValueError):
             derive_law(cfg)
 
 
 class TestRunExperiment:
     def test_clt_small_run_passes(self):
-        cfg = ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 512,
+        cfg = ExperimentConfig(clt_kernel(), "clt", 512,
                                replicas=400, seed=5)
         res = run_experiment(cfg)
         assert res.passed
@@ -264,7 +267,7 @@ class TestRunExperiment:
         assert abs(res.summary["second_moment"]["value"] - 8.0) < 1.5
 
     def test_replica_values_are_seeded_independently(self):
-        cfg = ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 256,
+        cfg = ExperimentConfig(clt_kernel(), "clt", 256,
                                replicas=600, seed=8)
         res = run_experiment(cfg)
         v = res.values
@@ -273,7 +276,7 @@ class TestRunExperiment:
         assert replica_seed(cfg, 3) == derive_seed(8, 3)
 
     def test_degen_two_sample_route(self):
-        cfg = ExperimentConfig(CircleSystem(), degen_kernel(), "degen", 512,
+        cfg = ExperimentConfig(degen_kernel(), "degen", 512,
                                replicas=400, seed=5)
         res = run_experiment(cfg)
         assert res.passed
@@ -289,7 +292,7 @@ class TestRunExperiment:
             KernelTerm(1.0, (em1, e1)),
             KernelTerm(0.7, (one, one)),
         ))
-        cfg = ExperimentConfig(CircleSystem(), f, "slln", 20_000,
+        cfg = ExperimentConfig(f, "slln", 20_000,
                                replicas=40, seed=2)
         res = run_experiment(cfg)
         assert res.test["name"] == "slln_within_band"
@@ -301,7 +304,7 @@ class TestRunExperiment:
             KernelTerm(1.0, (FourierPoly({2: 1.0}), FourierPoly({-2: 1.0}))),
             KernelTerm(1.0, (FourierPoly({-2: 1.0}), FourierPoly({2: 1.0}))),
         ))
-        cfg = ExperimentConfig(CircleSystem(), f, "growth", 256, replicas=1)
+        cfg = ExperimentConfig(f, "growth", 256, replicas=1)
         res = run_experiment(cfg)
         assert res.test["name"] == "growth_bound"
         assert res.passed
@@ -311,9 +314,9 @@ class TestRunExperiment:
     def test_markov_clt_run(self):
         chain = MarkovChain(np.array([[0.75, 0.25], [0.25, 0.75]]))
         u = StateFunction(np.array([1.0, -1.0]))
-        f = SeparableKernel(1, MarkovSystem(chain).base(),
+        f = SeparableKernel(1, MarkovBase(chain),
                             (KernelTerm(1.0, (u,)),))
-        cfg = ExperimentConfig(MarkovSystem(chain), f, "clt", 1024,
+        cfg = ExperimentConfig(f, "clt", 1024,
                                replicas=300, seed=6)
         res = run_experiment(cfg)
         assert res.passed
@@ -323,14 +326,14 @@ class TestRunExperiment:
 
 class TestDeterminism:
     def test_same_config_same_bytes(self):
-        cfg = ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 128,
+        cfg = ExperimentConfig(clt_kernel(), "clt", 128,
                                replicas=60, seed=3)
         a = run_experiment(cfg).to_json_bytes()
         b = run_experiment(cfg).to_json_bytes()
         assert a == b
 
     def test_workers_do_not_change_bytes(self):
-        cfg = ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 128,
+        cfg = ExperimentConfig(clt_kernel(), "clt", 128,
                                replicas=64, seed=3)
         a = run_experiment(cfg, workers=1).to_json_bytes()
         b = run_experiment(cfg, workers=4).to_json_bytes()
@@ -341,7 +344,7 @@ class TestDeterminism:
         chain = MarkovChain(np.array([[0.75, 0.25], [0.25, 0.75]]))
         u = StateFunction(np.array([1.0, -1.0]))
         f = SeparableKernel(1, MarkovBase(chain), (KernelTerm(1.0, (u,)),))
-        cfg = ExperimentConfig(MarkovSystem(chain), f, "clt", 300, replicas=64, seed=3)
+        cfg = ExperimentConfig(f, "clt", 300, replicas=64, seed=3)
         a = run_experiment(cfg, workers=1).to_json_bytes()
         b = run_experiment(cfg, workers=2).to_json_bytes()
         assert a == b
@@ -364,7 +367,7 @@ class TestDeterminism:
 
         monkeypatch.setattr("vmstat.mc.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        cfg = ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 64,
+        cfg = ExperimentConfig(clt_kernel(), "clt", 64,
                                replicas=40, seed=3)
         serial = run_experiment(cfg, workers=1).to_json_bytes()
         assert run_experiment(cfg, workers=16).to_json_bytes() == serial
@@ -377,13 +380,13 @@ class TestDeterminism:
         calls = []
         monkeypatch.setattr("vmstat.dynamics.is_canonical",
                             lambda f, *a, **k: calls.append(f) or is_canonical(f, *a, **k))
-        cfg = ExperimentConfig(CircleSystem(), degen_kernel(), "degen", 64,
+        cfg = ExperimentConfig(degen_kernel(), "degen", 64,
                                replicas=8, seed=2)
         run_experiment(cfg, workers=1)
         assert len(calls) == 1
 
     def test_timing_not_serialized(self):
-        cfg = ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 64,
+        cfg = ExperimentConfig(clt_kernel(), "clt", 64,
                                replicas=8, seed=1)
         res = run_experiment(cfg)
         assert res.timing > 0.0
@@ -402,7 +405,7 @@ class TestDeterminism:
 
 class TestCsv:
     def test_replicas_and_summary_files(self, tmp_path):
-        cfg = ExperimentConfig(CircleSystem(), clt_kernel(), "clt", 64,
+        cfg = ExperimentConfig(clt_kernel(), "clt", 64,
                                replicas=10, seed=4)
         res = run_experiment(cfg)
         rp = tmp_path / "replicas.csv"
