@@ -1,11 +1,12 @@
 """Command line front end.
 
-Subcommands: decompose, variance, spectrum, slln, clt, degen, growth,
-check-conditions, mixing, each with --config and the options its handler
-reads (COMMANDS).  Every command reads a JSON config file; the schema is
-closed: unknown fields are rejected with their path.  Exit code 0 means
-success (and a passing test for experiment commands), 2 a failed
-statistical test, 1 an operational or usage error.
+Subcommands: the experiments slln, clt and degen (vmstat.mc), and the
+analyses decompose, variance, spectrum, growth, check-conditions and
+mixing, each with --config and the options its handler reads (COMMANDS).
+Every command reads a JSON config file; the schema is closed: unknown
+fields are rejected with their path.  Exit code 0 means success (and a
+passing test for experiments and growth), 2 a failed test, 1 an
+operational or usage error.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .markov import MarkovChain, StateFunction, mixing_coefficients
 from .martingale import (
     LimitLaw,
     clt_variance,
+    growth_bound,
+    growth_ratios,
     martingale_coboundary_d2,
     spectral_decompose,
 )
@@ -288,8 +291,6 @@ def _cmd_experiment(args) -> int:
     for key in ("replicas", "seed"):
         if getattr(args, key, None) is not None:
             fields[key] = getattr(args, key)
-    if args.command == "growth":
-        fields.setdefault("n", 1024)
     if "n" not in fields:
         raise ConfigError("field 'n' is required (config or --n)")
     result = run_experiment(ExperimentConfig(**fields), workers=_resolve_workers(args))
@@ -338,16 +339,23 @@ def _cmd_spectrum(args) -> int:
     kernel = _experiment(args)["kernel"]
     if kernel.arity != 2:
         raise ConfigError("spectrum is defined for arity-2 kernels")
-    if isinstance(kernel.base, CircleBase):
-        parts = martingale_coboundary_d2(kernel)
-        target = parts.martingale
-    else:
-        target = kernel
+    target = martingale_coboundary_d2(kernel).martingale
     pairs = spectral_decompose(target)
     lambdas = [lam for lam, _ in pairs]
     trace = float(target.base.mean(diag_restrict(target)).real)
     _emit({"lambdas": lambdas, "sum": float(sum(lambdas)), "diag_mean": trace})
     return 0
+
+
+def _cmd_growth(args) -> int:
+    fields = _experiment(args)
+    n = _length(args.n if args.n is not None else fields.get("n", 1024), "n")
+    ratios = growth_ratios(fields["kernel"], max_exponent=max(1, n.bit_length() - 1))
+    stat = max(r for _, r in ratios)
+    bound = growth_bound(fields["kernel"])
+    _emit({"name": "growth_bound", "statistic": stat, "threshold": bound,
+           "ratios": ratios, "pass": stat <= bound})
+    return 0 if stat <= bound else 2
 
 
 def _cmd_check_conditions(args) -> int:
@@ -399,8 +407,8 @@ COMMANDS = {
     "slln": ("law-of-large-numbers experiment", _cmd_experiment, _EXPERIMENT_OPTIONS),
     "clt": ("Gaussian-limit experiment", _cmd_experiment, _EXPERIMENT_OPTIONS),
     "degen": ("degenerate weighted-chi-square experiment", _cmd_experiment, _EXPERIMENT_OPTIONS),
-    "growth": ("diagonal growth-ratio diagnostic", _cmd_experiment,
-               ("--out", ("--n", "override the largest n of the growth ratios (default 1024)"))),
+    "growth": ("diagonal growth-ratio diagnostic", _cmd_growth,
+               (("--n", "largest n of the growth ratios (default: the config's n, else 1024)"),)),
     "check-conditions": ("summability certificate for the kernel", _cmd_check_conditions, ()),
     "mixing": ("phi/psi mixing coefficient table of a chain", _cmd_mixing,
                ("--out", ("--n", "last lag of the table (default 20)"))),

@@ -71,13 +71,16 @@ class CircleBase:
     def system(self, window: int) -> dict:
         """The system block of a run whose trajectories are window digits wide.
 
-        Raises ValueError unless m <= MAX_BASE and 16 <= window <= 64.
+        Raises ValueError unless m <= MAX_BASE and window is an integer
+        with 16 <= window <= 64.
         """
         if self.m > MAX_BASE:
             raise ValueError(f"map base must be between 2 and {MAX_BASE}")
+        if not isinstance(window, (int, np.integer)):
+            raise ValueError("window must be an integer")
         if not 16 <= window <= 64:
             raise ValueError("window must be between 16 and 64 digits")
-        return {"kind": self.kind, "m": self.m, "window": window}
+        return {"kind": self.kind, "m": self.m, "window": int(window)}
 
     def statistics(self, f, n: int, keys, window: int) -> list:
         """S_n of f on the window-digit trajectory of each seed key."""

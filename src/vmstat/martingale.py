@@ -43,7 +43,7 @@ from .kernels import (
     expand_modes,
     projective_bound,
 )
-from .hoeffding import is_symmetric
+from .hoeffding import is_canonical, is_symmetric
 
 #: eigenvalues below this modulus are dropped from spectral results
 SPECTRUM_TOL = 1e-12
@@ -119,37 +119,28 @@ def sample_limit_law(law: LimitLaw, n_samples: int, seed: int) -> np.ndarray:
 # adjoint series
 
 
-def _canonical_expansion(f: SeparableKernel) -> dict[tuple[int, ...], complex]:
-    modes = expand_modes(f)
-    for key in modes:
-        if any(k == 0 for k in key):
-            raise ValueError(
-                "kernel is not canonical: expansion has a constant slot at "
-                f"{key}"
-            )
-    return modes
+def _centred_terms(f: SeparableKernel) -> list:
+    """(coeff, factors) of each term of a canonical f, every factor centred.
+
+    A canonical kernel equals its all-slot Hoeffding component, which is
+    these terms, so they sum to f itself.
+    """
+    if not is_canonical(f):
+        raise ValueError("kernel is not canonical: integrating out a slot leaves a nonzero kernel")
+    base = f.base
+    return [(t.coeff, [u - base.constant(base.mean(u)) for u in t.factors]) for t in f.terms]
 
 
 def adjoint_series_sum(f: SeparableKernel) -> SeparableKernel:
-    """Sum of all slotwise adjoint applications sum_{k >= 0} V*^k f.
+    """Sum of all slotwise adjoint applications sum_{k >= 0} V*^k f of a canonical f.
 
-    Circle base: exact, one term per expanded mode component, each slot
-    holding the finite transfer orbit sum of its mode.  Markov base: the
-    slotwise resolvent (I - Q)^{-1}, the base's adjoint_series, applied
-    to every factor, which must be centered.
+    The base's adjoint_series (the finite transfer orbit sum on the
+    circle, the Poisson solve on a chain) is applied to each centred
+    factor (_centred_terms).
     """
-    base = f.base
-    if isinstance(base, CircleBase):
-        terms = []
-        for key, lam in _canonical_expansion(f).items():
-            factors = [base.adjoint_series(FourierPoly.mode(k)) for k in key]
-            factors[0] = lam * factors[0]
-            terms.append(KernelTerm(1.0, tuple(factors)))
-        return SeparableKernel(f.arity, base, tuple(terms))
-    terms = tuple(
-        KernelTerm(t.coeff, tuple(base.adjoint_series(u) for u in t.factors)) for t in f.terms
-    )
-    return SeparableKernel(f.arity, base, terms)
+    series = f.base.adjoint_series
+    terms = tuple(KernelTerm(c, tuple(series(u) for u in us)) for c, us in _centred_terms(f))
+    return SeparableKernel(f.arity, f.base, terms)
 
 
 def clt_variance(r1: SeparableKernel) -> float:
@@ -307,20 +298,18 @@ def growth_ratios(
         raise ValueError("the growth diagnostic is defined on the circle base")
     m = f.base.m
     d = f.arity
-    modes = _canonical_expansion(f)
+    centred = _centred_terms(f)
     out = []
     for e in range(1, max_exponent + 1):
         n = 2 ** e
         terms = []
-        for key, lam in modes.items():
-            factors = [
-                FourierPoly({k // m ** s: 1.0 for s in range(min(n, transfer_orbit_length(k, m)))})
-                for k in key
-            ]
-            factors[0] = lam * factors[0]
-            terms.append(KernelTerm(1.0, tuple(factors)))
-        s_n = SeparableKernel(d, f.base, tuple(terms))
-        diag = diag_restrict(s_n)
+        for c, us in centred:
+            # sum_{0<=s<n} V*^s u per factor: mode k lasts v_m(|k|) + 1 steps
+            partial = [FourierPoly([(k // m ** s, a) for k, a in u.items()
+                                    for s in range(min(n, transfer_orbit_length(k, m)))])
+                       for u in us]
+            terms.append(KernelTerm(c, tuple(partial)))
+        diag = diag_restrict(SeparableKernel(d, f.base, tuple(terms)))
         ratio = lp_norm(diag, norm_exponent) / float(n) ** (d / 2.0)
         out.append((n, float(ratio)))
     return out

@@ -1,8 +1,10 @@
 """Reproducible Monte Carlo verification of limit laws.
 
-An experiment fixes a kernel, whose base is the system simulated, a
-normalization mode, a length n, a replica count, a master seed and, on
-the circle, the digit window of a trajectory.  Replica r draws its
+An experiment fixes a kernel, whose base is the system simulated, the
+limit theorem it checks (MODES: slln, clt, degen), a length n, a
+replica count, a master seed and, on the circle, the digit window of a
+trajectory.  (The growth diagnostic draws no trajectory, so it is an
+analysis command of vmstat.cli, not a mode.)  Replica r draws its
 trajectory from a stream keyed by derive_seed(master, r), and the base
 computes the statistics (CircleBase.statistics, MarkovBase.statistics),
 so the value vector is a pure function of the configuration: worker
@@ -31,16 +33,9 @@ from ._seeding import derive_seed, reference_seed
 from .dynamics import MAX_N, normalization
 from .hoeffding import symmetric_parts
 from .kernels import CircleBase, SeparableKernel, kernel_mean
-from .martingale import (
-    LimitLaw,
-    clt_variance,
-    degenerate_limit_law,
-    growth_bound,
-    growth_ratios,
-    sample_limit_law,
-)
+from .martingale import LimitLaw, clt_variance, degenerate_limit_law, sample_limit_law
 
-MODES = ("slln", "clt", "degen", "growth")
+MODES = ("slln", "clt", "degen")
 
 #: slln acceptance band around the limit and required in-band fraction
 SLLN_BAND = 0.05
@@ -72,6 +67,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("n", "replicas", "seed", "window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must be between 1 and {MAX_N}")
         if self.replicas < 1:
@@ -81,12 +81,12 @@ class ExperimentConfig:
         derive_seed(self.seed, 0)  # rejects a master seed outside [0, 2^64)
         self.kernel.base.system(self.window)  # bounds the circle's m and window
         # degen's two-sample test can sample any law; clt's KS test needs a
-        # variance; the slln band and the growth bound read none
+        # variance; the slln band reads none
         law = self.comparison
         if self.mode == "clt" and law is not None and law.kind != "gaussian":
             raise ValueError("clt needs a Gaussian comparison law")
-        if self.mode in ("slln", "growth") and law is not None:
-            raise ValueError(f"{self.mode} takes no comparison law")
+        if self.mode == "slln" and law is not None:
+            raise ValueError("slln takes no comparison law")
 
     @property
     def system(self) -> CircleSystem | MarkovSystem:
@@ -173,26 +173,21 @@ def ks_one_sample_gaussian(samples, variance: float, alpha: float = 0.01) -> dic
     if variance == 0.0:
         d = float(np.max(np.abs(x)))
         threshold = 1e-6
-        return {
-            "name": "ks_gaussian",
-            "statistic": d,
-            "threshold": threshold,
-            "alpha": alpha,
-            "n": n,
-            "pass": bool(d < threshold),
-        }
-    cdf = _normal_cdf(x / math.sqrt(variance))
-    upper = np.arange(1, n + 1) / n - cdf
-    lower = cdf - np.arange(0, n) / n
-    d = float(max(upper.max(), lower.max()))
-    threshold = ks_critical(alpha) / math.sqrt(n)
+        passed = d < threshold
+    else:
+        cdf = _normal_cdf(x / math.sqrt(variance))
+        upper = np.arange(1, n + 1) / n - cdf
+        lower = cdf - np.arange(0, n) / n
+        d = float(max(upper.max(), lower.max()))
+        threshold = ks_critical(alpha) / math.sqrt(n)
+        passed = d <= threshold
     return {
         "name": "ks_gaussian",
         "statistic": d,
         "threshold": threshold,
         "alpha": alpha,
         "n": n,
-        "pass": bool(d <= threshold),
+        "pass": bool(passed),
     }
 
 
@@ -302,8 +297,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     configuration; ``workers`` only changes wall-clock time.
     """
     t0 = time.perf_counter()
-    if cfg.mode == "growth":
-        return _run_growth(cfg, t0)
     law = derive_law(cfg)
     values = _compute_values(cfg, workers)
     summary = moment_summary(values)
@@ -333,29 +326,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     )
 
 
-def _run_growth(cfg: ExperimentConfig, t0: float) -> ExperimentResult:
-    max_exp = max(1, int(math.floor(math.log2(cfg.n))))
-    ratios = growth_ratios(cfg.kernel, max_exponent=max_exp, norm_exponent=1.0)
-    bound = growth_bound(cfg.kernel, exponent=2.0)
-    values = np.asarray([r for _, r in ratios])
-    stat = float(values.max())
-    test = {
-        "name": "growth_bound",
-        "statistic": stat,
-        "threshold": bound,
-        "ratios": [[int(n), float(r)] for n, r in ratios],
-        "pass": bool(stat <= bound),
-    }
-    return ExperimentResult(
-        config=cfg,
-        law=None,
-        values=values,
-        summary=moment_summary(values),
-        test=test,
-        timing=time.perf_counter() - t0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # tabular output
 
@@ -363,12 +333,8 @@ def _run_growth(cfg: ExperimentConfig, t0: float) -> ExperimentResult:
 def write_replicas_csv(result: ExperimentResult, path) -> None:
     """Per-replica table: replica index, derived seed, statistic value."""
     lines = ["replica,seed,value"]
-    if result.config.mode == "growth":
-        for (n, r) in result.test["ratios"]:
-            lines.append(f"{n},0,{r!r}")
-    else:
-        for r, v in enumerate(result.values):
-            lines.append(f"{r},{replica_seed(result.config, r)},{float(v)!r}")
+    for r, v in enumerate(result.values):
+        lines.append(f"{r},{replica_seed(result.config, r)},{float(v)!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,15 @@ from vmstat.cli import build_parser, main, parse_config
 from vmstat.dynamics import MAX_N, gen_madic_trajectory
 from vmstat.mc import ExperimentConfig
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+
+
+def parser_options() -> dict:
+    """Each subcommand of the parser and the options it takes, help aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -244,16 +254,26 @@ class TestOptions:
         experiment = {"--config", "--out", "--seed", "--replicas", "--n", "--workers"}
         want = {
             **{c: experiment for c in ("slln", "clt", "degen")},
-            **{c: {"--config", "--out", "--n"} for c in ("growth", "mixing")},
+            "growth": {"--config", "--n"},
+            "mixing": {"--config", "--out", "--n"},
             **{c: {"--config"} for c in ("decompose", "variance", "spectrum",
                                          "check-conditions")},
         }
-        sub = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        got = {name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
-               for name, p in sub.choices.items()}
+        got = parser_options()
         assert got == want
-        assert sum(map(len, got.values())) == 28
+        assert sum(map(len, got.values())) == 27
+
+    def test_readme_table_matches_parser(self):
+        # each row of the README's command table: `a`, `b` | `--config ...` (notes)
+        lines = (ROOT / "README.md").read_text().splitlines()
+        start = lines.index("| commands | options |") + 2
+        documented = {}
+        for row in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+            commands, options = row.strip("|").split("|")
+            for name in re.findall(r"`([^`]+)`", commands):
+                assert name not in documented, f"{name} listed twice"
+                documented[name] = set(re.match(r"\s*`([^`]+)`", options).group(1).split())
+        assert documented == parser_options()
 
     @pytest.mark.parametrize("argv", [
         ["clt", "--bogus"],
@@ -310,7 +330,7 @@ class TestExperimentCommands:
         assert err.startswith("error: ") and "comparison" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["slln", "growth"])
+    @pytest.mark.parametrize("command", ["slln"])
     def test_comparison_rejected_where_no_test_reads_it(self, tmp_path, capsys, command):
         data = clt_config()
         data["mode"] = command
@@ -322,19 +342,8 @@ class TestExperimentCommands:
         assert err.startswith("error: ") and "comparison" in err
         assert not (out / "result.json").exists()
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["-1", "2^64"])
-    def test_growth_rejects_seed_outside_64_bits(self, tmp_path, capsys, seed):
-        # growth derives no replica key, so the config itself must reject the seed
-        data = json.loads((CONFIGS / "growth_doubling.json").read_text())
-        data["seed"] = seed
-        out = tmp_path / "out"
-        rc = main(["growth", "--config", write_config(tmp_path, data), "--out", str(out)])
-        assert rc == 1
-        assert "master seed must fit in 64 bits" in capsys.readouterr().err
-        assert not (out / "result.json").exists()
-
     @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")
-                                            if "system" in json.loads(p.read_text())))
+                                            if "mode" in json.loads(p.read_text())))
     def test_result_config_reads_back(self, tmp_path, capsys, name):
         # the config block of result.json, system block included, is a config
         data = json.loads((CONFIGS / f"{name}.json").read_text())
@@ -353,22 +362,13 @@ class TestExperimentCommands:
         assert "ks_two_sample" in capsys.readouterr().out
 
     def test_growth_default_n(self, tmp_path, capsys):
-        e2 = {"modes": [[2, 1.0, 0.0]]}
-        em2 = {"modes": [[-2, 1.0, 0.0]]}
-        data = {
-            "system": circle_system(),
-            "kernel": {
-                "arity": 2,
-                "terms": [
-                    {"coeff": 1.0, "factors": [e2, em2]},
-                    {"coeff": 1.0, "factors": [em2, e2]},
-                ],
-            },
-            "mode": "growth",
-        }
+        data = json.loads((CONFIGS / "growth_doubling.json").read_text())
+        del data["n"]
         rc = main(["growth", "--config", write_config(tmp_path, data)])
         assert rc == 0
-        assert "growth_bound" in capsys.readouterr().out
+        out = json.loads(capsys.readouterr().out)
+        assert out["name"] == "growth_bound" and out["pass"] is True
+        assert [n for n, _ in out["ratios"]] == [2 ** e for e in range(1, 11)]
 
     def test_flag_overrides(self, tmp_path):
         out_a = tmp_path / "a"
@@ -407,6 +407,45 @@ class TestExperimentCommands:
 
 
 class TestAnalysisCommands:
+    def test_growth_n_from_flag_then_config(self, tmp_path, capsys):
+        data = json.loads((CONFIGS / "growth_doubling.json").read_text())
+        data["n"] = 100
+        cfg = write_config(tmp_path, data)
+        for argv, last in (([], 64), (["--n", "1"], 2), (["--n", "256"], 256)):
+            assert main(["growth", "--config", cfg, *argv]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["ratios"][-1][0] == last
+            assert out["statistic"] == max(r for _, r in out["ratios"])
+        assert main(["growth", "--config", cfg, "--n", "0"]) == 1
+        assert "at n" in capsys.readouterr().err
+
+    def test_growth_ignores_experiment_fields(self, tmp_path, capsys):
+        # like the other analyses, growth reads only the kernel and n
+        assert main(["growth", "--config", str(CONFIGS / "growth_doubling.json")]) == 0
+        plain = capsys.readouterr().out
+        data = json.loads((CONFIGS / "growth_doubling.json").read_text())
+        data.update(mode="clt", seed=-1, replicas=3, comparison={"kind": "wcs", "lambdas": [5.0]})
+        assert main(["growth", "--config", write_config(tmp_path, data)]) == 0
+        assert capsys.readouterr().out == plain
+        data["mode"] = "growth"
+        assert main(["growth", "--config", write_config(tmp_path, data)]) == 1
+        assert "mode must be one of" in capsys.readouterr().err
+
+    def test_growth_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("vmstat.cli.growth_bound", lambda f: 1.0)
+        assert main(["growth", "--config", str(CONFIGS / "growth_doubling.json")]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["pass"] is False and out["threshold"] == 1.0 and out["statistic"] == 2.0
+
+    def test_spectrum_rejects_chain(self, tmp_path, capsys):
+        # the weights are those of the martingale part, which is derived on
+        # the circle only; f's own spectrum is not the limit law on a chain
+        data = json.loads((CONFIGS / "clt_markov.json").read_text())
+        u = {"values": [1.0, -1.0]}
+        data["kernel"] = {"arity": 2, "terms": [{"coeff": 1.0, "factors": [u, u]}]}
+        assert main(["spectrum", "--config", write_config(tmp_path, data)]) == 1
+        assert "defined on the circle base" in capsys.readouterr().err
+
     def test_decompose(self, tmp_path, capsys):
         rc = main(["decompose", "--config", write_config(tmp_path, clt_config())])
         assert rc == 0

@@ -1,9 +1,9 @@
 """Golden sha256 digests of the CLI's output bytes on the shipped configs.
 
-Each experiment config gives result.json at --n 256 --replicas 40 (growth
-at --n 256 alone); every config gives the stdout of each analysis command
-that accepts it.  A change to any of these bytes must be deliberate: it
-updates the digest here and is recorded in CHANGES.md.
+Each experiment config gives result.json at --n 256 --replicas 40; every
+config gives the stdout of each analysis command that accepts it.  A
+change to any of these bytes must be deliberate: it updates the digest
+here and is recorded in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ RESULT_DIGESTS = {
     ("clt_doubling", "clt"): "d1868afd07cde5988a82cf07e3b2fcfc19496c19afb50170a94ca1d8f264db98",
     ("clt_markov", "clt"): "ebdce869423abe4b8c5cd0b94ccada23425bbb1df74f132654f574401652aea8",
     ("degen_doubling", "degen"): "0106faaa3d65da22d4786104958d0e17946e5b0148b7a18fb8aa391e874183de",
-    ("growth_doubling", "growth"): "dfdb4f695f0e93da2d0c6e5c349cc05e2692263f4e9b165fdbc0120d0fa00b02",
     ("slln_doubling", "slln"): "0e6f39b52372e2ce0fcdc51dd81f7a6a11707c3af30beb41c470af49432447a4",
 }
 
@@ -37,6 +36,7 @@ STDOUT_DIGESTS = {
     ("degen_doubling", "spectrum"): "701580a841c9a7c2ecded8a9804d49b39afb9f688d1a70b2f9498990476770dd",
     ("degen_doubling", "check-conditions"): "d6602dc9701db9e74d8dc685d31e81998f5c6b18f0976aa5cd2aebf2dc0ee92d",
     ("growth_doubling", "decompose"): "9cd284b53b6bf76d5b9a4e044dda3ca07cd9fddc9adbbc045c0edbc4cc576285",
+    ("growth_doubling", "growth"): "5a45a4917e08f851bbce21751927619313f4a69fb1004e50850d8c7569a0667f",
     ("growth_doubling", "variance"): "7a564c8eed4da3e754342976363c2e648b0e20d1b5b4cdc957c7846e391a5caf",
     ("growth_doubling", "spectrum"): "701580a841c9a7c2ecded8a9804d49b39afb9f688d1a70b2f9498990476770dd",
     ("growth_doubling", "check-conditions"): "813efdf8da70b74f7b93693e3f2b88f4438dbdde9069ef69dde0676f83e4696a",
@@ -60,11 +60,8 @@ def test_every_config_is_pinned():
 
 @pytest.mark.parametrize("name,mode", sorted(RESULT_DIGESTS))
 def test_result_json_digest(name, mode, tmp_path, capsys):
-    args = [mode, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path),
-            "--n", "256"]
-    if mode != "growth":
-        args += ["--replicas", "40", "--workers", "1"]
-    assert main(args) == 0
+    assert main([mode, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path),
+                 "--n", "256", "--replicas", "40", "--workers", "1"]) == 0
     assert _sha256((tmp_path / "result.json").read_bytes()) == RESULT_DIGESTS[name, mode]
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vmstat.fourier import FourierPoly, apply_koopman, lp_norm, poly_product
+from vmstat.hoeffding import is_canonical
 from vmstat.kernels import (
     CircleBase,
     KernelTerm,
@@ -143,8 +144,31 @@ class TestAdjointSeries:
 
     def test_rejects_uncentered(self):
         f = SeparableKernel(1, CIRCLE, (KernelTerm(1.0, (FourierPoly({0: 1.0, 1: 1.0}),)),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not canonical"):
             adjoint_series_sum(f)
+        chain = random_ergodic_chain(rng_for(505), 3)
+        u = StateFunction(np.array([1.0, 2.0, 3.0]))
+        f = SeparableKernel(2, MarkovBase(chain), (KernelTerm(1.0, (u, u)),))
+        with pytest.raises(ValueError, match="not canonical"):
+            adjoint_series_sum(f)
+
+    @pytest.mark.parametrize("on_chain", [False, True], ids=["circle", "chain"])
+    def test_canonical_kernel_with_uncentered_factors(self, on_chain):
+        # (u + 1) x v - 1 x v is the canonical u x v, though no stored factor
+        # but v is centred
+        if on_chain:
+            rng = rng_for(504)
+            chain = random_ergodic_chain(rng, 3)
+            base = MarkovBase(chain)
+            u, v = (random_state_function(rng, 3, chain, zero_mean=True) for _ in range(2))
+        else:
+            base = CIRCLE
+            u, v = FourierPoly({2: 1.0, -2: 1.0}), FourierPoly({1: 0.5j, -1: -0.5j})
+        one = base.constant(1.0)
+        f = SeparableKernel(2, base, (KernelTerm(1.0, (u + one, v)), KernelTerm(-1.0, (one, v))))
+        assert is_canonical(f)
+        plain = SeparableKernel(2, base, (KernelTerm(1.0, (u, v)),))
+        assert kernels_allclose(adjoint_series_sum(f), adjoint_series_sum(plain), tol=1e-12)
 
 
 class TestCltVariance:
@@ -389,3 +413,16 @@ class TestGrowth:
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
             growth_bound(arity1(FourierPoly({1: 1.0})))
+
+    def test_ratios_and_bound_share_the_canonical_check(self):
+        # a constant mode below is_canonical's tolerance is centred away by
+        # both; one the check sees is rejected by both
+        def square(eps):
+            c = FourierPoly({1: 1.0, -1: 1.0, 0: eps})
+            return SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (c, c)),))
+
+        assert growth_ratios(square(1e-14), max_exponent=2) == [(2, 1.0), (4, 0.5)]
+        assert growth_bound(square(1e-14)) == pytest.approx(32.0)
+        for diagnostic in (growth_ratios, growth_bound):
+            with pytest.raises(ValueError, match="not canonical"):
+                diagnostic(square(1e-3))

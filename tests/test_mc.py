@@ -15,6 +15,7 @@ from vmstat.kernels import CircleBase, KernelTerm, MarkovBase, SeparableKernel
 from vmstat.markov import MarkovChain, StateFunction
 from vmstat.martingale import LimitLaw, sample_limit_law
 from vmstat.mc import (
+    MODES,
     ExperimentConfig,
     canonical_json_bytes,
     derive_law,
@@ -197,6 +198,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(f, "clt", 64, alpha=1.5)
 
+    def test_integer_fields_must_be_integers(self):
+        # a float count or seed would escape as a TypeError, a float window
+        # would give windows with stray low bits, a bool would be written
+        for bad in ({"n": 64.5}, {"replicas": 4.5}, {"seed": 1.5}, {"window": 32.5},
+                    {"n": True}, {"seed": True}):
+            fields = {"n": 64, **bad}
+            with pytest.raises(ValueError, match="must be an integer"):
+                ExperimentConfig(clt_kernel(), "clt", **fields)
+        with pytest.raises(ValueError, match="must be an integer"):
+            CIRCLE.system(32.0)
+        cfg = ExperimentConfig(clt_kernel(), "clt", np.int64(64), replicas=np.int32(4),
+                               seed=np.uint64(2 ** 64 - 1), window=np.uint8(32))
+        assert canonical_json_bytes(cfg.to_json_dict()) == canonical_json_bytes(
+            ExperimentConfig(clt_kernel(), "clt", 64, replicas=4, seed=2 ** 64 - 1,
+                             window=32).to_json_dict())
+        assert all(type(v) is int for v in (cfg.n, cfg.replicas, cfg.seed, cfg.window))
+
     def test_circle_system_validated(self):
         with pytest.raises(ValueError):
             CircleBase(m=1)
@@ -207,7 +225,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="between 2 and 256"):
             ExperimentConfig(f, "slln", 64)
 
-    @pytest.mark.parametrize("mode", ["slln", "clt", "degen", "growth"])
+    @pytest.mark.parametrize("mode", ["slln", "clt", "degen"])
     def test_master_seed_fits_in_64_bits(self, mode):
         # rejected when the config is built, before any law or replica
         for seed in (-1, 2 ** 64):
@@ -241,10 +259,9 @@ class TestConfig:
         for law in (wcs, LimitLaw.gaussian(2.0)):
             cfg = ExperimentConfig(degen_kernel(), "degen", 64, comparison=law)
             assert derive_law(cfg) == law
-        # no test of slln or growth reads a law
-        for mode in ("slln", "growth"):
-            with pytest.raises(ValueError, match="comparison"):
-                ExperimentConfig(clt_kernel(), mode, 64, comparison=wcs)
+        # the slln band reads no law
+        with pytest.raises(ValueError, match="comparison"):
+            ExperimentConfig(clt_kernel(), "slln", 64, comparison=wcs)
 
     def test_markov_degen_needs_explicit_law(self):
         chain = MarkovChain(np.array([[0.5, 0.5], [0.5, 0.5]]))
@@ -300,16 +317,11 @@ class TestRunExperiment:
         assert abs(res.summary["mean"]["value"] - 0.7) < 0.02
 
     def test_growth_mode(self):
-        f = SeparableKernel(2, CIRCLE, (
-            KernelTerm(1.0, (FourierPoly({2: 1.0}), FourierPoly({-2: 1.0}))),
-            KernelTerm(1.0, (FourierPoly({-2: 1.0}), FourierPoly({2: 1.0}))),
-        ))
-        cfg = ExperimentConfig(f, "growth", 256, replicas=1)
-        res = run_experiment(cfg)
-        assert res.test["name"] == "growth_bound"
-        assert res.passed
-        ratios = dict(res.test["ratios"])
-        assert abs(ratios[2] - 2.0) < 1e-9
+        # the growth diagnostic draws no trajectory: it is the CLI's growth
+        # command, not an experiment mode
+        assert MODES == ("slln", "clt", "degen")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            ExperimentConfig(degen_kernel(), "growth", 256, replicas=1)
 
     def test_markov_clt_run(self):
         chain = MarkovChain(np.array([[0.75, 0.25], [0.25, 0.75]]))
