@@ -105,7 +105,7 @@ class FourierPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, complex] | Iterable[tuple[int, complex]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if isinstance(coeffs, (dict, Mapping)) else coeffs
         acc: dict[int, complex] = {}
         for k, c in items:
             if not isinstance(k, (int, np.integer)):

@@ -142,9 +142,11 @@ class CircleBase:
         """Mode expansion of the real part: (c_k + conj(c_{-k})) / 2 at every k."""
         modes = expand_modes(f)
         out = {}
-        for index in set(modes) | {tuple(-k for k in index) for index in modes}:
-            conj = np.conj(modes.get(tuple(-k for k in index), 0.0))
-            out[index] = complex((modes.get(index, 0.0) + conj) / 2)
+        for index, c in modes.items():
+            neg = tuple(-k for k in index)
+            out[index] = (c + modes.get(neg, 0.0).conjugate()) / 2
+            if neg not in modes:
+                out[neg] = (0.0 + c.conjugate()) / 2
         return out
 
     def spectral_form(self, g) -> tuple:
@@ -206,7 +208,7 @@ class MarkovBase:
         if not isinstance(other, MarkovBase):
             return NotImplemented
         a, b = self.chain.Q, other.chain.Q
-        return a.shape == b.shape and np.allclose(a, b, atol=1e-12)
+        return self.chain is other.chain or (a.shape == b.shape and np.allclose(a, b, atol=1e-12))
 
     __hash__ = None  # tolerance-based equality
 
@@ -352,7 +354,10 @@ def kernel_add(f: SeparableKernel, g: SeparableKernel) -> SeparableKernel:
         raise ValueError("kernels must share arity")
     if f.base != g.base:
         raise BaseMismatchError("kernels must share a base")
-    return SeparableKernel(f.arity, f.base, f.terms + g.terms)
+    # both term tuples are already checked and normalized: skip __post_init__
+    out = object.__new__(SeparableKernel)
+    vars(out).update(vars(f), terms=f.terms + g.terms)
+    return out
 
 
 def kernel_eval(f: SeparableKernel, point: Sequence) -> float:
@@ -492,18 +497,19 @@ def expand_modes(f: SeparableKernel) -> dict[tuple[int, ...], complex]:
     """Circle kernel as a map (k_1, ..., k_d) -> coefficient.
 
     This is the function itself in the product basis e_{k_1} x ... x e_{k_d},
-    independent of the stored term representation.
+    independent of the stored term representation.  Terms are expanded one
+    factor at a time, sharing prefix products; each coefficient is still
+    ((c_t c_1) c_2) ... c_d, keys first occur in itertools.product order
+    (last slot fastest) and exact zeros of the sums are dropped.
     """
     if not isinstance(f.base, CircleBase):
         raise BaseMismatchError("mode expansion is defined on the circle base")
     out: dict[tuple[int, ...], complex] = {}
     for t in f.terms:
-        factor_items = [list(u.items()) for u in t.factors]
-        for combo in itertools.product(*factor_items):
-            key = tuple(k for k, _ in combo)
-            c = complex(t.coeff)
-            for _, cc in combo:
-                c *= cc
+        partial = [((), complex(t.coeff))]
+        for u in t.factors:
+            partial = [(key + (k,), c * cc) for key, c in partial for k, cc in u.items()]
+        for key, c in partial:
             out[key] = out.get(key, 0.0) + c
     return {k: c for k, c in out.items() if abs(c) > 0.0}
 

@@ -128,6 +128,24 @@ def hoeffding_component_oracle(f: SeparableKernel, S) -> SeparableKernel:
     return out
 
 
+def expand_modes_reference(f: SeparableKernel) -> dict:
+    """Mode expansion combo by combo over itertools.product, with no shared prefix.
+
+    Each combo's key is built and its coefficient chain ((c_t c_1) c_2) ...
+    multiplied on its own, so expand_modes must match it in key order and
+    to the last bit, zero signs included.
+    """
+    out: dict = {}
+    for t in f.terms:
+        for combo in itertools.product(*(list(u.items()) for u in t.factors)):
+            key = tuple(k for k, _ in combo)
+            c = complex(t.coeff)
+            for _, cc in combo:
+                c *= cc
+            out[key] = out.get(key, 0.0) + c
+    return {k: c for k, c in out.items() if abs(c) > 0.0}
+
+
 def exact_windows(m: int, n: int, seed: int, window: int = 64) -> list[int]:
     """Exact integer windows v_i = sum_j b_{i+j} m^(window-j), x_i = v_i / m^window.
 
@@ -310,3 +328,22 @@ def random_canonical_pair_kernel(rng: np.random.Generator,
             terms.append(
                 KernelTerm(c, (FourierPoly({a: 1.0}), FourierPoly({b: 1.0}))))
     return SeparableKernel(2, base, tuple(terms))
+
+
+def c02_kernels():
+    """The 500 kernels of acceptance criterion 02 in draw order: arity 1-4, every fifth on a chain."""
+    rng = rng_for(1002)
+    chain = random_ergodic_chain(rng, 4)
+    for i in range(500):
+        d = int(rng.choice([1, 2, 3, 4], p=[0.15, 0.40, 0.30, 0.15]))
+        if i % 5 == 0:
+            yield random_symmetric_markov_kernel(rng, d, chain, max_terms=20)
+        else:
+            yield random_symmetric_circle_kernel(rng, d, max_terms=20)
+
+
+def c09_kernels():
+    """The 100 canonical pair kernels of acceptance criterion 09 in draw order."""
+    rng = rng_for(1009)
+    for _ in range(100):
+        yield random_canonical_pair_kernel(rng, n_pairs=3)

@@ -45,12 +45,12 @@ from vmstat.dynamics import gen_madic_trajectory, normalized_stat, vstat_fast, v
 from vmstat.mc import ExperimentConfig, run_experiment
 
 from helpers import (
+    c02_kernels,
+    c09_kernels,
     random_canonical_pair_kernel,
     random_ergodic_chain,
     random_poly,
     random_state_function,
-    random_symmetric_circle_kernel,
-    random_symmetric_markov_kernel,
     rng_for,
 )
 
@@ -128,20 +128,11 @@ def test_c02_hoeffding_complete_and_canonical():
     # bases): projections sum back to the kernel coefficientwise at
     # 1e-12 and every symmetric part is canonical; budget 10 s
     t0 = time.perf_counter()
-    rng = rng_for(1002)
     tol = 1e-12
     ok = True
-    arities = [1, 2, 3, 4]
-    weights = [0.15, 0.40, 0.30, 0.15]
-    chain = random_ergodic_chain(rng, 4)
-    for i in range(500):
-        d = int(rng.choice(arities, p=weights))
-        if i % 5 == 0:
-            f = random_symmetric_markov_kernel(rng, d, chain, max_terms=20)
-        else:
-            f = random_symmetric_circle_kernel(rng, d, max_terms=20)
+    for f in c02_kernels():
         comp = hoeffding_components(f)
-        total = zero_kernel(d, f.base)
+        total = zero_kernel(f.arity, f.base)
         for piece in comp.values():
             total = kernel_add(total, piece)
         ok = ok and kernels_allclose(total, f, tol=tol)
@@ -288,10 +279,8 @@ def test_c09_trace_identity():
     # eigenvalue sum of the martingale part equals the mean of its
     # diagonal restriction at 1e-10, on 100 random canonical kernels
     t0 = time.perf_counter()
-    rng = rng_for(1009)
     ok = True
-    for _ in range(100):
-        f = random_canonical_pair_kernel(rng, n_pairs=3)
+    for f in c09_kernels():
         g0 = martingale_coboundary_d2(f).martingale
         lam_sum = sum(lam for lam, _ in spectral_decompose(g0))
         diag = diag_restrict(g0)

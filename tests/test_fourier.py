@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -29,6 +31,13 @@ class TestAlgebra:
         p = FourierPoly({2: 1.0, -3: 1e-16})
         assert tuple(p.modes()) == (2,)
         assert p.coeff(-3) == 0
+
+    def test_construct_from_mapping_or_pairs(self):
+        want = FourierPoly({1: 2.0, -1: 0.5j})
+        for coeffs in (MappingProxyType({1: 2.0, -1: 0.5j}), OrderedDict([(1, 2.0), (-1, 0.5j)]),
+                       [(1, 1.5), (-1, 0.5j), (1, 0.5)]):
+            p = FourierPoly(coeffs)
+            assert list(p.items()) == list(want.items())
 
     def test_zero_and_constant(self):
         assert FourierPoly.zero().is_zero()

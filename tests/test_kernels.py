@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmstat.fourier import FourierPoly
+from vmstat.hoeffding import hoeffding_components
 from vmstat.kernels import (
     BaseMismatchError,
     CircleBase,
@@ -30,9 +33,13 @@ from vmstat.kernels import (
     zero_kernel,
 )
 from vmstat.markov import MarkovChain, StateFunction
+from vmstat.martingale import martingale_coboundary_d2
 
 from helpers import (
+    c02_kernels,
+    c09_kernels,
     constant_kernel,
+    expand_modes_reference,
     grid,
     kernel_scale,
     random_ergodic_chain,
@@ -413,6 +420,104 @@ class TestBoundsAndExpansion:
         g = SeparableKernel(1, CIRCLE, (KernelTerm(1.0, (e1,)),
                                         KernelTerm(1.0, (e2,))))
         assert kernels_allclose(f, g)
+
+
+class TestKernelAdd:
+    def test_terms_joined_without_a_recheck(self):
+        u, v = FourierPoly({1: 1.0, 0: 0.5}), FourierPoly({-2: 2.0j})
+        f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (u, v)),))
+        g = SeparableKernel(2, CircleBase(2), (KernelTerm(-2.0, (v, u)), KernelTerm(0.5, (u, u))))
+        with mock.patch.object(SeparableKernel, "__post_init__", side_effect=AssertionError):
+            h = kernel_add(f, g)
+        assert type(h) is SeparableKernel and h.arity == 2 and h.base is f.base
+        assert len(h.terms) == 3
+        assert all(a is b for a, b in zip(h.terms, f.terms + g.terms))
+
+    def test_mismatch_raises(self):
+        f = SeparableKernel(1, CIRCLE, (KernelTerm(1.0, (FourierPoly({1: 1.0}),)),))
+        with pytest.raises(ValueError, match="arity"):
+            kernel_add(f, zero_kernel(2, CIRCLE))
+        for base in (CircleBase(3), MarkovBase(two_state_chain())):
+            with pytest.raises(BaseMismatchError):
+                kernel_add(f, zero_kernel(1, base))
+
+    def test_chain_kernels_compare_chains_by_value(self):
+        Q = np.array([[0.75, 0.25], [0.25, 0.75]])
+        u = StateFunction(np.array([1.0, -1.0]))
+        f = SeparableKernel(1, MarkovBase(MarkovChain(Q)), (KernelTerm(1.0, (u,)),))
+        same = SeparableKernel(1, MarkovBase(MarkovChain(Q.copy())), (KernelTerm(2.0, (u,)),))
+        h = kernel_add(f, same)
+        assert h.base is f.base and [t.coeff for t in h.terms] == [1.0, 2.0]
+        other = MarkovChain(np.array([[0.7, 0.3], [0.25, 0.75]]))
+        with pytest.raises(BaseMismatchError):
+            kernel_add(f, SeparableKernel(1, MarkovBase(other), (KernelTerm(1.0, (u,)),)))
+
+
+_COEFFS = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, 1j, -1j, -0.25 + 2j]),
+    st.complex_numbers(min_magnitude=0.01, max_magnitude=4.0),
+)
+_FACTORS = st.dictionaries(st.integers(-3, 3), _COEFFS, min_size=1, max_size=3).map(FourierPoly)
+
+
+@st.composite
+def circle_kernels(draw):
+    """Circle kernels of arity 1-4; a term and its negation may both occur, to cancel exactly."""
+    d = draw(st.integers(1, 4))
+    terms = [KernelTerm(draw(st.sampled_from([1.0, -1.0, 0.5, 3.0])),
+                        tuple(draw(_FACTORS) for _ in range(d)))
+             for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        terms.append(KernelTerm(-terms[0].coeff, terms[0].factors))
+    return SeparableKernel(d, CIRCLE, tuple(terms))
+
+
+class TestExpansionOracle:
+    """expand_modes against the itertools.product expansion: key order and every bit."""
+
+    @staticmethod
+    def assert_matches_oracle(f):
+        got, want = expand_modes(f), expand_modes_reference(f)
+        assert list(got) == list(want)
+        assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
+
+    def test_c02_kernels_and_summed_components(self):
+        circle = [f for f in c02_kernels() if isinstance(f.base, CircleBase)]
+        assert len(circle) == 400
+        for f in circle:
+            self.assert_matches_oracle(f)
+            total = zero_kernel(f.arity, f.base)
+            for piece in hoeffding_components(f).values():
+                total = kernel_add(total, piece)
+            self.assert_matches_oracle(total)
+
+    def test_c09_kernels(self):
+        for f in c09_kernels():
+            self.assert_matches_oracle(f)
+            self.assert_matches_oracle(martingale_coboundary_d2(f).martingale)
+
+    def test_exact_cancellation_and_mode_zero(self):
+        u, e1, v = FourierPoly({0: 0.5, 1: 1.0}), FourierPoly({1: -1j}), FourierPoly({1: 1.0})
+        # at (1, 1) the two terms give -1j and 1j, an exact zero that is dropped
+        f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (u, e1)), KernelTerm(-1.0, (e1, v))))
+        self.assert_matches_oracle(f)
+        assert expand_modes(f) == {(0, 1): -0.5j}
+        g = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (e1, u)), KernelTerm(-1.0, (e1, u))))
+        assert expand_modes(g) == {}
+        self.assert_matches_oracle(g)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(f=circle_kernels())
+    def test_drawn_kernels(self, f):
+        self.assert_matches_oracle(f)
+        # the real part's expansion, against the numpy-scalar form it replaced
+        modes = expand_modes_reference(f)
+        real = CIRCLE.real_coefficients(f)
+        assert set(real) == set(modes) | {tuple(-k for k in key) for key in modes}
+        for key, c in real.items():
+            neg = tuple(-k for k in key)
+            want = complex((modes.get(key, 0.0) + np.conj(modes.get(neg, 0.0))) / 2)
+            assert repr(c) == repr(want)
 
 
 class TestSummability:
