@@ -114,6 +114,13 @@ class FourierPoly:
         self._coeffs = {k: c for k, c in acc.items() if abs(c) >= DROP_TOL}
 
     @classmethod
+    def _of(cls, coeffs: dict) -> "FourierPoly":
+        """From int keys and Python complex values: __init__ without its checks, same bits."""
+        p = object.__new__(cls)
+        p._coeffs = {k: 0.0 + c for k, c in coeffs.items() if abs(c) >= DROP_TOL}
+        return p
+
+    @classmethod
     def mode(cls, k: int, c: complex = 1.0) -> "FourierPoly":
         return cls({k: c})
 
@@ -159,7 +166,7 @@ class FourierPoly:
         out = dict(self._coeffs)
         for k, c in other._coeffs.items():
             out[k] = out.get(k, 0.0) + c
-        return FourierPoly(out)
+        return FourierPoly._of(out)
 
     def __sub__(self, other: "FourierPoly") -> "FourierPoly":
         return self + (-1.0) * other
@@ -170,7 +177,7 @@ class FourierPoly:
     def __mul__(self, other):
         if isinstance(other, FourierPoly):
             return poly_product(self, other)
-        return FourierPoly({k: c * complex(other) for k, c in self._coeffs.items()})
+        return FourierPoly._of({k: c * complex(other) for k, c in self._coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -233,7 +240,7 @@ def poly_product(p: FourierPoly, q: FourierPoly) -> FourierPoly:
         for k2, c2 in q.items():
             k = k1 + k2
             out[k] = out.get(k, 0.0) + c1 * c2
-    return FourierPoly(out)
+    return FourierPoly._of(out)
 
 
 def integral(p: FourierPoly) -> complex:

@@ -23,6 +23,7 @@ are 0-based.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .kernels import (
@@ -104,19 +105,20 @@ def find_asymmetry_witness(f: SeparableKernel, tol: float = 1e-9):
     index is a mode tuple and a, b are coefficients of the real part's
     mode expansion, (c_k + conj(c_{-k})) / 2, since kernel values are
     real parts; on a Markov base the index is a state tuple and a, b are
-    kernel values.  Indices are scanned in sorted order, one transpose at
-    a time, so the witness is deterministic.
+    kernel values.  Transposes are taken in slot order; for each, every
+    index is checked in one unsorted pass, and the witness is the smallest
+    failing index, so it is the one a scan in sorted order finds first.
     """
     if f.arity == 1:
         return None
     coeffs = f.base.real_coefficients(f)
-    indices = sorted(coeffs)
+    get = coeffs.get
     for j in range(f.arity - 1):
-        for index in indices:
-            swapped = index[:j] + (index[j + 1], index[j]) + index[j + 2:]
-            a, b = coeffs[index], coeffs.get(swapped, 0.0)
-            if abs(a - b) > tol:
-                return index, j, a, b
+        swap = operator.itemgetter(*range(j), j + 1, j, *range(j + 2, f.arity))
+        failing = [index for index, a in coeffs.items() if abs(a - get(swap(index), 0.0)) > tol]
+        if failing:
+            index = min(failing)
+            return index, j, coeffs[index], get(swap(index), 0.0)
     return None
 
 

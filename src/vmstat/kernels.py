@@ -23,8 +23,12 @@ statistics computes S_n of a kernel on one trajectory per seed key.
 from __future__ import annotations
 
 import itertools
+import operator
+import weakref
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -134,7 +138,7 @@ class CircleBase:
                 sums[i] += u.evaluate(x, table).sum()
         return sums
 
-    def coefficients(self, f) -> dict:
+    def coefficients(self, f) -> Mapping:
         """The kernel exactly: its mode expansion (expand_modes)."""
         return expand_modes(f)
 
@@ -143,7 +147,7 @@ class CircleBase:
         modes = expand_modes(f)
         out = {}
         for index, c in modes.items():
-            neg = tuple(-k for k in index)
+            neg = tuple(map(operator.neg, index))
             out[index] = (c + modes.get(neg, 0.0).conjugate()) / 2
             if neg not in modes:
                 out[neg] = (0.0 + c.conjugate()) / 2
@@ -198,7 +202,7 @@ class CircleBase:
 class MarkovBase:
     """Finite ergodic Markov chain; the adjoint step is Q, its series the Poisson solve.
 
-    Two bases are equal when their transition matrices agree to 1e-12.
+    Two bases are equal when their transition matrices agree entrywise to 1e-12, absolutely.
     """
 
     chain: MarkovChain
@@ -208,7 +212,7 @@ class MarkovBase:
         if not isinstance(other, MarkovBase):
             return NotImplemented
         a, b = self.chain.Q, other.chain.Q
-        return self.chain is other.chain or (a.shape == b.shape and np.allclose(a, b, atol=1e-12))
+        return self.chain is other.chain or (a.shape == b.shape and np.allclose(a, b, rtol=0, atol=1e-12))
 
     __hash__ = None  # tolerance-based equality
 
@@ -493,17 +497,34 @@ def projective_bound(f: SeparableKernel, exponent: float) -> float:
 # mode expansion and equality
 
 
-def expand_modes(f: SeparableKernel) -> dict[tuple[int, ...], complex]:
-    """Circle kernel as a map (k_1, ..., k_d) -> coefficient.
+#: (weak reference to a kernel, its read-only expansion) for the last few expand_modes calls
+_EXPANSIONS: deque = deque(maxlen=4)
+
+
+def expand_modes(f: SeparableKernel) -> MappingProxyType:
+    """Circle kernel as a read-only map (k_1, ..., k_d) -> coefficient.
 
     This is the function itself in the product basis e_{k_1} x ... x e_{k_d},
     independent of the stored term representation.  Terms are expanded one
     factor at a time, sharing prefix products; each coefficient is still
     ((c_t c_1) c_2) ... c_d, keys first occur in itertools.product order
     (last slot fastest) and exact zeros of the sums are dropped.
+
+    The last four expansions are kept until newer ones push them out,
+    keyed by kernel identity through weak references: kernels are
+    immutable, and the memo keeps none of them alive.
     """
     if not isinstance(f.base, CircleBase):
         raise BaseMismatchError("mode expansion is defined on the circle base")
+    for ref, modes in _EXPANSIONS:
+        if ref() is f:
+            return modes
+    modes = MappingProxyType(_expand(f))
+    _EXPANSIONS.append((weakref.ref(f), modes))
+    return modes
+
+
+def _expand(f: SeparableKernel) -> dict[tuple[int, ...], complex]:
     out: dict[tuple[int, ...], complex] = {}
     for t in f.terms:
         partial = [((), complex(t.coeff))]

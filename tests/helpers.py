@@ -146,6 +146,27 @@ def expand_modes_reference(f: SeparableKernel) -> dict:
     return {k: c for k, c in out.items() if abs(c) > 0.0}
 
 
+def find_asymmetry_witness_reference(f: SeparableKernel, tol: float = 1e-9):
+    """The symmetry witness by a scan of the sorted indices, one adjacent transpose at a time.
+
+    The first (index, j, a, b) in that order with |a - b| > tol, where a
+    is the base's real coefficient at index and b the one at index with
+    slots j and j+1 swapped (0.0 where absent); find_asymmetry_witness
+    must return the same tuple, to the last bit.
+    """
+    if f.arity == 1:
+        return None
+    coeffs = f.base.real_coefficients(f)
+    indices = sorted(coeffs)
+    for j in range(f.arity - 1):
+        for index in indices:
+            swapped = index[:j] + (index[j + 1], index[j]) + index[j + 2:]
+            a, b = coeffs[index], coeffs.get(swapped, 0.0)
+            if abs(a - b) > tol:
+                return index, j, a, b
+    return None
+
+
 def exact_windows(m: int, n: int, seed: int, window: int = 64) -> list[int]:
     """Exact integer windows v_i = sum_j b_{i+j} m^(window-j), x_i = v_i / m^window.
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from types import MappingProxyType
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmstat import fourier
 from vmstat.fourier import (
@@ -147,6 +149,71 @@ class TestAlgebra:
         assert d["modes"][0][0] == -2
         f = SeparableKernel(1, CircleBase(2), (KernelTerm(1.0, (p,)),))
         assert reparse(f)["kernel"].terms[0].factors[0] == p
+
+
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.3, -0.1 - 0.2, 4e-16, -2.5])
+_VALUES = st.one_of(
+    st.builds(complex, _PARTS, _PARTS),
+    st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+)
+_POLYS = st.dictionaries(st.integers(-3, 3), _VALUES, max_size=4).map(FourierPoly)
+_SCALARS = st.sampled_from([1.0, -1.0, 0.0, -0.0, 1e-16, 2.5, -1j, 0.5 - 0.5j, np.float64(-3.0)])
+
+
+def checked_sum(p: FourierPoly, q: FourierPoly) -> FourierPoly:
+    out = dict(p.items())
+    for k, c in q.items():
+        out[k] = out.get(k, 0.0) + c
+    return FourierPoly(out)
+
+
+def checked_scale(p: FourierPoly, s) -> FourierPoly:
+    return FourierPoly({k: c * complex(s) for k, c in p.items()})
+
+
+def checked_product(p: FourierPoly, q: FourierPoly) -> FourierPoly:
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
+    return FourierPoly(out)
+
+
+def assert_same_bits(got: FourierPoly, want: FourierPoly):
+    assert type(got) is FourierPoly
+    assert list(got.items()) == list(want.items())
+    assert [repr(c) for _, c in got.items()] == [repr(c) for _, c in want.items()]
+
+
+class TestArithmeticOracle:
+    """+, -, scalar * and poly_product skip the checks of FourierPoly(...) but keep its bits."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=_POLYS, q=_POLYS, s=_SCALARS)
+    def test_against_the_checked_constructor(self, p, q, s):
+        assert_same_bits(p + q, checked_sum(p, q))
+        assert_same_bits(p - q, checked_sum(p, checked_scale(q, -1.0)))
+        assert_same_bits(-p, checked_scale(p, -1.0))
+        assert_same_bits(p * s, checked_scale(p, s))
+        if not isinstance(s, np.generic):
+            assert_same_bits(s * p, checked_scale(p, s))
+        assert_same_bits(p * q, checked_product(p, q))
+        assert_same_bits(poly_product(p, q), checked_product(p, q))
+
+    def test_results_skip_the_checks(self):
+        p, q = FourierPoly({1: 1.0, 0: 0.5j}), FourierPoly({-1: 2.0})
+        with mock.patch.object(FourierPoly, "__init__", side_effect=AssertionError):
+            for r in (p + q, p - q, -p, 2.0 * p, p * q, poly_product(p, q)):
+                assert type(r) is FourierPoly
+
+    def test_negative_zero_and_dropped_coefficients(self):
+        # 1j * (-1 + 0j) has real part -0.0, which the constructor makes +0.0
+        assert repr((FourierPoly({1: 1j}) * -1.0).coeff(1)) == "-1j"
+        assert repr((FourierPoly({1: 1j}) - FourierPoly({1: 2j})).coeff(1)) == "-1j"
+        # 0.3 - (0.1 + 0.2) is -5.6e-17, under DROP_TOL
+        assert len(FourierPoly({1: 0.3}) + FourierPoly({1: -0.1 - 0.2})) == 0
+        assert len(FourierPoly({1: 0.3, 2: 1.0}) * 1e-16) == 0
+        assert len(poly_product(FourierPoly({1: 1e-8}), FourierPoly({-1: 1e-8}))) == 0
 
 
 def zero_fill_sum(p: FourierPoly, x):

@@ -36,8 +36,11 @@ from vmstat.markov import StateFunction
 from vmstat.martingale import martingale_coboundary_d2
 
 from helpers import (
+    c02_kernels,
+    c09_kernels,
     constant_kernel,
     constant_observable,
+    find_asymmetry_witness_reference,
     hoeffding_component_oracle,
     random_canonical_pair_kernel,
     random_ergodic_chain,
@@ -45,6 +48,7 @@ from helpers import (
     random_symmetric_markov_kernel,
     reconstruct,
     rng_for,
+    symmetrize_terms,
 )
 
 CIRCLE = CircleBase(2)
@@ -300,6 +304,80 @@ class TestSymmetry:
         v = StateFunction(np.array([0.0, 2.0, 0.0]))
         g = SeparableKernel(2, MarkovBase(chain), (KernelTerm(1.0, (u, v)),))
         assert not is_symmetric(g)
+
+
+WITNESS_CHAIN = random_ergodic_chain(rng_for(415), 3)
+_CIRCLE_FACTORS = st.dictionaries(
+    st.integers(-2, 2), st.sampled_from([1.0, -1.0, 0.5, 1j, 2.0 - 1j]), min_size=1, max_size=3,
+).map(FourierPoly)
+_STATE_FACTORS = st.lists(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]), min_size=3, max_size=3,
+).map(lambda v: StateFunction(np.array(v)))
+
+
+@st.composite
+def witness_kernels(draw):
+    """Kernels of arity 2-4 on both bases; symmetrized, or not, so that several transposes fail.
+
+    Few distinct modes and values make indices collide across terms,
+    and a small perturbation may push one coefficient just past the
+    tolerance.
+    """
+    d = draw(st.integers(2, 4))
+    circle = draw(st.booleans())
+    base, factors = (CIRCLE, _CIRCLE_FACTORS) if circle else (MarkovBase(WITNESS_CHAIN), _STATE_FACTORS)
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = draw(st.sampled_from([1.0, -1.0, 0.5, 1.0 + 2e-9]))
+        pattern = [draw(factors) for _ in range(d)]
+        if draw(st.booleans()):
+            terms += symmetrize_terms(coeff, pattern, d)
+        else:
+            terms.append(KernelTerm(coeff, tuple(pattern)))
+    return SeparableKernel(d, base, tuple(terms))
+
+
+class TestWitnessOracle:
+    """find_asymmetry_witness against the sorted scan of helpers, by repr of the witness."""
+
+    @staticmethod
+    def assert_matches_oracle(f, tol=1e-9):
+        got = find_asymmetry_witness(f, tol)
+        assert repr(got) == repr(find_asymmetry_witness_reference(f, tol))
+        return got
+
+    def test_c02_kernels_and_their_slot_rotations(self):
+        for f in c02_kernels():
+            assert self.assert_matches_oracle(f) is None
+            if f.arity > 1:
+                # the first term with its factors rotated by one slot
+                t = f.terms[0]
+                rotated = KernelTerm(0.5, t.factors[1:] + t.factors[:1])
+                self.assert_matches_oracle(kernel_add(f, SeparableKernel(f.arity, f.base, (rotated,))))
+
+    def test_c09_martingale_parts(self):
+        for f in c09_kernels():
+            assert self.assert_matches_oracle(martingale_coboundary_d2(f).martingale) is None
+
+    def test_later_transpose_and_several_failing(self):
+        u, v, w = FourierPoly({1: 1.0, -2: 0.5}), FourierPoly({1: 2.0, 2: 1j}), FourierPoly({-1: 1.0})
+        # slots 0 and 1 commute, slots 1 and 2 do not: the witness is on transpose 1
+        f = SeparableKernel(3, CIRCLE, (KernelTerm(1.0, (u, u, w)), KernelTerm(1.0, (u, u, v))))
+        assert self.assert_matches_oracle(f)[1] == 1
+        # every transpose fails, at many indices; the sorted scan's first one wins
+        g = SeparableKernel(4, CIRCLE, (KernelTerm(1.0, (u, v, w, u)), KernelTerm(-0.5, (w, u, v, v))))
+        assert self.assert_matches_oracle(g)[1] == 0
+        h = SeparableKernel(3, MarkovBase(WITNESS_CHAIN), (KernelTerm(1.0, (
+            StateFunction(np.array([1.0, 0.0, 2.0])),
+            StateFunction(np.array([0.0, 1.0, 1.0])),
+            StateFunction(np.array([2.0, 1.0, 0.0])),
+        )),))
+        assert self.assert_matches_oracle(h)[1] == 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(f=witness_kernels(), tol=st.sampled_from([1e-9, 0.0, 0.75]))
+    def test_drawn_kernels(self, f, tol):
+        self.assert_matches_oracle(f, tol)
 
 
 class TestInclusionExclusionOracle:

@@ -2,8 +2,9 @@
 
 Every imported name is read somewhere: ``__init__.py`` is skipped because
 its imports are the public re-exports, and ``from __future__`` imports
-bind no name.  Branches on the base type stay bounded, and the circle
-evaluation path takes its exponentials from ``fourier.turns_exp`` alone.
+bind no name.  Branches on the base type stay bounded, the circle
+evaluation path takes its exponentials from ``fourier.turns_exp`` alone,
+and every numpy tolerance comparison states its relative tolerance.
 """
 
 from __future__ import annotations
@@ -105,3 +106,20 @@ def test_evaluation_path_takes_no_numpy_exp(module, qualname):
              or isinstance(node.func, ast.Name) and node.func.id == "exp")
     ]
     assert not calls, f"{module}: {qualname} calls exp on lines {calls}; use fourier.turns_exp"
+
+
+#: numpy comparisons whose default rtol=1e-5 would widen an absolute tolerance
+TOLERANCE_CALLS = {"allclose", "isclose"}
+
+
+def test_numpy_tolerance_calls_pass_rtol():
+    missing = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr in TOLERANCE_CALLS
+        and isinstance(node.func.value, ast.Name) and node.func.value.id in {"np", "numpy"}
+        and "rtol" not in {kw.arg for kw in node.keywords}
+    ]
+    assert not missing, f"np.allclose/np.isclose without an explicit rtol: {', '.join(missing)}"

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vmstat import kernels
 from vmstat.fourier import FourierPoly
-from vmstat.hoeffding import hoeffding_components
+from vmstat.hoeffding import hoeffding_components, symmetric_parts
 from vmstat.kernels import (
     BaseMismatchError,
     CircleBase,
@@ -33,7 +36,7 @@ from vmstat.kernels import (
     zero_kernel,
 )
 from vmstat.markov import MarkovChain, StateFunction
-from vmstat.martingale import martingale_coboundary_d2
+from vmstat.martingale import martingale_coboundary_d2, spectral_decompose
 
 from helpers import (
     c02_kernels,
@@ -451,6 +454,103 @@ class TestKernelAdd:
         other = MarkovChain(np.array([[0.7, 0.3], [0.25, 0.75]]))
         with pytest.raises(BaseMismatchError):
             kernel_add(f, SeparableKernel(1, MarkovBase(other), (KernelTerm(1.0, (u,)),)))
+
+
+class TestMarkovBaseEquality:
+    """Chains are equal when every transition probability agrees to 1e-12, absolutely."""
+
+    Q = np.array([[0.75, 0.25], [0.25, 0.75]])
+
+    def test_difference_of_1e6_is_unequal(self):
+        near = np.array([[0.750001, 0.249999], [0.25, 0.75]])
+        assert MarkovBase(MarkovChain(self.Q)) != MarkovBase(MarkovChain(near))
+        u = StateFunction(np.array([1.0, -1.0]))
+        f = SeparableKernel(1, MarkovBase(MarkovChain(self.Q)), (KernelTerm(1.0, (u,)),))
+        with pytest.raises(BaseMismatchError):
+            kernel_add(f, SeparableKernel(1, MarkovBase(MarkovChain(near)), (KernelTerm(1.0, (u,)),)))
+
+    def test_difference_of_1e13_is_equal(self):
+        near = self.Q + np.array([[1e-13, -1e-13], [-1e-13, 1e-13]])
+        assert not np.array_equal(near, self.Q)
+        assert MarkovBase(MarkovChain(self.Q)) == MarkovBase(MarkovChain(near))
+
+    def test_equal_chains_in_distinct_objects_are_equal(self):
+        a, b = MarkovChain(self.Q), MarkovChain(self.Q.copy())
+        assert a is not b and MarkovBase(a) == MarkovBase(b)
+
+
+def _circle_kernel(seed: int, d: int = 2) -> SeparableKernel:
+    rng = rng_for(seed)
+    return SeparableKernel(d, CIRCLE, tuple(
+        KernelTerm(float(rng.normal()), tuple(random_poly(rng, n_modes=3) for _ in range(d)))
+        for _ in range(3)))
+
+
+class TestExpansionMemo:
+    """expand_modes remembers its last few expansions by identity, weakly and read-only."""
+
+    @staticmethod
+    def expansions_of(spy, f) -> int:
+        return sum(call.args[0] is f for call in spy.call_args_list)
+
+    def test_symmetry_then_equality_expands_once(self):
+        f = next(f for f in c02_kernels() if isinstance(f.base, CircleBase) and f.arity == 3)
+        total = zero_kernel(f.arity, f.base)
+        for piece in hoeffding_components(f).values():
+            total = kernel_add(total, piece)
+        with mock.patch.object(kernels, "_expand", wraps=kernels._expand) as spy:
+            symmetric_parts(f)
+            assert kernels_allclose(total, f)
+        assert self.expansions_of(spy, f) == 1
+        assert self.expansions_of(spy, total) == 1
+
+    def test_martingale_part_expanded_once(self):
+        f = next(c09_kernels())
+        with mock.patch.object(kernels, "_expand", wraps=kernels._expand) as spy:
+            g0 = martingale_coboundary_d2(f).martingale
+            assert spectral_decompose(g0)
+        assert self.expansions_of(spy, g0) == 1
+
+    def test_bounded(self):
+        f = _circle_kernel(601)
+        expand_modes(f)
+        others = [_circle_kernel(602 + i) for i in range(kernels._EXPANSIONS.maxlen)]
+        with mock.patch.object(kernels, "_expand", wraps=kernels._expand) as spy:
+            for g in others[1:]:
+                expand_modes(g)
+            expand_modes(f)
+            assert self.expansions_of(spy, f) == 0
+            for g in others:
+                expand_modes(g)
+            expand_modes(f)
+        assert self.expansions_of(spy, f) == 1
+
+    def test_keeps_no_kernel_alive(self):
+        f = _circle_kernel(610)
+        expand_modes(f)
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
+
+    def test_sum_of_an_expanded_kernel_expands_to_itself(self):
+        f, g = _circle_kernel(611), _circle_kernel(612)
+        expand_modes(f)
+        h = kernel_add(f, g)
+        assert vars(h).keys() == vars(f).keys()
+        got, want = expand_modes(h), expand_modes_reference(h)
+        assert list(got) == list(want)
+        assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
+
+    def test_expansion_is_read_only(self):
+        f = _circle_kernel(613)
+        modes = expand_modes(f)
+        try:
+            modes[(9, 9)] = 1.0
+        except TypeError:
+            pass
+        got, want = expand_modes(f), expand_modes_reference(f)
+        assert (9, 9) not in got and dict(got) == want and list(got) == list(want)
 
 
 _COEFFS = st.one_of(
