@@ -3,7 +3,8 @@
 Subcommands: the experiments slln, clt and degen (vmstat.mc), and the
 analyses decompose, variance, spectrum, growth, check-conditions and
 mixing, each with --config and the options its handler reads (COMMANDS).
-Every command reads a JSON config file; the schema is closed: unknown
+Every command reads one JSON config shape, a system block and a kernel
+block plus the experiment fields; the schema is closed: unknown
 fields are rejected with their path.  Exit code 0 means success (and a
 passing test for experiments and growth), 2 a failed test, 1 an
 operational or usage error.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -81,10 +81,10 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _length(value, path: str) -> int:
+def _length(value, path: str, least: int = 1) -> int:
     n = _integer(value, path)
-    if not 1 <= n <= MAX_N:
-        raise ConfigError(f"expected a length between 1 and {MAX_N} at {path}")
+    if not least <= n <= MAX_N:
+        raise ConfigError(f"expected a length between {least} and {MAX_N} at {path}")
     return n
 
 
@@ -197,7 +197,8 @@ def _parse_comparison(d, path: str):
     kind = d.get("kind")
     if kind == "gaussian":
         _check_keys(d, path, {"kind", "variance"})
-        return LimitLaw.gaussian(_number(d["variance"], f"{path}.variance"))
+        variance = _number(d["variance"], f"{path}.variance")
+        return _build(lambda: LimitLaw.gaussian(variance), f"{path}.variance")
     if kind == "wcs":
         _check_keys(d, path, {"kind", "lambdas"})
         return LimitLaw.weighted_chi_square(_numbers(d["lambdas"], f"{path}.lambdas"))
@@ -205,26 +206,14 @@ def _parse_comparison(d, path: str):
 
 
 def parse_config(data: dict):
-    """Parse a config object into (kind, fields).
+    """Parse a config object into ("experiment", fields).
 
-    Two shapes are accepted: a bare chain object {"Q": ..., "f": ...},
-    read as ("chain", {"chain": chain, "f": f or None}), and the
-    experiment shape with system and kernel blocks, read as
-    ("experiment", fields) with the ExperimentConfig fields it sets; the
-    system block gives the kernel's base and the window.
+    fields are the ExperimentConfig fields the config sets; the system
+    block gives the kernel's base and the window.  The constant first
+    item stays only for the benchmark harness, which unpacks the pair.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    if "Q" in data:
-        _check_keys(data, "", {"Q"}, {"f"})
-        chain = _chain(data["Q"], "Q")
-        f = None
-        if "f" in data:
-            vals = _numbers(data["f"], "f")
-            if len(vals) != chain.n_states:
-                raise ConfigError("field 'f' must list one value per state")
-            f = StateFunction(np.array(vals))
-        return "chain", {"chain": chain, "f": f}
     _check_keys(
         data,
         "",
@@ -244,8 +233,8 @@ def parse_config(data: dict):
     return "experiment", out
 
 
-def _load(path: str):
-    """Read and parse a config file; returns what parse_config returns."""
+def _load(path: str) -> dict:
+    """Read and parse a config file into its ExperimentConfig fields."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -253,35 +242,15 @@ def _load(path: str):
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
-    return parse_config(data)
-
-
-def _experiment(args) -> dict:
-    kind, fields = _load(args.config)
-    if kind != "experiment":
-        raise ConfigError(f"{args.command} needs a config with system and kernel")
-    return fields
+    return parse_config(data)[1]
 
 
 def _emit(obj) -> None:
     sys.stdout.write(canonical_json_bytes(obj).decode())
 
 
-def _resolve_workers(args) -> int:
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("VMSTAT_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"VMSTAT_WORKERS must be an integer, got {env!r}")
-    return 1
-
-
 def _cmd_experiment(args) -> int:
-    fields = _experiment(args)
+    fields = _load(args.config)
     if fields.setdefault("mode", args.command) != args.command:
         raise ConfigError(
             f"config mode '{fields['mode']}' does not match command '{args.command}'"
@@ -293,7 +262,7 @@ def _cmd_experiment(args) -> int:
             fields[key] = getattr(args, key)
     if "n" not in fields:
         raise ConfigError("field 'n' is required (config or --n)")
-    result = run_experiment(ExperimentConfig(**fields), workers=_resolve_workers(args))
+    result = run_experiment(ExperimentConfig(**fields), workers=max(1, args.workers or 1))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -312,22 +281,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    parts = symmetric_parts(_experiment(args)["kernel"])
+    parts = symmetric_parts(_load(args.config)["kernel"])
     _emit(parts.to_json_dict())
     return 0
 
 
 def _cmd_variance(args) -> int:
-    kind, fields = _load(args.config)
-    if kind == "chain":
-        chain, f = fields["chain"], fields["f"]
-        if f is None:
-            raise ConfigError("variance on a chain config needs the field 'f'")
-        centered = StateFunction(f.values - chain.mean(f))
-        kernel = SeparableKernel(1, MarkovBase(chain), (KernelTerm(1.0, (centered,)),))
-        _emit({"sigma_squared": clt_variance(kernel)})
-        return 0
-    kernel = fields["kernel"]
+    kernel = _load(args.config)["kernel"]
     parts = symmetric_parts(kernel)
     sigma2 = clt_variance(parts.levels[0])
     d = kernel.arity
@@ -336,7 +296,7 @@ def _cmd_variance(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    kernel = _experiment(args)["kernel"]
+    kernel = _load(args.config)["kernel"]
     if kernel.arity != 2:
         raise ConfigError("spectrum is defined for arity-2 kernels")
     target = martingale_coboundary_d2(kernel).martingale
@@ -348,7 +308,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    fields = _experiment(args)
+    fields = _load(args.config)
     n = _length(args.n if args.n is not None else fields.get("n", 1024), "n")
     ratios = growth_ratios(fields["kernel"], max_exponent=max(1, n.bit_length() - 1))
     stat = max(r for _, r in ratios)
@@ -359,7 +319,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_check_conditions(args) -> int:
-    report = summability_certificate(_experiment(args)["kernel"])
+    report = summability_certificate(_load(args.config)["kernel"])
     _emit(
         {
             "exponent": report.exponent,
@@ -373,16 +333,11 @@ def _cmd_check_conditions(args) -> int:
 
 
 def _cmd_mixing(args) -> int:
-    kind, fields = _load(args.config)
-    if kind == "chain":
-        chain = fields["chain"]
-    else:
-        base = fields["kernel"].base
-        if base.kind != "markov":
-            raise ConfigError("mixing needs a markov chain config")
-        chain = base.chain
-    n_max = args.n if args.n is not None else 20
-    table = mixing_coefficients(chain, n_max)
+    base = _load(args.config)["kernel"].base
+    if base.kind != "markov":
+        raise ConfigError("mixing needs a markov chain config")
+    n_max = _length(args.n if args.n is not None else 20, "n", least=0)
+    table = mixing_coefficients(base.chain, n_max)
     lines = ["n,phi,psi"]
     for n, phi, psi in table:
         lines.append(f"{int(n)},{float(phi)!r},{float(psi)!r}")
@@ -419,8 +374,7 @@ OPTIONS = {
     "--seed": {"type": int, "help": "override the master seed"},
     "--replicas": {"type": int, "help": "override the replica count"},
     "--n": {"type": int, "help": "override the trajectory length"},
-    "--workers": {"type": int, "help": "parallel workers (default: VMSTAT_WORKERS or 1); "
-                  "never changes results"},
+    "--workers": {"type": int, "help": "parallel workers (default 1); never changes results"},
 }
 
 

@@ -74,10 +74,6 @@ def degen_config(n=256, replicas=200, seed=5) -> dict:
     }
 
 
-def chain_config() -> dict:
-    return {"Q": [[0.75, 0.25], [0.25, 0.75]], "f": [1.0, -1.0]}
-
-
 def markov_config() -> dict:
     return {
         "system": {"kind": "markov", "Q": [[0.75, 0.25], [0.25, 0.75]]},
@@ -187,10 +183,25 @@ class TestSchema:
         assert err.startswith("error: ") and "kernel.base.chain" in err
 
     def test_chain_values_must_be_numbers(self, tmp_path, capsys):
-        data = {"Q": [[0.75, 0.25], [0.25, 0.75]], "f": [True, "2"]}
+        data = markov_config()
+        data["kernel"]["terms"][0]["factors"][0]["values"] = [True, "2"]
         rc = main(["variance", "--config", write_config(tmp_path, data)])
         assert rc == 1
-        assert "f[0]" in capsys.readouterr().err
+        assert "kernel.terms[0].factors[0].values[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["variance", "mixing"])
+    def test_bare_chain_shape_rejected(self, tmp_path, capsys, command):
+        # a chain is a markov system with an arity-1 kernel, not a second shape
+        data = {"Q": [[0.75, 0.25], [0.25, 0.75]], "f": [1.0, -1.0]}
+        assert main([command, "--config", write_config(tmp_path, data)]) == 1
+        assert "unknown field 'Q' at top level" in capsys.readouterr().err
+
+    def test_negative_comparison_variance_has_path(self, tmp_path, capsys):
+        data = clt_config()
+        data["comparison"] = {"kind": "gaussian", "variance": -1.0}
+        assert main(["clt", "--config", write_config(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert "nonnegative" in err and "comparison.variance" in err
 
     @pytest.mark.parametrize("command", ["decompose", "clt"])
     @pytest.mark.parametrize("k", [2**53 + 1, 2**1100], ids=["2^53+1", "2^1100"])
@@ -214,13 +225,6 @@ class TestSchema:
         assert main(["clt", "--config", write_config(tmp_path, data)] + extra) == 1
         assert f"between 1 and {MAX_N} at n" in capsys.readouterr().err
         assert generated == []
-
-    def test_chain_shape(self):
-        kind, fields = parse_config(chain_config())
-        assert kind == "chain" and set(fields) == {"chain", "f"}
-        assert fields["chain"].n_states == 2
-        assert list(fields["f"].values) == [1.0, -1.0]
-        assert parse_config({"Q": chain_config()["Q"]})[1]["f"] is None
 
     def test_circle_window_checked_at_parse(self, tmp_path, capsys):
         data = clt_config()
@@ -274,6 +278,17 @@ class TestOptions:
                 assert name not in documented, f"{name} listed twice"
                 documented[name] = set(re.match(r"\s*`([^`]+)`", options).group(1).split())
         assert documented == parser_options()
+
+    def test_readme_examples_parse(self):
+        # every `vmstat ...` line of the README's sh blocks parses, on a shipped config
+        text = (ROOT / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+        examples = [line.split()[1:] for block in blocks for line in block.splitlines()
+                    if line.startswith("vmstat ")]
+        assert len(examples) >= 10
+        for argv in examples:
+            args = build_parser().parse_args(argv)
+            assert (ROOT / args.config).is_file(), args.config
 
     @pytest.mark.parametrize("argv", [
         ["clt", "--bogus"],
@@ -394,16 +409,6 @@ class TestExperimentCommands:
         assert ((out_a / "result.json").read_bytes()
                 == (out_b / "result.json").read_bytes())
 
-    def test_workers_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VMSTAT_WORKERS", "2")
-        cfg = write_config(tmp_path, clt_config(n=64, replicas=40))
-        out = tmp_path / "env"
-        assert main(["clt", "--config", cfg, "--out", str(out)]) == 0
-        ref = tmp_path / "ref"
-        monkeypatch.delenv("VMSTAT_WORKERS")
-        assert main(["clt", "--config", cfg, "--out", str(ref)]) == 0
-        assert ((out / "result.json").read_bytes()
-                == (ref / "result.json").read_bytes())
 
 
 class TestAnalysisCommands:
@@ -461,17 +466,11 @@ class TestAnalysisCommands:
         assert abs(out["statistic_variance"] - 8.0) < 1e-9
 
     def test_variance_chain_config(self, tmp_path, capsys):
-        data = {"Q": [[0.75, 0.25], [0.25, 0.75]], "f": [1.0, -1.0]}
-        rc = main(["variance", "--config", write_config(tmp_path, data)])
+        rc = main(["variance", "--config", write_config(tmp_path, markov_config())])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert abs(out["sigma_squared"] - 3.0) < 1e-12
-
-    def test_variance_chain_needs_f(self, tmp_path, capsys):
-        rc = main(["variance", "--config",
-                   write_config(tmp_path, {"Q": [[0.5, 0.5], [0.5, 0.5]]})])
-        assert rc == 1
-        assert "'f'" in capsys.readouterr().err
+        assert out["statistic_variance"] == out["sigma_squared"]
 
     def test_spectrum(self, tmp_path, capsys):
         rc = main(["spectrum", "--config", write_config(tmp_path, degen_config())])
@@ -500,7 +499,7 @@ class TestAnalysisCommands:
         assert abs(out["certificate"] - 8.0) < 1e-12
 
     def test_mixing_stdout(self, tmp_path, capsys):
-        rc = main(["mixing", "--config", write_config(tmp_path, chain_config()),
+        rc = main(["mixing", "--config", write_config(tmp_path, markov_config()),
                    "--n", "4"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -518,6 +517,21 @@ class TestAnalysisCommands:
         assert rc == 0
         text = (out / "mixing.csv").read_text()
         assert text.splitlines()[0] == "n,phi,psi"
+
+    @pytest.mark.parametrize("n", [-1, MAX_N + 1])
+    def test_mixing_n_bounded_before_the_table(self, tmp_path, capsys, monkeypatch, n):
+        calls = []
+        monkeypatch.setattr("vmstat.cli.mixing_coefficients",
+                            lambda *args: calls.append(args) or [])
+        cfg = write_config(tmp_path, markov_config())
+        assert main(["mixing", "--config", cfg, "--n", str(n)]) == 1
+        assert capsys.readouterr().err.rstrip().endswith("at n")
+        assert calls == []
+
+    def test_mixing_n_zero_is_one_row(self, tmp_path, capsys):
+        assert main(["mixing", "--config", write_config(tmp_path, markov_config()),
+                     "--n", "0"]) == 0
+        assert capsys.readouterr().out == "n,phi,psi\n0,0.5,1.0\n"
 
     def test_mixing_rejects_circle_config(self, tmp_path, capsys):
         rc = main(["mixing", "--config", write_config(tmp_path, clt_config())])

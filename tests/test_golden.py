@@ -40,8 +40,6 @@ STDOUT_DIGESTS = {
     ("growth_doubling", "variance"): "7a564c8eed4da3e754342976363c2e648b0e20d1b5b4cdc957c7846e391a5caf",
     ("growth_doubling", "spectrum"): "701580a841c9a7c2ecded8a9804d49b39afb9f688d1a70b2f9498990476770dd",
     ("growth_doubling", "check-conditions"): "813efdf8da70b74f7b93693e3f2b88f4438dbdde9069ef69dde0676f83e4696a",
-    ("mixing_chain", "variance"): "cab87fb383e75a4c457c7217a6902cf77cdf0b8de046c27a5ffe8cf35ba91d05",
-    ("mixing_chain", "mixing"): "bfe3c2442406a7319108f885bcac1d496a5a49b105294c45e05e12c45bff2f7a",
     ("slln_doubling", "decompose"): "e8952513c770732fe2db46c1474540ab2a55cddae3e1b3ea60fa423fae210d7b",
     ("slln_doubling", "variance"): "7a564c8eed4da3e754342976363c2e648b0e20d1b5b4cdc957c7846e391a5caf",
     ("slln_doubling", "check-conditions"): "3f5f5036c57a1c8323813a0751d1f782b7d36640d2787f7d062edc6d1040ab7b",
