@@ -126,7 +126,7 @@ class FourierPoly:
 
     @classmethod
     def constant(cls, c: complex) -> "FourierPoly":
-        return cls({0: c})
+        return cls._of({0: complex(c)})
 
     @classmethod
     def zero(cls) -> "FourierPoly":

@@ -31,6 +31,7 @@ from .kernels import (
     Base,
     KernelTerm,
     SeparableKernel,
+    _with_terms,
     kernel_mean,
     kernel_sup_coeff,
 )
@@ -47,35 +48,33 @@ class SymmetryError(ValueError):
         self.witness = witness
 
 
+def _integrated_terms(f: SeparableKernel, slot: int) -> tuple:
+    """The terms integrate_out(f, slot) keeps: each with a nonzero slot mean, in place of that factor."""
+    base, terms = f.base, []
+    for t in f.terms:
+        mean = base.mean(t.factors[slot])
+        if mean != 0:  # a zero mean is a zero constant factor, whose term the kernel drops
+            factors = t.factors[:slot] + (base.constant(mean),) + t.factors[slot + 1:]
+            terms.append(KernelTerm(t.coeff, factors))
+    return tuple(terms)
+
+
 def integrate_out(f: SeparableKernel, slot: int) -> SeparableKernel:
     """Replace slot ``slot`` by its mean in every term."""
     if not 0 <= slot < f.arity:
         raise ValueError(f"slot must be in [0, {f.arity}), got {slot}")
-    terms = []
-    for t in f.terms:
-        factors = list(t.factors)
-        factors[slot] = f.base.constant(f.base.mean(factors[slot]))
-        terms.append(KernelTerm(t.coeff, tuple(factors)))
-    return SeparableKernel(f.arity, f.base, tuple(terms))
+    return SeparableKernel(f.arity, f.base, _integrated_terms(f, slot))
 
 
 def _split_terms(f: SeparableKernel) -> list:
-    """Every term as its coefficient and one (E[u], u - E[u]) pair per slot."""
-    base = f.base
-    split = []
-    for t in f.terms:
-        means = [base.constant(base.mean(u)) for u in t.factors]
-        split.append((t.coeff, [(c, u - c) for c, u in zip(means, t.factors)]))
-    return split
+    """Every term as its coefficient and one (E[u], u - E[u]) pair per slot (base.centre)."""
+    return [(t.coeff, list(map(f.base.centre, t.factors))) for t in f.terms]
 
 
 def _component(f: SeparableKernel, split: list, S) -> SeparableKernel:
-    """Q_S f from the split terms: centred factors in S, means elsewhere."""
-    terms = tuple(
-        KernelTerm(coeff, tuple(pair[j in S] for j, pair in enumerate(pairs)))
-        for coeff, pairs in split
-    )
-    return SeparableKernel(f.arity, f.base, terms)
+    """Q_S f from the split terms: centred factors in S, means elsewhere; no term with a zero factor."""
+    terms = (KernelTerm(c, tuple(pair[j in S] for j, pair in enumerate(pairs))) for c, pairs in split)
+    return _with_terms(f, tuple(t for t in terms if all(t.factors)))
 
 
 def hoeffding_components(f: SeparableKernel) -> dict[frozenset, SeparableKernel]:
@@ -89,10 +88,13 @@ def hoeffding_components(f: SeparableKernel) -> dict[frozenset, SeparableKernel]
 
 
 def is_canonical(f: SeparableKernel, tol: float = COEFF_TOL) -> bool:
-    """True when integrating out every single slot gives the zero kernel."""
-    return all(
-        kernel_sup_coeff(integrate_out(f, slot)) <= tol for slot in range(f.arity)
-    )
+    """True when integrating out every single slot gives the zero kernel.
+
+    A slot whose means are all zero has no terms to integrate and builds no kernel.
+    """
+    sups = (kernel_sup_coeff(SeparableKernel(f.arity, f.base, terms)) if terms else 0.0
+            for terms in (_integrated_terms(f, slot) for slot in range(f.arity)))
+    return all(sup <= tol for sup in sups)
 
 
 def find_asymmetry_witness(f: SeparableKernel, tol: float = 1e-9):

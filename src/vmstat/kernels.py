@@ -103,6 +103,11 @@ class CircleBase:
     def constant(self, c) -> FourierPoly:
         return FourierPoly.constant(c)
 
+    def centre(self, u: FourierPoly) -> tuple:
+        """(E[u] as a constant, u - E[u]): mode 0 split off, the bits of u - constant(mean(u))."""
+        rest = dict(u.items())
+        return FourierPoly._of({0: rest.pop(0, 0.0)}), FourierPoly._of(rest)
+
     def lp_norm(self, u: FourierPoly, exponent: float) -> float:
         return lp_norm(u, exponent)
 
@@ -142,9 +147,17 @@ class CircleBase:
         """The kernel exactly: its mode expansion (expand_modes)."""
         return expand_modes(f)
 
-    def real_coefficients(self, f) -> dict:
-        """Mode expansion of the real part: (c_k + conj(c_{-k})) / 2 at every k."""
+    def real_coefficients(self, f) -> Mapping:
+        """Mode expansion of the real part: (c_k + conj(c_{-k})) / 2 at every k.
+
+        A Hermitian expansion (c_{-k} = conj c_k) is its own real part and is returned as it is,
+        unless a part is -0.0 or not below 2^1023 in modulus: there the formula may change c_k.
+        """
         modes = expand_modes(f)
+        if all(modes.get(tuple(map(operator.neg, index))) == c.conjugate() for index, c in modes.items()):
+            parts = np.fromiter(modes.values(), np.complex128, len(modes)).view(np.float64)
+            if (np.abs(parts) < 2.0 ** 1023).all() and not np.signbit(parts[parts == 0]).any():
+                return modes
         out = {}
         for index, c in modes.items():
             neg = tuple(map(operator.neg, index))
@@ -240,6 +253,11 @@ class MarkovBase:
 
     def constant(self, c) -> StateFunction:
         return StateFunction(np.full(self.chain.n_states, float(c)))
+
+    def centre(self, u: StateFunction) -> tuple:
+        """(E[u] as a constant, u - E[u])."""
+        mean = self.constant(self.mean(u))
+        return mean, u - mean
 
     def lp_norm(self, u: StateFunction, exponent: float) -> float:
         return self.chain.lp_norm(u, exponent)
@@ -358,9 +376,13 @@ def kernel_add(f: SeparableKernel, g: SeparableKernel) -> SeparableKernel:
         raise ValueError("kernels must share arity")
     if f.base != g.base:
         raise BaseMismatchError("kernels must share a base")
-    # both term tuples are already checked and normalized: skip __post_init__
+    return _with_terms(f, f.terms + g.terms)
+
+
+def _with_terms(f: SeparableKernel, terms: tuple) -> SeparableKernel:
+    """f's arity and base with terms that are already checked and normalized: no __post_init__."""
     out = object.__new__(SeparableKernel)
-    vars(out).update(vars(f), terms=f.terms + g.terms)
+    vars(out).update(vars(f), terms=terms)
     return out
 
 
@@ -525,13 +547,18 @@ def expand_modes(f: SeparableKernel) -> MappingProxyType:
 
 
 def _expand(f: SeparableKernel) -> dict[tuple[int, ...], complex]:
+    """expand_modes unremembered; the last factor's products go straight into the sums."""
     out: dict[tuple[int, ...], complex] = {}
+    get = out.get
     for t in f.terms:
         partial = [((), complex(t.coeff))]
-        for u in t.factors:
+        for u in t.factors[:-1]:
             partial = [(key + (k,), c * cc) for key, c in partial for k, cc in u.items()]
+        last = t.factors[-1].items()
         for key, c in partial:
-            out[key] = out.get(key, 0.0) + c
+            for k, cc in last:
+                index = key + (k,)
+                out[index] = get(index, 0.0) + c * cc
     return {k: c for k, c in out.items() if abs(c) > 0.0}
 
 
@@ -559,7 +586,8 @@ def kernels_allclose(f: SeparableKernel, g: SeparableKernel, tol: float = COEFF_
     if f.arity != g.arity or f.base != g.base:
         return False
     df, dg = f.base.coefficients(f), f.base.coefficients(g)
-    return all(abs(df.get(k, 0.0) - dg.get(k, 0.0)) <= tol for k in set(df) | set(dg))
+    return (all(abs(c - dg.get(k, 0.0)) <= tol for k, c in df.items())
+            and all(abs(c) <= tol for k, c in dg.items() if k not in df))
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,8 @@ def _centred_terms(f: SeparableKernel) -> list:
     """
     if not is_canonical(f):
         raise ValueError("kernel is not canonical: integrating out a slot leaves a nonzero kernel")
-    base = f.base
-    return [(t.coeff, [u - base.constant(base.mean(u)) for u in t.factors]) for t in f.terms]
+    centre = f.base.centre
+    return [(t.coeff, [centre(u)[1] for u in t.factors]) for t in f.terms]
 
 
 def adjoint_series_sum(f: SeparableKernel) -> SeparableKernel:

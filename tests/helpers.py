@@ -146,6 +146,42 @@ def expand_modes_reference(f: SeparableKernel) -> dict:
     return {k: c for k, c in out.items() if abs(c) > 0.0}
 
 
+def real_part_reference(modes) -> dict:
+    """(c_k + conj(c_{-k})) / 2 at every k of a mode expansion and at its negation.
+
+    The formula real_coefficients applies to every expansion that is not
+    its own real part; it must match this in key order and every bit.
+    """
+    out = {}
+    for index, c in modes.items():
+        neg = tuple(-k for k in index)
+        out[index] = (c + modes.get(neg, 0.0).conjugate()) / 2
+        if neg not in modes:
+            out[neg] = (0.0 + c.conjugate()) / 2
+    return out
+
+
+def integrate_out_reference(f: SeparableKernel, slot: int) -> SeparableKernel:
+    """Slot ``slot`` of every term replaced by the constant of its mean, zero means included.
+
+    The kernel's constructor then drops each term whose constant is zero.
+    """
+    terms = []
+    for t in f.terms:
+        factors = list(t.factors)
+        factors[slot] = f.base.constant(f.base.mean(factors[slot]))
+        terms.append(KernelTerm(t.coeff, tuple(factors)))
+    return SeparableKernel(f.arity, f.base, tuple(terms))
+
+
+def kernels_allclose_reference(f: SeparableKernel, g: SeparableKernel, tol: float) -> bool:
+    """Coefficientwise equality over the union of both exact forms' keys, 0.0 where absent."""
+    if f.arity != g.arity or f.base != g.base:
+        return False
+    df, dg = f.base.coefficients(f), f.base.coefficients(g)
+    return all(abs(df.get(k, 0.0) - dg.get(k, 0.0)) <= tol for k in set(df) | set(dg))
+
+
 def find_asymmetry_witness_reference(f: SeparableKernel, tol: float = 1e-9):
     """The symmetry witness by a scan of the sorted indices, one adjacent transpose at a time.
 

@@ -47,6 +47,15 @@ class TestAlgebra:
         assert c.coeff(0) == 2.5
         assert integral(c) == 2.5
 
+    @pytest.mark.parametrize("c", [2.5, -1.0, 3, 1 + 2j, np.complex128(1.5 - 0.5j), np.float64(0.25),
+                                   -0.0, complex(-0.0, -0.0), complex(1.0, -0.0), complex(-0.0, 2.0),
+                                   1e-16, 5e-16j, 2e-15])
+    def test_constant_matches_constructor(self, c):
+        def stored(p):
+            return [(k, type(v), repr(v)) for k, v in p.items()]
+
+        assert stored(FourierPoly.constant(c)) == stored(FourierPoly({0: c}))
+
     def test_add_sub_scale(self):
         p = FourierPoly({1: 1.0, -1: 1.0})
         q = FourierPoly({1: -1.0, 2: 3.0})

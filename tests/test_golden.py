@@ -1,4 +1,5 @@
-"""Golden sha256 digests of the CLI's output bytes on the shipped configs.
+"""Golden sha256 digests of the CLI's output bytes on the shipped configs,
+and of the exact algebra on the corpora of acceptance criteria 02 and 09.
 
 Each experiment config gives result.json at --n 256 --replicas 40; every
 config gives the stdout of each analysis command that accepts it.  A
@@ -14,6 +15,12 @@ from pathlib import Path
 import pytest
 
 from vmstat.cli import main
+from vmstat.hoeffding import symmetric_parts
+from vmstat.kernels import diag_restrict
+from vmstat.martingale import martingale_coboundary_d2, spectral_decompose
+from vmstat.mc import canonical_json_bytes
+
+from helpers import c02_kernels, c09_kernels
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -45,6 +52,10 @@ STDOUT_DIGESTS = {
     ("slln_doubling", "check-conditions"): "3f5f5036c57a1c8323813a0751d1f782b7d36640d2787f7d062edc6d1040ab7b",
 }
 
+#: each c02 kernel's symmetric_parts JSON, then each c09 martingale part's
+#: [eigenvalues, diagonal mean], as canonical JSON in corpus order
+ALGEBRA_DIGEST = "613797f983f56e7d53e9d391c355f836eddc2b816a9a0bb27e4802af446f2a33"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -67,3 +78,14 @@ def test_result_json_digest(name, mode, tmp_path, capsys):
 def test_stdout_digest(name, command, capsys):
     assert main([command, "--config", str(CONFIGS / f"{name}.json")]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == STDOUT_DIGESTS[name, command]
+
+
+def test_exact_algebra_digest():
+    digest = hashlib.sha256()
+    for f in c02_kernels():
+        digest.update(canonical_json_bytes(symmetric_parts(f).to_json_dict()))
+    for f in c09_kernels():
+        g0 = martingale_coboundary_d2(f).martingale
+        lambdas = [lam for lam, _ in spectral_decompose(g0)]
+        digest.update(canonical_json_bytes([lambdas, float(diag_restrict(g0).coeff(0).real)]))
+    assert digest.hexdigest() == ALGEBRA_DIGEST

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from vmstat import kernels
 from vmstat.fourier import FourierPoly
 from vmstat.hoeffding import (
     HoeffdingParts,
@@ -20,6 +22,7 @@ from vmstat.hoeffding import (
     symmetric_parts,
 )
 from vmstat.kernels import (
+    COEFF_TOL,
     CircleBase,
     KernelTerm,
     MarkovBase,
@@ -28,11 +31,12 @@ from vmstat.kernels import (
     kernel_add,
     kernel_eval,
     kernel_mean,
+    kernel_sup_coeff,
     kernels_allclose,
     to_tensor,
     zero_kernel,
 )
-from vmstat.markov import StateFunction
+from vmstat.markov import MarkovChain, StateFunction
 from vmstat.martingale import martingale_coboundary_d2
 
 from helpers import (
@@ -42,6 +46,7 @@ from helpers import (
     constant_observable,
     find_asymmetry_witness_reference,
     hoeffding_component_oracle,
+    integrate_out_reference,
     random_canonical_pair_kernel,
     random_ergodic_chain,
     random_symmetric_circle_kernel,
@@ -81,6 +86,15 @@ class TestComponents:
                                 SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (one, em1)),)))
         assert kernels_allclose(comp[frozenset({0, 1})],
                                 SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (e1, em1)),)))
+
+    def test_components_hold_what_the_constructor_keeps(self):
+        # components skip the constructor's checks, but still drop each term with a zero factor
+        comp = hoeffding_components(hand_kernel())
+        assert [comp[frozenset(S)].n_terms for S in ((), (0,), (1,), (0, 1))] == [1, 1, 1, 1]
+        for f in itertools.chain([hand_kernel()], itertools.islice(c02_kernels(), 30)):
+            for piece in hoeffding_components(f).values():
+                rebuilt = SeparableKernel(piece.arity, piece.base, piece.terms)
+                assert rebuilt.to_json_dict() == piece.to_json_dict()
 
     def test_completeness_random(self):
         rng = rng_for(401)
@@ -192,6 +206,84 @@ class TestCanonical:
                                         KernelTerm(-1.0, (FourierPoly.constant(1.0),))))
         assert is_canonical(f)
         assert kernels_allclose(f, SeparableKernel(1, CIRCLE, (KernelTerm(1.0, (e1,)),)))
+
+
+#: pi = (1/2, 1/2) exactly, so (1, -1) has mean exactly 0 and (1e-16, 0) a mean below DROP_TOL
+HALF_CHAIN = MarkovChain(np.array([[0.25, 0.75], [0.75, 0.25]]))
+# no mode 0 (mean zero), or a mode 0 that is kept (2e-15) or dropped (1e-16) for being below DROP_TOL
+_MEAN_ZERO_MODES = st.dictionaries(
+    st.sampled_from([-2, -1, 1, 2]), st.sampled_from([1.0, -1.0, 0.5, 1j]), min_size=1, max_size=3)
+_CANONICAL_CIRCLE_FACTORS = st.one_of(
+    _MEAN_ZERO_MODES,
+    st.dictionaries(st.integers(-2, 2), st.sampled_from([1.0, -0.5, 1j, 2e-15, 1e-16]), min_size=1, max_size=3),
+).map(FourierPoly).filter(bool)
+_CANONICAL_STATE_FACTORS = st.sampled_from(
+    [(1.0, -1.0), (-0.5, 0.5), (1e-16, 0.0), (1.0, 0.0), (2.0, 1.0)]).map(lambda v: StateFunction(np.array(v)))
+
+
+@st.composite
+def canonical_oracle_kernels(draw):
+    """Kernels of arity 1-3 on both bases, whose slots often have only zero or tiny means."""
+    d = draw(st.integers(1, 3))
+    circle = draw(st.booleans())
+    base, factors = (CIRCLE, _CANONICAL_CIRCLE_FACTORS) if circle else (
+        MarkovBase(HALF_CHAIN), _CANONICAL_STATE_FACTORS)
+    terms = tuple(KernelTerm(draw(st.sampled_from([1.0, -1.0, 0.5])), tuple(draw(factors) for _ in range(d)))
+                  for _ in range(draw(st.integers(1, 3))))
+    return SeparableKernel(d, base, terms)
+
+
+class TestCanonicalOracle:
+    """is_canonical and integrate_out against integrate_out_reference, which builds every term."""
+
+    @staticmethod
+    def coefficient_reprs(g) -> list:
+        return [(k, repr(c)) for k, c in g.base.coefficients(g).items()]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(f=canonical_oracle_kernels(), data=st.data())
+    def test_drawn_kernels(self, f, data):
+        sups = []
+        for slot in range(f.arity):
+            got, want = integrate_out(f, slot), integrate_out_reference(f, slot)
+            assert got.to_json_dict() == want.to_json_dict()
+            assert self.coefficient_reprs(got) == self.coefficient_reprs(want)
+            sups.append(kernel_sup_coeff(want))
+        # a tol exactly at a slot's sup passes that slot
+        tol = data.draw(st.sampled_from(sorted(set(sups)) + [0.0, COEFF_TOL]))
+        assert is_canonical(f, tol) == all(sup <= tol for sup in sups)
+
+    def test_every_kind_of_slot_mean(self):
+        zero, tiny = StateFunction(np.array([1.0, -1.0])), StateFunction(np.array([1e-16, 0.0]))
+        assert HALF_CHAIN.mean(zero) == 0.0 and 0.0 < HALF_CHAIN.mean(tiny) < 1e-15
+        markov = SeparableKernel(2, MarkovBase(HALF_CHAIN), (KernelTerm(1.0, (zero, tiny)),))
+        # slot 0: every mean is zero; slot 1: the one mean is 5e-17, and so is the sup
+        assert kernel_sup_coeff(integrate_out_reference(markov, 0)) == 0.0
+        sup = kernel_sup_coeff(integrate_out_reference(markov, 1))
+        assert sup == 5e-17
+        assert is_canonical(markov, tol=sup) and not is_canonical(markov, tol=sup / 2)
+        # on the circle a mode 0 below DROP_TOL is no mode, so its slot mean is zero
+        u = FourierPoly({0: 1e-16, 1: 1.0})
+        circle = SeparableKernel(1, CIRCLE, (KernelTerm(1.0, (u,)),))
+        assert is_canonical(circle, tol=0.0)
+        # a negative tol fails even a slot that builds no kernel, as kernel_sup_coeff's 0.0 would
+        assert not is_canonical(circle, tol=-1.0)
+
+    def test_every_slot_mean_zero_builds_no_kernel(self, monkeypatch):
+        levels = [g for f in itertools.islice(c02_kernels(), 40) for g in symmetric_parts(f).levels]
+        levels.append(SeparableKernel(2, MarkovBase(HALF_CHAIN), (KernelTerm(1.0, (
+            StateFunction(np.array([1.0, -1.0])), StateFunction(np.array([-0.5, 0.5])))),)))
+        built = []
+        post_init = SeparableKernel.__post_init__
+        monkeypatch.setattr(SeparableKernel, "__post_init__", lambda g: built.append(g) or post_init(g))
+        monkeypatch.setattr(kernels, "_expand", lambda g: built.append(g) or {})
+        monkeypatch.setattr(kernels, "to_tensor", lambda g: built.append(g) or np.zeros(()))
+        circle = [g for g in levels if isinstance(g.base, CircleBase)]
+        assert len(circle) > 40
+        for g in circle + levels[-1:]:
+            assert all(g.base.mean(t.factors[slot]) == 0 for t in g.terms for slot in range(g.arity))
+            assert is_canonical(g, tol=0.0)
+        assert built == []
 
 
 class TestSymmetry:

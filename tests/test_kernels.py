@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import weakref
+from types import MappingProxyType
 from unittest import mock
 
 import numpy as np
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vmstat import kernels
-from vmstat.fourier import FourierPoly
+from vmstat.fourier import DROP_TOL, FourierPoly
 from vmstat.hoeffding import hoeffding_components, symmetric_parts
 from vmstat.kernels import (
+    COEFF_TOL,
     BaseMismatchError,
     CircleBase,
     KernelTerm,
@@ -45,8 +47,10 @@ from helpers import (
     expand_modes_reference,
     grid,
     kernel_scale,
+    kernels_allclose_reference,
     random_ergodic_chain,
     random_poly,
+    real_part_reference,
     reparse,
     rng_for,
 )
@@ -613,11 +617,160 @@ class TestExpansionOracle:
         # the real part's expansion, against the numpy-scalar form it replaced
         modes = expand_modes_reference(f)
         real = CIRCLE.real_coefficients(f)
+        assert list(real) == list(real_part_reference(modes))
         assert set(real) == set(modes) | {tuple(-k for k in key) for key in modes}
         for key, c in real.items():
             neg = tuple(-k for k in key)
             want = complex((modes.get(key, 0.0) + np.conj(modes.get(neg, 0.0))) / 2)
             assert repr(c) == repr(want)
+
+
+def stored_as_given(coeffs: dict) -> FourierPoly:
+    """A polynomial holding exactly these coefficients, zero signs included.
+
+    Python 3.14 keeps a -0.0 imaginary part through 0.0 + c, so a stored
+    coefficient may carry one; earlier versions never store a -0.0 part.
+    """
+    p = object.__new__(FourierPoly)
+    p._coeffs = {k: complex(c) for k, c in coeffs.items() if abs(c) >= DROP_TOL}
+    return p
+
+
+_SIGNED_ZERO_COEFFS = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5j, 2e-15, 1e-16, complex(-0.0, 1.0), complex(1.0, -0.0),
+                     complex(-1.0, -0.0), complex(-0.0, -2.0)]),
+    st.complex_numbers(min_magnitude=0.01, max_magnitude=4.0),
+)
+
+
+class TestCentreOracle:
+    """base.centre against (constant(mean(u)), u - constant(mean(u))), by key order and repr."""
+
+    @staticmethod
+    def reference(base, u):
+        mean = base.constant(base.mean(u))
+        return mean, u - mean
+
+    @staticmethod
+    def reprs(p: FourierPoly) -> list:
+        return [(k, repr(c)) for k, c in p.items()]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(coeffs=st.dictionaries(st.integers(-3, 3), _SIGNED_ZERO_COEFFS, max_size=4))
+    def test_circle(self, coeffs):
+        for u in (FourierPoly(coeffs), stored_as_given(coeffs)):
+            got, want = CIRCLE.centre(u), self.reference(CIRCLE, u)
+            assert [self.reprs(p) for p in got] == [self.reprs(p) for p in want]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-16, 0.1]), min_size=2, max_size=2))
+    def test_markov(self, values):
+        base, u = MarkovBase(two_state_chain()), StateFunction(np.array(values))
+        got, want = base.centre(u), self.reference(base, u)
+        assert [p.values.tobytes() for p in got] == [p.values.tobytes() for p in want]
+
+
+@st.composite
+def hermitian_circle_kernels(draw):
+    """Circle kernels with real factors (c_{-k} = conj c_k, c_0 real) and real coefficients."""
+    d = draw(st.integers(1, 4))
+
+    def factor():
+        modes = {}
+        for k in draw(st.sets(st.integers(0, 3), min_size=1, max_size=2)):
+            c = complex(draw(_COEFFS))
+            if k == 0:
+                modes[0] = complex(c.real, 0.0)
+            else:
+                modes[k], modes[-k] = c, c.conjugate()
+        return FourierPoly(modes)
+
+    terms = [KernelTerm(draw(st.sampled_from([1.0, -1.0, 0.5, 3.0])), tuple(factor() for _ in range(d)))
+             for _ in range(draw(st.integers(1, 4)))]
+    return SeparableKernel(d, CIRCLE, tuple(terms))
+
+
+class TestRealCoefficientsOracle:
+    """CircleBase.real_coefficients against real_part_reference, by key order and repr."""
+
+    @staticmethod
+    def assert_matches(got, modes):
+        want = real_part_reference(modes)
+        assert list(got) == list(want)
+        assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(f=hermitian_circle_kernels())
+    def test_hermitian_kernels(self, f):
+        modes = expand_modes_reference(f)
+        assert all(modes.get(tuple(-k for k in key)) == c.conjugate() for key, c in modes.items())
+        self.assert_matches(CIRCLE.real_coefficients(f), modes)
+
+    def test_c02_kernels_and_levels(self):
+        for f in c02_kernels():
+            if isinstance(f.base, CircleBase):
+                for g in (f, *symmetric_parts(f).levels):
+                    self.assert_matches(CIRCLE.real_coefficients(g), expand_modes_reference(g))
+
+    def test_hermitian_expansion_is_its_own_real_part(self):
+        cos = FourierPoly({1: 0.5, -1: 0.5})
+        f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (cos, cos)),))
+        assert CIRCLE.real_coefficients(f) is expand_modes(f)
+
+    @pytest.mark.parametrize("modes", [
+        # Hermitian by value, but the formula does not give every -0.0 part back
+        {(1,): complex(-0.0, 1.0), (-1,): complex(-0.0, -1.0)},
+        {(1,): complex(-1.0, -0.0), (-1,): complex(-1.0, 0.0)},
+        {(1,): complex(1.0, -0.0), (-1,): complex(1.0, -0.0)},
+        {(1,): complex(1.0, -0.0), (-1,): complex(1.0, 0.0)},
+        # c + c overflows
+        {(1,): complex(1e308, 1.0), (-1,): complex(1e308, -1.0)},
+        {(1,): complex(1.0, 1e308), (-1,): complex(1.0, -1e308)},
+        # not Hermitian
+        {(1,): 1 + 1j, (-1,): 1 + 1j},
+        {(1,): 1 + 1j},
+        {(0,): complex(2.0, 1e-3)},
+        # Hermitian
+        {(1,): 1 + 2j, (0,): complex(3.0, 0.0), (-1,): 1 - 2j},
+        {},
+    ])
+    def test_signed_zeros_overflow_and_partners(self, modes, monkeypatch):
+        monkeypatch.setattr(kernels, "expand_modes", lambda f: MappingProxyType(modes))
+        self.assert_matches(CIRCLE.real_coefficients(zero_kernel(1, CIRCLE)), modes)
+
+
+@st.composite
+def allclose_pairs(draw):
+    """(f, g): g is f plus one term of coefficient 1e-13, 1e-3 or 1, so g may have keys f lacks."""
+    f = draw(circle_kernels())
+    extra = KernelTerm(draw(st.sampled_from([1e-13, 1e-3, 1.0])), tuple(draw(_FACTORS) for _ in range(f.arity)))
+    g = kernel_add(f, SeparableKernel(f.arity, CIRCLE, (extra,)))
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+class TestAllcloseOracle:
+    """kernels_allclose against the walk over the union of both key sets."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pair=allclose_pairs(), tol=st.sampled_from([0.0, COEFF_TOL, 1e-2, 4.0]))
+    def test_drawn_pairs(self, pair, tol):
+        f, g = pair
+        assert kernels_allclose(f, g, tol) == kernels_allclose_reference(f, g, tol)
+
+    def test_keys_only_in_g_and_nan(self):
+        e1, e2 = FourierPoly({1: 1.0}), FourierPoly({2: 1.0})
+        f = SeparableKernel(1, CIRCLE, (KernelTerm(1.0, (e1,)),))
+        for extra, tol, close in ((1e-13, COEFF_TOL, True), (1e-3, COEFF_TOL, False),
+                                  (1e-3, 1e-2, True), (math.inf, 1.0, False)):
+            # mode 2 occurs only in g; an infinite coefficient expands to (inf, nan)
+            g = kernel_add(f, SeparableKernel(1, CIRCLE, (KernelTerm(extra, (e2,)),)))
+            for a, b in ((f, g), (g, f)):
+                assert kernels_allclose(a, b, tol) == kernels_allclose_reference(a, b, tol) == close
+        base = MarkovBase(two_state_chain())
+        u, nan = StateFunction(np.array([1.0, 2.0])), StateFunction(np.array([np.nan, 2.0]))
+        h, k = (SeparableKernel(1, base, (KernelTerm(1.0, (w,)),)) for w in (u, nan))
+        for a, b in ((h, k), (k, h), (k, k)):
+            assert kernels_allclose(a, b, 4.0) == kernels_allclose_reference(a, b, 4.0) is False
 
 
 class TestSummability:
