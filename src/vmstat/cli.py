@@ -120,17 +120,14 @@ def _kind(d, path: str) -> str:
 
 
 def _parse_system(d, path: str):
-    """The base and the trajectory window a system block names (64 on a chain)."""
+    """The base a system block names."""
     if _kind(d, path) == "circle":
-        _check_keys(d, path, {"kind"}, {"m", "window"})
+        _check_keys(d, path, {"kind"}, {"m"})
         m = _integer(d.get("m", 2), f"{path}.m")
-        window = _integer(d.get("window", 64), f"{path}.window")
-        _build(lambda: CircleBase(m).system(64), f"{path}.m")
-        base = CircleBase(m)
-        _build(lambda: base.system(window), f"{path}.window")
-        return base, window
+        _build(lambda: CircleBase(m).system(), f"{path}.m")
+        return CircleBase(m)
     _check_keys(d, path, {"kind", "Q"})
-    return MarkovBase(_chain(d["Q"], f"{path}.Q")), 64
+    return MarkovBase(_chain(d["Q"], f"{path}.Q"))
 
 
 def _parse_base(d, path: str):
@@ -209,8 +206,8 @@ def parse_config(data: dict):
     """Parse a config object into ("experiment", fields).
 
     fields are the ExperimentConfig fields the config sets; the system
-    block gives the kernel's base and the window.  The constant first
-    item stays only for the benchmark harness, which unpacks the pair.
+    block gives the kernel's base.  The constant first item stays only
+    for the benchmark harness, which unpacks the pair.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -220,8 +217,8 @@ def parse_config(data: dict):
         {"system", "kernel"},
         {"mode", "n", "replicas", "seed", "alpha", "comparison"},
     )
-    base, window = _parse_system(data["system"], "system")
-    out = {"kernel": _parse_kernel(data["kernel"], "kernel", base), "window": window}
+    base = _parse_system(data["system"], "system")
+    out = {"kernel": _parse_kernel(data["kernel"], "kernel", base)}
     if "mode" in data:
         if data["mode"] not in MODES:
             raise ConfigError(f"mode must be one of {MODES} at mode")
@@ -262,7 +259,10 @@ def _cmd_experiment(args) -> int:
             fields[key] = getattr(args, key)
     if "n" not in fields:
         raise ConfigError("field 'n' is required (config or --n)")
-    result = run_experiment(ExperimentConfig(**fields), workers=max(1, args.workers or 1))
+    workers = 1 if args.workers is None else args.workers
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
+    result = run_experiment(ExperimentConfig(**fields), workers=workers)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -309,8 +309,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_growth(args) -> int:
     fields = _load(args.config)
-    n = _length(args.n if args.n is not None else fields.get("n", 1024), "n")
-    ratios = growth_ratios(fields["kernel"], max_exponent=max(1, n.bit_length() - 1))
+    n = _length(args.n if args.n is not None else fields.get("n", 1024), "n", least=2)
+    ratios = growth_ratios(fields["kernel"], max_exponent=n.bit_length() - 1)
     stat = max(r for _, r in ratios)
     bound = growth_bound(fields["kernel"])
     _emit({"name": "growth_bound", "statistic": stat, "threshold": bound,

@@ -7,13 +7,12 @@ floating point instead would collapse onto the fixed point after about
 supported generator.  W is the requested window capped at the most
 base-m digits 64 bits hold (64 for m = 2, 40 for m = 3), and the
 windows are the integers u_i = m^W x_i in uint64.  For m != 2 they are
-built from uint8 digits by Horner's rule, doubling the width per pass,
-and x_i = u_i / m^W.  For m = 2 each digit is one bit of the replica's
-raw Philox words (_binary_windows), so the windows are shifts of those
-bits packed into 64-bit words; they are exact dyadic integers, the
-exact phases frac(x_i) 2^64 that evaluation reads where the float
-point x_i is rounded, and the trajectory keeps them alone, building
-the float points u_i / 2^64 only when they are read.
+built from uint8 digits by Horner's rule, doubling the width per pass.
+For m = 2 each digit is one bit of the replica's raw Philox words
+(_binary_windows), so the windows are shifts of those bits packed into
+64-bit words.  A circle trajectory holds one array, the exact phases
+v_i = frac(x_i) 2^64 (fourier.turns) that evaluation reads: on m = 2
+the windows themselves, otherwise turns(u_i / m^W), taken once here.
 
 The statistic of an arity-d kernel over the first n points is
 
@@ -21,13 +20,12 @@ The statistic of an arity-d kernel over the first n points is
 
 vstat_naive enumerates every tuple (the oracle; refuses n^d > 1e9).
 vstat_fast exchanges summation and product: per term it multiplies the
-slot sums sum_i u(x_i), which contract reads off the trajectory's points
+slot sums sum_i u(x_i), which contract reads off the trajectory's phases
 on the circle and off its occupation counts on a Markov base (values @
-counts).  On the circle the points are taken fourier.BLOCK at a time:
+counts).  On the circle the phases are taken fourier.BLOCK at a time:
 each block has one table with one complex exponential per point for each
-distinct |k| > 0 among the kernel's modes, shared by every factor, and
-its phases are the windows on m = 2, so the float points are never
-built, and turns(x) otherwise.  So evaluation holds about a megabyte
+distinct |k| > 0 among the kernel's modes, shared by every factor, so
+the float points are never built and evaluation holds about a megabyte
 whatever n is.
 
 markov_occupations steps a batch of Markov replicas in lockstep through
@@ -45,6 +43,7 @@ from functools import cache
 import numpy as np
 
 from ._seeding import stream
+from .fourier import turns
 from .kernels import CircleBase, SeparableKernel, kernel_mean
 from .hoeffding import is_canonical
 from .markov import MarkovChain
@@ -71,31 +70,28 @@ class BudgetError(RuntimeError):
 
 
 class Trajectory:
-    """Finite orbit of a circle map or a chain.
+    """Finite orbit of a circle map or a chain, held as one array of values.
 
-    points: circle points in [0, 1] as float64, or integer state indices.
-    windows: for base-2 circle trajectories, the exact dyadic integers
-    u_i, with x_i = u_i / 2^64 rounded to float64 (to 1.0 when u_i >=
-    2^64 - 2^10).  Evaluation takes u_i itself as the phase of x_i.  A
-    trajectory given only its windows builds its points on first read.
+    values: on the circle the exact phases v_i = frac(x_i) 2^64 as uint64,
+    which is all evaluation reads; on a chain the integer state indices.
+    points: the states on a chain; on the circle x_i = v_i / 2^64 rounded
+    to float64 (to 1.0 when v_i >= 2^64 - 2^10), built on first read.
     """
 
-    __slots__ = ("kind", "windows", "_points")
+    __slots__ = ("kind", "values", "_points")
 
-    def __init__(self, kind: str, points: np.ndarray | None = None,
-                 windows: np.ndarray | None = None):
-        if points is None and windows is None:
-            raise ValueError("a trajectory needs its points or its windows")
-        self.kind, self.windows, self._points = kind, windows, points
+    def __init__(self, kind: str, values: np.ndarray):
+        self.kind, self.values = kind, values
+        self._points = None if kind == "circle" else values
 
     @property
     def points(self) -> np.ndarray:
         if self._points is None:
-            self._points = self.windows.astype(np.float64) * 2.0 ** -64
+            self._points = self.values.astype(np.float64) * 2.0 ** -64
         return self._points
 
     def __len__(self) -> int:
-        return len(self.points if self.windows is None else self.windows)
+        return len(self.values)
 
 
 def _digit_stream(m: int, count: int, seed: int) -> np.ndarray:
@@ -155,19 +151,23 @@ def _binary_windows(n: int, seed: int, width: int) -> np.ndarray:
 
 
 def gen_madic_trajectory(m: int, n: int, seed: int, window: int = 64) -> Trajectory:
-    """Length-n trajectory of x -> m x mod 1 from a seeded digit stream.
+    """Length-n trajectory of x -> m x mod 1 from a seeded digit stream, as its phases.
 
-    Raises ValueError where CircleBase(m).system(window) does, or for n < 1.
+    Raises ValueError where CircleBase(m).system() does, for a window that
+    is not an integer between 16 and 64, or for n < 1.
     """
-    CircleBase(m).system(window)
+    CircleBase(m).system()
+    if not isinstance(window, (int, np.integer)) or not 16 <= window <= 64:
+        raise ValueError("window must be an integer between 16 and 64 digits")
     if n < 1:
         raise ValueError("trajectory length must be positive")
-    width = min(window, _word_digits(m))
+    width = min(int(window), _word_digits(m))
     if m == 2:
-        return Trajectory("circle", windows=_binary_windows(n, seed, width))
+        return Trajectory("circle", _binary_windows(n, seed, width))
     digits = _digit_stream(m, n + width - 1, seed)
-    u = _windows(digits.astype(np.uint64), width, m)
-    return Trajectory("circle", u.astype(np.float64) / float(m ** width))
+    x = _windows(digits.astype(np.uint64), width, m).astype(np.float64)
+    x /= float(m ** width)
+    return Trajectory("circle", turns(x))
 
 
 def gen_markov_trajectory(chain: MarkovChain, n: int, seed: int) -> Trajectory:
@@ -243,14 +243,14 @@ def markov_occupations(chain: MarkovChain, n: int, seeds) -> np.ndarray:
 
 
 def _check_traj(f: SeparableKernel, traj: Trajectory, n: int) -> np.ndarray:
-    """The first n points as evaluation reads them: the exact windows when kept, else the points."""
+    """The first n values: the phases of a circle trajectory, the states of a chain's."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > len(traj):
         raise ValueError(f"trajectory holds {len(traj)} points, need {n}")
     if traj.kind != f.base.kind:
         raise ValueError(f"{f.base.kind} kernel needs a {f.base.kind} trajectory")
-    return traj.points[:n] if traj.windows is None else traj.windows[:n]
+    return traj.values[:n]
 
 
 def vstat_naive(f: SeparableKernel, traj: Trajectory, n: int) -> float:
@@ -258,16 +258,14 @@ def vstat_naive(f: SeparableKernel, traj: Trajectory, n: int) -> float:
 
     Every index tuple is visited and the kernel value accumulated, with
     no use of the product structure across the summation.  Each factor is
-    evaluated on its own, at the phases vstat_fast takes: the windows on
-    m = 2, else turns of the points.  Raises BudgetError when n^d exceeds
-    1e9 tuples.
+    evaluated on its own, at the values vstat_fast reads.  Raises
+    BudgetError when n^d exceeds 1e9 tuples.
     """
     x = _check_traj(f, traj, n)
     d = f.arity
     if float(n) ** d > NAIVE_BUDGET:
         raise BudgetError(f"n^d = {float(n) ** d:.3g} exceeds the {NAIVE_BUDGET:.0e} tuple budget")
-    vals = [[u.evaluate(x) if traj.windows is None else u.evaluate(x, {0: x})
-             for u in t.factors] for t in f.terms]
+    vals = [[u.evaluate(x) for u in t.factors] for t in f.terms]
     total = 0.0 + 0.0j
     if d == 1:
         grid = np.zeros(n, dtype=np.complex128)
@@ -297,10 +295,9 @@ def vstat_fast(f: SeparableKernel, traj: Trajectory, n: int) -> float:
 def contract(f: SeparableKernel, stat: np.ndarray) -> float:
     """sum_t c_t prod_j sum_i u_{t,j}(x_i), each slot sum read off stat.
 
-    stat is a circle trajectory's points as float64, or as uint64 their
-    exact phases (the windows of an m = 2 trajectory), so the slot sums
-    are taken a block of points at a time with one table of e_k shared
-    by every factor; or a Markov trajectory's occupation counts
+    stat is a circle trajectory's phases, so the slot sums are taken a
+    block of phases at a time with one table of e_k shared by every
+    factor; or a Markov trajectory's occupation counts
     (markov_occupations), so a slot sum is values @ counts.  The base's
     slot_sums does either.  Every slot sum is complete before the
     products are taken.

@@ -189,23 +189,21 @@ class FourierPoly:
         return f"FourierPoly({{{body}}})"
 
     def evaluate(self, x, table=None):
-        """Value sum_k c_k exp(2 pi i k x) at finite points x, taken mod 1.
+        """Value sum_k c_k exp(2 pi i k x) at circle points x, taken mod 1.
 
-        table holds, for these same x, the phases turns(x) under key 0 and
-        e_{|k|}(x) = turns_exp(|k| turns(x) mod 2^64) under each |k| > 0,
-        so the phase is exact integer arithmetic for every k.  A missing
-        entry is computed and stored: polynomials evaluated at the same
-        points can share one table, which takes one phase array and one
-        table exponential per distinct |k|.  Given the phases, x itself is
-        not read.  Mode 0 takes none and mode -k reads conj(e_k).  The
-        terms are added in stored order from the first one, not into
-        zeros, so a zero part of that term keeps its sign (an empty
-        polynomial gives zeros).  Raises ValueError on a non-finite x.
+        A uint64 x, such as a circle trajectory's values, is read as the
+        phases v = frac(x) 2^64 themselves, any other x as finite points
+        with phases turns(x).  table holds, for these same x, e_{|k|}(x) =
+        turns_exp(|k| v mod 2^64) under each |k| > 0, so the phase is exact
+        integer arithmetic for every k.  A missing entry is computed and
+        stored: polynomials evaluated at the same x can share one table.
+        Mode 0 takes none and mode -k reads conj(e_k).  The terms are added
+        in stored order from the first one, not into zeros, so a zero part
+        of that term keeps its sign (an empty polynomial gives zeros).
+        Raises ValueError on a non-finite point.
         """
+        v = x if getattr(x, "dtype", None) == np.uint64 else turns(x)
         table = {} if table is None else table
-        if 0 not in table:
-            table[0] = turns(x)
-        v = table[0]
         out = None
         for k, c in self._coeffs.items():
             if k == 0:

@@ -72,25 +72,17 @@ class CircleBase:
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "m": self.m}
 
-    def system(self, window: int) -> dict:
-        """The system block of a run whose trajectories are window digits wide.
-
-        Raises ValueError unless m <= MAX_BASE and window is an integer
-        with 16 <= window <= 64.
-        """
+    def system(self) -> dict:
+        """The system block of a run on this map; raises ValueError unless m <= MAX_BASE."""
         if self.m > MAX_BASE:
             raise ValueError(f"map base must be between 2 and {MAX_BASE}")
-        if not isinstance(window, (int, np.integer)):
-            raise ValueError("window must be an integer")
-        if not 16 <= window <= 64:
-            raise ValueError("window must be between 16 and 64 digits")
-        return {"kind": self.kind, "m": self.m, "window": int(window)}
+        return {"kind": self.kind, "m": self.m}
 
-    def statistics(self, f, n: int, keys, window: int) -> list:
-        """S_n of f on the window-digit trajectory of each seed key."""
+    def statistics(self, f, n: int, keys) -> list:
+        """S_n of f on the trajectory of each seed key."""
         from . import dynamics  # dynamics imports this module
 
-        return [dynamics.vstat_fast(f, dynamics.gen_madic_trajectory(self.m, n, key, window), n)
+        return [dynamics.vstat_fast(f, dynamics.gen_madic_trajectory(self.m, n, key), n)
                 for key in keys]
 
     def check(self, u) -> None:
@@ -127,20 +119,17 @@ class CircleBase:
     def adjoint_series(self, u: FourierPoly) -> FourierPoly:
         return adjoint_orbit_sum(u, self.m)
 
-    def slot_sums(self, us, stat: np.ndarray) -> list:
-        """sum_i u(x_i) for each u over circle points, BLOCK points at a time.
+    def slot_sums(self, us, phases: np.ndarray) -> list:
+        """sum_i u(x_i) for each u over the uint64 phases of circle points, BLOCK at a time.
 
-        stat holds the points as float64, or their exact phases as uint64.
-        Every u of a block reads one table (FourierPoly.evaluate), seeded
-        with the block itself when it holds phases, so the float points
-        are not needed; each sum adds its blocks' partial sums in order.
+        Every u of a block reads one table (FourierPoly.evaluate), which
+        starts empty; each sum adds its blocks' partial sums in order.
         """
         sums = [0.0] * len(us)
-        for a in range(0, len(stat), BLOCK):
-            x = stat[a:a + BLOCK]
-            table = {0: x} if x.dtype == np.uint64 else {}
+        for a in range(0, len(phases), BLOCK):
+            v, table = phases[a:a + BLOCK], {}
             for i, u in enumerate(us):
-                sums[i] += u.evaluate(x, table).sum()
+                sums[i] += u.evaluate(v, table).sum()
         return sums
 
     def coefficients(self, f) -> Mapping:
@@ -232,11 +221,11 @@ class MarkovBase:
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "chain": self.chain.to_json_dict()}
 
-    def system(self, window: int) -> dict:
-        """The system block of a run on this chain; a chain has no window."""
+    def system(self) -> dict:
+        """The system block of a run on this chain."""
         return {"kind": self.kind, **self.chain.to_json_dict()}
 
-    def statistics(self, f, n: int, keys, window: int) -> list:
+    def statistics(self, f, n: int, keys) -> list:
         """S_n of f on the path of each seed key, from its occupation counts."""
         from . import dynamics  # dynamics imports this module
 
@@ -304,7 +293,7 @@ class KernelTerm:
     factors: tuple
 
     def __post_init__(self):
-        if isinstance(self.coeff, complex):
+        if isinstance(self.coeff, (complex, np.complexfloating)):
             raise TypeError("term coefficients are real; fold phases into a factor")
         object.__setattr__(self, "coeff", float(self.coeff))
         object.__setattr__(self, "factors", tuple(self.factors))

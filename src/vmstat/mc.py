@@ -2,13 +2,13 @@
 
 An experiment fixes a kernel, whose base is the system simulated, the
 limit theorem it checks (MODES: slln, clt, degen), a length n, a
-replica count, a master seed and, on the circle, the digit window of a
-trajectory.  (The growth diagnostic draws no trajectory, so it is an
-analysis command of vmstat.cli, not a mode.)  Replica r draws its
-trajectory from a stream keyed by derive_seed(master, r), and the base
-computes the statistics (CircleBase.statistics, MarkovBase.statistics),
-so the value vector is a pure function of the configuration: worker
-count and scheduling cannot change any byte of the output.
+replica count and a master seed.  (The growth diagnostic draws no
+trajectory, so it is an analysis command of vmstat.cli, not a mode.)
+Replica r draws its trajectory from a stream keyed by derive_seed(master,
+r), and the base computes the statistics (CircleBase.statistics,
+MarkovBase.statistics), so the value vector is a pure function of the
+configuration: worker count and scheduling cannot change any byte of
+the output.
 Distributional agreement is checked with Kolmogorov-Smirnov statistics
 against the derived (or explicitly supplied) limit law; moments come
 with leave-one-out standard errors.
@@ -53,7 +53,7 @@ MarkovSystem = namedtuple("MarkovSystem", "chain")
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """A run on the kernel's base; window is the circle trajectory's digit width."""
+    """A run on the kernel's base."""
 
     kernel: SeparableKernel
     mode: str
@@ -62,12 +62,11 @@ class ExperimentConfig:
     seed: int = 0
     alpha: float = 0.01
     comparison: LimitLaw | None = None  # None derives the law from the kernel
-    window: int = 64
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("n", "replicas", "seed", "window"):
+        for name in ("n", "replicas", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
@@ -79,7 +78,7 @@ class ExperimentConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         derive_seed(self.seed, 0)  # rejects a master seed outside [0, 2^64)
-        self.kernel.base.system(self.window)  # bounds the circle's m and window
+        self.kernel.base.system()  # bounds the circle's m
         # degen's two-sample test can sample any law; clt's KS test needs a
         # variance; the slln band reads none
         law = self.comparison
@@ -92,12 +91,12 @@ class ExperimentConfig:
     def system(self) -> CircleSystem | MarkovSystem:
         base = self.kernel.base
         if isinstance(base, CircleBase):
-            return CircleSystem(base.m, self.window)
+            return CircleSystem(base.m, 64)  # gen_madic_trajectory's default window
         return MarkovSystem(base.chain)
 
     def to_json_dict(self) -> dict:
         return {
-            "system": self.kernel.base.system(self.window),
+            "system": self.kernel.base.system(),
             "kernel": self.kernel.to_json_dict(),
             "mode": self.mode,
             "n": self.n,
@@ -269,7 +268,7 @@ def replica_seed(cfg: ExperimentConfig, r: int) -> int:
 def _replica_values(cfg: ExperimentConfig, indices) -> list[float]:
     shift, scale = normalization(cfg.kernel, cfg.n, cfg.mode)
     keys = [replica_seed(cfg, r) for r in indices]
-    stats = cfg.kernel.base.statistics(cfg.kernel, cfg.n, keys, cfg.window)
+    stats = cfg.kernel.base.statistics(cfg.kernel, cfg.n, keys)
     return [(s - shift) / scale for s in stats]
 
 

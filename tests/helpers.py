@@ -16,7 +16,7 @@ import numpy as np
 
 from vmstat._seeding import stream
 from vmstat.cli import parse_config
-from vmstat.fourier import FourierPoly, turns, turns_exp
+from vmstat.fourier import FourierPoly, turns_exp
 from vmstat.hoeffding import HoeffdingParts, integrate_out
 from vmstat.kernels import (
     Base,
@@ -208,7 +208,8 @@ def exact_windows(m: int, n: int, seed: int, window: int = 64) -> list[int]:
 
     Python integers over the digits stream(seed).integers(0, m, dtype=uint8)
     draws, an oracle that shares no code with gen_madic_trajectory: on
-    m = 2 they equal its ``windows`` field shifted right by 64 - window.
+    m = 2 they equal its phases shifted right by 64 - window, otherwise its
+    phases are fourier.turns of the float points v_i / m^window.
     """
     digits = stream(seed).integers(0, m, size=n + window - 1, dtype=np.uint8)
     modulus = m ** window
@@ -225,11 +226,9 @@ def exact_windows(m: int, n: int, seed: int, window: int = 64) -> list[int]:
 def exp_by_turns(k: int, traj) -> np.ndarray:
     """e_k on a circle trajectory as vstat_fast takes it: turns_exp(|k| v), conj for k < 0.
 
-    The phases v are the exact windows when the trajectory keeps them
-    (m = 2) and turns of its points otherwise.
+    The phases v are the trajectory's values.
     """
-    v = turns(traj.points) if traj.windows is None else traj.windows
-    e = turns_exp(np.multiply(v, np.uint64(abs(k))))
+    e = turns_exp(np.multiply(traj.values, np.uint64(abs(k))))
     return e if k > 0 else e.conj()
 
 
@@ -263,7 +262,7 @@ def reparse(kernel: SeparableKernel, comparison=None) -> dict:
     The system block comes from the kernel's base, so the reader also
     checks the kernel's own "base" block against it.
     """
-    data = {"system": kernel.base.system(64), "kernel": kernel.to_json_dict()}
+    data = {"system": kernel.base.system(), "kernel": kernel.to_json_dict()}
     if comparison is not None:
         data["comparison"] = comparison.to_json_dict()
     kind, parsed = parse_config(json.loads(json.dumps(data)))

@@ -227,11 +227,12 @@ class TestSchema:
         assert generated == []
 
     def test_circle_window_checked_at_parse(self, tmp_path, capsys):
+        # a circle system has no window field, not even the old default 64
         data = clt_config()
-        data["system"]["window"] = 8
-        rc = main(["variance", "--config", write_config(tmp_path, data)])
-        assert rc == 1
-        assert "system.window" in capsys.readouterr().err
+        data["system"]["window"] = 64
+        for command in ("variance", "clt"):
+            assert main([command, "--config", write_config(tmp_path, data)]) == 1
+            assert "unknown field 'window' at system" in capsys.readouterr().err
 
     @pytest.mark.parametrize("m, rc", [(256, 0), (257, 1)])
     def test_circle_base_bounded_at_256(self, tmp_path, capsys, monkeypatch, m, rc):
@@ -409,6 +410,14 @@ class TestExperimentCommands:
         assert ((out_a / "result.json").read_bytes()
                 == (out_b / "result.json").read_bytes())
 
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, monkeypatch, workers):
+        ran = []
+        monkeypatch.setattr("vmstat.cli.run_experiment", lambda *args, **kw: ran.append(args))
+        cfg = write_config(tmp_path, clt_config(n=128, replicas=8))
+        assert main(["clt", "--config", cfg, "--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert ran == []
 
 
 class TestAnalysisCommands:
@@ -416,13 +425,18 @@ class TestAnalysisCommands:
         data = json.loads((CONFIGS / "growth_doubling.json").read_text())
         data["n"] = 100
         cfg = write_config(tmp_path, data)
-        for argv, last in (([], 64), (["--n", "1"], 2), (["--n", "256"], 256)):
+        for argv, last in (([], 64), (["--n", "2"], 2), (["--n", "256"], 256)):
             assert main(["growth", "--config", cfg, *argv]) == 0
             out = json.loads(capsys.readouterr().out)
             assert out["ratios"][-1][0] == last
             assert out["statistic"] == max(r for _, r in out["ratios"])
-        assert main(["growth", "--config", cfg, "--n", "0"]) == 1
-        assert "at n" in capsys.readouterr().err
+        # the first ratio is at n = 2, so a smaller n names no ratio
+        for argv in (["--n", "0"], ["--n", "1"]):
+            assert main(["growth", "--config", cfg, *argv]) == 1
+            assert "between 2 and" in capsys.readouterr().err
+        data["n"] = 1
+        assert main(["growth", "--config", write_config(tmp_path, data)]) == 1
+        assert f"between 2 and {MAX_N} at n" in capsys.readouterr().err
 
     def test_growth_ignores_experiment_fields(self, tmp_path, capsys):
         # like the other analyses, growth reads only the kernel and n

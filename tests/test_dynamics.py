@@ -61,7 +61,7 @@ def pair_kernel() -> SeparableKernel:
 class TestCircleTrajectories:
     def test_base2_windows_shift_exactly(self):
         traj = gen_madic_trajectory(2, 500, seed=42)
-        w = traj.windows.astype(object)
+        w = traj.values.astype(object)
         digits_in = w[1:] & 1
         shifted = (w[:-1] * 2) % (1 << 64) + digits_in
         assert np.all(shifted == w[1:])
@@ -69,11 +69,11 @@ class TestCircleTrajectories:
     def test_base2_matches_exact_integer_windows(self):
         traj = gen_madic_trajectory(2, 200, seed=7)
         exact = exact_windows(2, 200, seed=7)
-        assert [int(v) for v in traj.windows] == exact
+        assert [int(v) for v in traj.values] == exact
 
     def test_base2_points_are_scaled_windows(self):
         traj = gen_madic_trajectory(2, 100, seed=3)
-        want = traj.windows.astype(np.float64) * 2.0**-64
+        want = traj.values.astype(np.float64) * 2.0**-64
         assert np.array_equal(traj.points, want)
         assert np.all((0.0 <= traj.points) & (traj.points < 1.0))
 
@@ -87,13 +87,13 @@ class TestCircleTrajectories:
             want = np.zeros(n, dtype=np.uint64)
             for j in range(window):
                 want |= digits[j:j + n].astype(np.uint64) << np.uint64(63 - j)
-            assert np.array_equal(gen_madic_trajectory(2, n, key, window).windows, want)
+            assert np.array_equal(gen_madic_trajectory(2, n, key, window).values, want)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 4096])
     def test_base2_windows_are_a_prefix_of_longer_ones(self, n):
         for window in (16, 17, 64):
-            longer = gen_madic_trajectory(2, n + 129, seed=12, window=window).windows
-            assert np.array_equal(gen_madic_trajectory(2, n, 12, window).windows, longer[:n])
+            longer = gen_madic_trajectory(2, n + 129, seed=12, window=window).values
+            assert np.array_equal(gen_madic_trajectory(2, n, 12, window).values, longer[:n])
 
     def test_base2_generation_memory(self):
         # windows are 8 bytes per point; the packed words and one shift temporary add the rest
@@ -115,6 +115,17 @@ class TestCircleTrajectories:
         err = np.minimum(err, 1.0 - err)
         assert float(np.max(err)) < 1e-11
 
+    @pytest.mark.parametrize("m", [3, 5, 10, 256])
+    def test_phases_are_turns_of_the_rounded_points(self, m):
+        # the phases are taken once, from u_i / m^W rounded as float64 division rounds it
+        width = {3: 40, 5: 27, 10: 19, 256: 8}[m]
+        assert m ** width <= 2**64 < m ** (width + 1)
+        traj = gen_madic_trajectory(m, 3000, seed=m)
+        u = np.array([float(v) for v in exact_windows(m, 3000, seed=m, window=width)])
+        want = fourier.turns(u / float(m ** width))
+        assert traj.values.dtype == np.uint64
+        assert traj.values.tobytes() == want.tobytes()
+
     def test_base3_matches_exact_windows(self):
         n, window = 300, 32
         traj = gen_madic_trajectory(3, n, seed=5, window=window)
@@ -134,6 +145,8 @@ class TestCircleTrajectories:
             gen_madic_trajectory(2, 10, seed=0, window=15)
         with pytest.raises(ValueError):
             gen_madic_trajectory(2, 10, seed=0, window=65)
+        with pytest.raises(ValueError, match="window"):
+            gen_madic_trajectory(2, 10, seed=0, window=32.5)
         with pytest.raises(ValueError):
             gen_madic_trajectory(1, 10, seed=0)
         with pytest.raises(ValueError):
@@ -144,7 +157,7 @@ class TestCircleTrajectories:
         with pytest.raises(ValueError, match="between 2 and 256"):
             gen_madic_trajectory(257, 10, seed=0)
         with pytest.raises(ValueError, match="between 2 and 256"):
-            CircleBase(257).system(64)
+            CircleBase(257).system()
         traj = gen_madic_trajectory(256, 50, seed=3)
         want = np.array([v / 256**8 for v in exact_windows(256, 50, seed=3, window=8)])
         assert np.max(np.abs(traj.points - want)) <= 2.0**-52
@@ -205,7 +218,7 @@ class TestEvaluators:
     def test_three_point_hand_value(self):
         # points 0, 1/4, 1/2: sum over pairs of 2 cos(2 pi (x - y)) is
         # |1 + i - 1|^2 times two real parts = 2
-        traj = Trajectory("circle", np.array([0.0, 0.25, 0.5]))
+        traj = Trajectory("circle", fourier.turns(np.array([0.0, 0.25, 0.5])))
         f = pair_kernel()
         assert abs(vstat_naive(f, traj, 3) - 2.0) < 1e-12
         assert abs(vstat_fast(f, traj, 3) - 2.0) < 1e-12
@@ -268,7 +281,7 @@ class TestEvaluators:
     def test_prefix_evaluation(self):
         f = pair_kernel()
         traj = gen_madic_trajectory(2, 100, seed=37)
-        short = Trajectory("circle", traj.points[:40].copy())
+        short = Trajectory("circle", traj.values[:40].copy())
         assert abs(vstat_fast(f, traj, 40) - vstat_fast(f, short, 40)) < 1e-12
         with pytest.raises(ValueError):
             vstat_fast(f, short, 41)
@@ -363,7 +376,6 @@ class TestFactorizedPath:
     def test_points_round_the_exact_windows(self, seed, m, n, window):
         traj = gen_madic_trajectory(m, n, seed, window)
         want = np.array([v / m**window for v in exact_windows(m, n, seed, window)])
-        assert traj.windows is None
         assert float(np.max(np.abs(traj.points - want))) <= 2.0**-52
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -460,28 +472,27 @@ class TestFactorizedPath:
         assert abs(vstat_fast(f, traj, n) - vstat_by_factor(f, traj)) <= 1e-12 * l1_bound(f, n)
 
     @pytest.mark.parametrize("m, n", [(2, 64), (2, 2 * fourier.BLOCK + 7),
-                                      (3, 64), (3, 2 * fourier.BLOCK + 7)])
+                                      (3, 64), (3, 2 * fourier.BLOCK + 7),
+                                      (5, 64), (10, 64), (256, 64)])
     def test_phases_come_from_the_windows_on_m2(self, monkeypatch, m, n):
-        # m = 2 reads the exact windows; m = 3 takes turns of each block's points
+        # every m reads the phases the trajectory holds: on m = 2 its windows,
+        # otherwise the phases taken once at generation, so evaluation takes no turns
         e = FourierPoly({1: 1.0, -1: 1.0})
         f = SeparableKernel(2, CircleBase(m), (KernelTerm(1.0, (e, e)),))
         traj = gen_madic_trajectory(m, n, seed=2)
         phase, calls = fourier.turns, []
         monkeypatch.setattr(fourier, "turns", lambda x: calls.append(x.size) or phase(x))
         vstat_fast(f, traj, n)
-        blocks = [min(fourier.BLOCK, n - a) for a in range(0, n, fourier.BLOCK)]
-        assert calls == ([] if m == 2 else blocks)
-        calls.clear()
         vstat_naive(f, traj, NAIVE_SIZES[2])
         monkeypatch.undo()
-        assert len(calls) == (0 if m == 2 else 2)  # one per factor
+        assert calls == []
 
     def test_m2_evaluation_leaves_the_points_unbuilt(self):
         traj = gen_madic_trajectory(2, 2 * fourier.BLOCK + 7, seed=5)
         f = parse_config(json.loads((CONFIGS / "clt_doubling.json").read_text()))[1]["kernel"]
         vstat_fast(f, traj, len(traj))
         assert traj._points is None
-        assert np.array_equal(traj.points, traj.windows.astype(np.float64) * 2.0**-64)
+        assert np.array_equal(traj.points, traj.values.astype(np.float64) * 2.0**-64)
 
     def test_evaluation_memory_stays_within_a_few_blocks(self):
         # contract holds one block's table at a time, not n-point arrays

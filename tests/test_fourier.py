@@ -267,6 +267,29 @@ class TestExactPhases:
         tiny = np.array([3 * 2.0**-64, 2.0**-12 + 2.0**-64])
         assert np.all(np.abs(fourier.turns(tiny).astype(np.int64) - tiny * 2**64) <= 2)
 
+    def test_evaluate_reads_uint64_as_phases(self, monkeypatch):
+        # phases give the same values as the points they are turns of, every
+        # bit, and are read as they are; the table holds exponentials only
+        rng = rng_for(10)
+        x = np.concatenate([rng.random(500), [0.0, 0.25, 0.5, 1 - 2.0**-53]])
+        v = fourier.turns(x)
+        polys = [random_poly(rng, max_abs_mode=2**20, n_modes=n) for n in (1, 3, 5)] + [
+            FourierPoly.zero(), FourierPoly.constant(2.0 - 1j), FourierPoly({0: 1.0, -7: 1j})]
+        turned = []
+        fill = fourier.turns
+        monkeypatch.setattr(fourier, "turns", lambda y: turned.append(y) or fill(y))
+        shared = {}
+        for p in polys:
+            table = {}
+            assert repr(p.evaluate(v, table).tolist()) == repr(p.evaluate(x).tolist())
+            assert repr(p.evaluate(v[3])) == repr(p.evaluate(x[3]))
+            p.evaluate(v, shared)
+            assert 0 not in table and set(table) == {abs(k) for k, _ in p.items() if k}
+        assert 0 not in shared
+        # only the float points went through turns, once per evaluate call
+        assert len(turned) == 2 * len(polys)
+        assert all(y.dtype == np.float64 for y in map(np.asarray, turned))
+
     def test_huge_mode_is_one_on_its_dyadic_grid(self):
         # 2^52 j / 2^20 turns is a whole number of turns for every j
         x = np.arange(2**20) / 2**20

@@ -25,10 +25,10 @@ from helpers import c02_kernels, c09_kernels
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 RESULT_DIGESTS = {
-    ("clt_doubling", "clt"): "d1868afd07cde5988a82cf07e3b2fcfc19496c19afb50170a94ca1d8f264db98",
+    ("clt_doubling", "clt"): "46a922fded511a442c9ce4953f3215b4650ac8632b3f4078f8655bda65980f5d",
     ("clt_markov", "clt"): "ebdce869423abe4b8c5cd0b94ccada23425bbb1df74f132654f574401652aea8",
-    ("degen_doubling", "degen"): "0106faaa3d65da22d4786104958d0e17946e5b0148b7a18fb8aa391e874183de",
-    ("slln_doubling", "slln"): "0e6f39b52372e2ce0fcdc51dd81f7a6a11707c3af30beb41c470af49432447a4",
+    ("degen_doubling", "degen"): "00999332897dee17b9e79e07a50b09ec7ce67a272ba0d273dfaf1ae83133cdf7",
+    ("slln_doubling", "slln"): "bd10d2b629341023077e94f740ff856e388eef2769c94b32f56032bc02cecb21",
 }
 
 STDOUT_DIGESTS = {

@@ -4,7 +4,9 @@ Every imported name is read somewhere: ``__init__.py`` is skipped because
 its imports are the public re-exports, and ``from __future__`` imports
 bind no name.  Branches on the base type stay bounded, the circle
 evaluation path takes its exponentials from ``fourier.turns_exp`` alone,
-and every numpy tolerance comparison states its relative tolerance.
+every numpy tolerance comparison states its relative tolerance, only
+``fourier`` tells uint64 phases from points, and only ``dynamics`` knows
+the digit window.
 """
 
 from __future__ import annotations
@@ -123,3 +125,48 @@ def test_numpy_tolerance_calls_pass_rtol():
         and "rtol" not in {kw.arg for kw in node.keywords}
     ]
     assert not missing, f"np.allclose/np.isclose without an explicit rtol: {', '.join(missing)}"
+
+
+def _is_np_uint64(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "uint64"
+            and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"})
+
+
+def _mentions_dtype(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "dtype"
+               or isinstance(n, ast.Constant) and n.value == "dtype" for n in ast.walk(node))
+
+
+def test_only_fourier_tells_phases_from_points():
+    # a circle trajectory holds uint64 phases on every m; FourierPoly.evaluate
+    # alone asks whether it was given phases or points
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Compare) and _mentions_dtype(node)
+        and any(_is_np_uint64(n) for n in [node.left, *node.comparators])
+    ]
+    assert [f.split(":")[0] for f in found] == ["fourier.py"], found
+
+
+def _names(tree: ast.Module) -> list[tuple[str, int]]:
+    """Every identifier, argument, keyword, attribute and definition name, with its line."""
+    out = []
+    for node in ast.walk(tree):
+        for field in ("id", "arg", "attr", "name"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                out.append((value, getattr(node, "lineno", 0)))
+    return out
+
+
+def test_window_lives_in_dynamics_alone():
+    found = {
+        path.name: [line for name, line in _names(ast.parse(path.read_text(), filename=str(path)))
+                    if name == "window"]
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    elsewhere = {name: lines for name, lines in found.items() if lines and name != "dynamics.py"}
+    assert not elsewhere, f"window outside dynamics.py: {elsewhere}"
+    assert found["dynamics.py"]

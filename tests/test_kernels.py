@@ -76,6 +76,21 @@ class TestConstruction:
         with pytest.raises(TypeError):
             KernelTerm(1.0 + 2.0j, (FourierPoly({1: 1.0}),))
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.clongdouble])
+    def test_numpy_complex_coeff_rejected(self, dtype):
+        # float() of a numpy complex drops the imaginary part with only a warning
+        with pytest.raises(TypeError, match="term coefficients are real"):
+            KernelTerm(dtype(1 + 2j), (FourierPoly({1: 1.0}),))
+        with pytest.raises(TypeError, match="term coefficients are real"):
+            KernelTerm(dtype(1), (FourierPoly({1: 1.0}),))
+
+    @pytest.mark.parametrize("value", [np.float16(1.5), np.float32(1.5), np.float64(1.5),
+                                       np.longdouble(1.5), np.int64(3)],
+                             ids=lambda v: type(v).__name__)
+    def test_numpy_real_coeff_accepted(self, value):
+        t = KernelTerm(value, (FourierPoly({1: 1.0}),))
+        assert type(t.coeff) is float and t.coeff == float(value)
+
     def test_zero_terms_dropped(self):
         f = SeparableKernel(1, CIRCLE, (
             KernelTerm(0.0, (FourierPoly({1: 1.0}),)),

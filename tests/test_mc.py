@@ -199,28 +199,26 @@ class TestConfig:
             ExperimentConfig(f, "clt", 64, alpha=1.5)
 
     def test_integer_fields_must_be_integers(self):
-        # a float count or seed would escape as a TypeError, a float window
-        # would give windows with stray low bits, a bool would be written
-        for bad in ({"n": 64.5}, {"replicas": 4.5}, {"seed": 1.5}, {"window": 32.5},
-                    {"n": True}, {"seed": True}):
+        # a float count or seed would escape as a TypeError, a bool would be written
+        for bad in ({"n": 64.5}, {"replicas": 4.5}, {"seed": 1.5}, {"n": True}, {"seed": True}):
             fields = {"n": 64, **bad}
             with pytest.raises(ValueError, match="must be an integer"):
                 ExperimentConfig(clt_kernel(), "clt", **fields)
-        with pytest.raises(ValueError, match="must be an integer"):
-            CIRCLE.system(32.0)
         cfg = ExperimentConfig(clt_kernel(), "clt", np.int64(64), replicas=np.int32(4),
-                               seed=np.uint64(2 ** 64 - 1), window=np.uint8(32))
+                               seed=np.uint64(2 ** 64 - 1))
         assert canonical_json_bytes(cfg.to_json_dict()) == canonical_json_bytes(
-            ExperimentConfig(clt_kernel(), "clt", 64, replicas=4, seed=2 ** 64 - 1,
-                             window=32).to_json_dict())
-        assert all(type(v) is int for v in (cfg.n, cfg.replicas, cfg.seed, cfg.window))
+            ExperimentConfig(clt_kernel(), "clt", 64, replicas=4, seed=2 ** 64 - 1).to_json_dict())
+        assert all(type(v) is int for v in (cfg.n, cfg.replicas, cfg.seed))
 
     def test_circle_system_validated(self):
         with pytest.raises(ValueError):
             CircleBase(m=1)
-        for window in (15, 65):
-            with pytest.raises(ValueError, match="window"):
-                ExperimentConfig(clt_kernel(), "clt", 64, window=window)
+        # an experiment has no window: its trajectories are 64 digits wide
+        with pytest.raises(TypeError, match="window"):
+            ExperimentConfig(clt_kernel(), "clt", 64, window=64)
+        cfg = ExperimentConfig(clt_kernel(), "clt", 64)
+        assert cfg.to_json_dict()["system"] == {"kind": "circle", "m": 2}
+        assert tuple(cfg.system) == (2, 64)
         f = SeparableKernel(1, CircleBase(257), (KernelTerm(1.0, (FourierPoly({1: 1.0}),)),))
         with pytest.raises(ValueError, match="between 2 and 256"):
             ExperimentConfig(f, "slln", 64)
