@@ -10,6 +10,8 @@ docs/constants.md and are part of the reproducibility contract.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -42,6 +44,28 @@ def reference_seed(master: int) -> int:
     return derive_seed(master ^ REFERENCE_TAG, 0)
 
 
+@cache
+def _key_words() -> type:
+    """A seed sequence whose state is the Philox key words [key, 0].
+
+    Philox(seed) takes its two 64-bit key words from seed.generate_state(2,
+    uint64) and starts at counter 0, as Philox(key=key) does; Philox(key=key)
+    also draws an unused SeedSequence from OS entropy.  The class is made on
+    first use, so importing vmstat does not import numpy.random.
+    """
+
+    class KeyWords(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key: int):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.array([self.key, 0], dtype=np.uint64)
+
+    return KeyWords
+
+
 def stream(key: int) -> np.random.Generator:
-    """Philox generator keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=key))
+    """Philox generator keyed by a 64-bit seed: Generator(Philox(key=key)), state for state."""
+    return np.random.Generator(np.random.Philox(_key_words()(key)))

@@ -7,12 +7,14 @@ floating point instead would collapse onto the fixed point after about
 supported generator.  W is the requested window capped at the most
 base-m digits 64 bits hold (64 for m = 2, 40 for m = 3), and the
 windows are the integers u_i = m^W x_i in uint64.  For m != 2 they are
-built from uint8 digits by Horner's rule, doubling the width per pass.
-For m = 2 each digit is one bit of the replica's raw Philox words
-(_binary_windows), so the windows are shifts of those bits packed into
-64-bit words.  A circle trajectory holds one array, the exact phases
-v_i = frac(x_i) 2^64 (fourier.turns) that evaluation reads: on m = 2
-the windows themselves, otherwise turns(u_i / m^W), taken once here.
+built from uint8 digits by Horner's rule, doubling the width per pass,
+one fourier.BLOCK of points at a time with W - 1 digits of overlap, so
+their temporaries stay in cache.  For m = 2 each digit is one bit of
+the replica's raw Philox words (_binary_windows), so the windows are
+shifts of those bits packed into 64-bit words.  A circle trajectory
+holds one array, the exact phases v_i = frac(x_i) 2^64 (fourier.turns)
+that evaluation reads: on m = 2 the windows themselves, otherwise
+turns(u_i / m^W), taken once here.
 
 The statistic of an arity-d kernel over the first n points is
 
@@ -32,7 +34,8 @@ markov_occupations steps a batch of Markov replicas in lockstep through
 every step, each on its own uniforms drawn a time chunk at a time, and
 keeps only their occupation counts, so the Markov statistic never holds
 a path per replica and its working set grows with neither n nor the
-replica count.
+replica count.  A step is a gather, a compare and a count, each written
+into a buffer made once per batch.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from functools import cache
 import numpy as np
 
 from ._seeding import stream
-from .fourier import turns
+from .fourier import BLOCK, as_phases, turns
 from .kernels import CircleBase, SeparableKernel, kernel_mean
 from .hoeffding import is_canonical
 from .markov import MarkovChain
@@ -52,8 +55,8 @@ from .markov import MarkovChain
 NAIVE_BUDGET = 1_000_000_000
 
 #: largest trajectory length an experiment accepts; generating a circle
-#: replica allocates at most about 17 bytes per point on m = 2 and 25 on
-#: m != 2, evaluating it 1.1 MB more
+#: replica allocates at most about 17 bytes per point on m = 2 and 9 plus
+#: 0.7 MB on m != 2, evaluating it 1.1 MB more
 MAX_N = 2 ** 22
 
 #: most uniforms one time chunk of a lockstep batch of Markov replicas
@@ -74,6 +77,8 @@ class Trajectory:
 
     values: on the circle the exact phases v_i = frac(x_i) 2^64 as uint64,
     which is all evaluation reads; on a chain the integer state indices.
+    Circle values given as uint64 are taken as these phases, any others as
+    points, whose phases fourier.as_phases takes.
     points: the states on a chain; on the circle x_i = v_i / 2^64 rounded
     to float64 (to 1.0 when v_i >= 2^64 - 2^10), built on first read.
     """
@@ -81,7 +86,8 @@ class Trajectory:
     __slots__ = ("kind", "values", "_points")
 
     def __init__(self, kind: str, values: np.ndarray):
-        self.kind, self.values = kind, values
+        self.kind = kind
+        self.values = as_phases(values) if kind == "circle" else values
         self._points = None if kind == "circle" else values
 
     @property
@@ -165,9 +171,14 @@ def gen_madic_trajectory(m: int, n: int, seed: int, window: int = 64) -> Traject
     if m == 2:
         return Trajectory("circle", _binary_windows(n, seed, width))
     digits = _digit_stream(m, n + width - 1, seed)
-    x = _windows(digits.astype(np.uint64), width, m).astype(np.float64)
-    x /= float(m ** width)
-    return Trajectory("circle", turns(x))
+    phases = np.empty(n, dtype=np.uint64)
+    # a block at a time, so the temporaries stay in cache; its windows read width - 1 digits past it
+    for a in range(0, n, BLOCK):
+        b = min(BLOCK, n - a)
+        x = _windows(digits[a:a + b + width - 1].astype(np.uint64), width, m).astype(np.float64)
+        x /= float(m ** width)
+        phases[a:a + b] = turns(x)
+    return Trajectory("circle", phases)
 
 
 def gen_markov_trajectory(chain: MarkovChain, n: int, seed: int) -> Trajectory:
@@ -202,18 +213,22 @@ def markov_occupations(chain: MarkovChain, n: int, seeds) -> np.ndarray:
     every path is the one gen_markov_trajectory draws.  Each replica's
     uniforms come a time chunk at a time, successive random calls on its
     stream, which give the doubles of one random(n); each chunk's states
-    are counted by one bincount, offset by s per lane.  A batch of L <=
-    MAX_LANES replicas holds L span <= BATCH_UNIFORMS uniforms and gathers
-    L (s - 1) cumulative values per step, so what it holds grows with
-    neither n nor the replica count.  A step compares against all s - 1
-    values, where bisect_right takes about log2(s); docs/constants.md has
-    timings.
+    are counted by bincount, offset by s per lane, an eighth at a time.
+    A batch of L <= MAX_LANES replicas holds L span <= BATCH_UNIFORMS
+    uniforms and gathers L (s - 1) cumulative values per step, so what it
+    holds grows with neither n nor the replica count.  A step takes each
+    lane's row of cumulative values (take), compares it with the lane's
+    uniform (greater_equal) and counts the hits into the next states
+    (add.reduce), each into a buffer made once per batch.  It compares
+    against all s - 1 values, where bisect_right takes about log2(s);
+    docs/constants.md has timings.
     """
     if n < 1:
         raise ValueError("trajectory length must be positive")
     s = chain.n_states
     cum_pi = np.cumsum(chain.pi)[:-1]
-    cum_rows = np.cumsum(chain.Q, axis=1)[:, :-1]
+    # contiguous (the prefix sums of cumsum(Q)[:, :-1]), so take copies rows, not the table
+    cum_rows = np.cumsum(chain.Q[:, :-1], axis=1)
     lanes = max(1, min(len(seeds), MAX_LANES, BATCH_UNIFORMS // s))
     out = np.empty((len(seeds), s), dtype=np.int64)
     for a in range(0, len(seeds), lanes):
@@ -222,17 +237,29 @@ def markov_occupations(chain: MarkovChain, n: int, seeds) -> np.ndarray:
         u = np.empty((len(gens), span))
         # row 0 holds each lane's state before the chunk, row i + 1 its state at step t + i
         states = np.empty((span + 1, len(gens)), dtype=np.min_scalar_type(s - 1))
+        cum = np.empty((len(gens), s - 1))
+        hit = np.empty((len(gens), s - 1), dtype=bool)
         offset = np.arange(len(gens)) * s
+        # a chunk's states are counted an eighth at a time, so their int64
+        # indices take an eighth of the uniforms' 8 bytes per step and lane
+        rows = -(-span // 8)
         counts = np.zeros(len(gens) * s, dtype=np.int64)
         for t in range(0, n, span):
             steps = min(span, n - t)
             for b, g in enumerate(gens):
                 u[b, :steps] = g.random(steps)
             if t == 0:
-                states[1] = (u[:, 0, None] >= cum_pi).sum(1)
+                np.greater_equal(u[:, 0, None], cum_pi, out=hit)
+                np.add.reduce(hit, axis=1, out=states[1])
             for i in range(1 if t == 0 else 0, steps):
-                states[i + 1] = (u[:, i, None] >= cum_rows[states[i]]).sum(1)
-            counts += np.bincount((states[1:steps + 1] + offset).ravel(), minlength=counts.size)
+                # positional arguments, as keywords cost about 0.4 us a call;
+                # every state is a row, and mode "raise" would buffer the output
+                cum_rows.take(states[i], 0, cum, "clip")
+                np.greater_equal(u[:, i, None], cum, hit)
+                np.add.reduce(hit, 1, None, states[i + 1])
+            live = states[1:steps + 1]
+            for r in range(0, steps, rows):
+                counts += np.bincount((live[r:r + rows] + offset).ravel(), minlength=counts.size)
             states[0] = states[steps]
         out[a:a + len(gens)] = counts.reshape(-1, s)
     return out

@@ -72,6 +72,11 @@ def turns(x) -> np.ndarray:
     return v
 
 
+def as_phases(x) -> np.ndarray:
+    """Circle values as uint64 phases: a uint64 x is kept as it is, any other x becomes turns(x)."""
+    return x if getattr(x, "dtype", None) == np.uint64 else turns(x)
+
+
 def turns_exp(v) -> np.ndarray:
     """e(v / 2^64) = exp(2 pi i v / 2^64) for uint64 phases v.
 
@@ -202,7 +207,7 @@ class FourierPoly:
         of that term keeps its sign (an empty polynomial gives zeros).
         Raises ValueError on a non-finite point.
         """
-        v = x if getattr(x, "dtype", None) == np.uint64 else turns(x)
+        v = as_phases(x)
         table = {} if table is None else table
         out = None
         for k, c in self._coeffs.items():

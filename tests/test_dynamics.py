@@ -107,6 +107,20 @@ class TestCircleTrajectories:
         assert len(traj) == n
         assert peak <= 20 * n, peak
 
+    @pytest.mark.parametrize("m", [3, 10, 256])
+    def test_base3_generation_memory(self, m):
+        # the uint8 digits and the phases are 9 bytes per point; one block's
+        # windows, float points and turns temporaries add about 0.7 MB
+        n = 2**20
+        tracemalloc.start()
+        try:
+            traj = gen_madic_trajectory(m, n, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == n
+        assert peak <= 9 * n + 2**20, peak
+
     def test_base3_iterates_the_map(self):
         traj = gen_madic_trajectory(3, 2000, seed=11)
         x = traj.points
@@ -117,14 +131,17 @@ class TestCircleTrajectories:
 
     @pytest.mark.parametrize("m", [3, 5, 10, 256])
     def test_phases_are_turns_of_the_rounded_points(self, m):
-        # the phases are taken once, from u_i / m^W rounded as float64 division rounds it
+        # the phases are taken once, from u_i / m^W rounded as float64 division
+        # rounds it, a block at a time, the windows crossing each block's end
         width = {3: 40, 5: 27, 10: 19, 256: 8}[m]
         assert m ** width <= 2**64 < m ** (width + 1)
-        traj = gen_madic_trajectory(m, 3000, seed=m)
-        u = np.array([float(v) for v in exact_windows(m, 3000, seed=m, window=width)])
-        want = fourier.turns(u / float(m ** width))
-        assert traj.values.dtype == np.uint64
-        assert traj.values.tobytes() == want.tobytes()
+        block = fourier.BLOCK
+        for n in (3000, block - 1, block, block + 1, 2 * block + 7):
+            traj = gen_madic_trajectory(m, n, seed=m)
+            u = np.array([float(v) for v in exact_windows(m, n, seed=m, window=width)])
+            want = fourier.turns(u / float(m ** width))
+            assert traj.values.dtype == np.uint64
+            assert traj.values.tobytes() == want.tobytes(), n
 
     def test_base3_matches_exact_windows(self):
         n, window = 300, 32
@@ -222,6 +239,18 @@ class TestEvaluators:
         f = pair_kernel()
         assert abs(vstat_naive(f, traj, 3) - 2.0) < 1e-12
         assert abs(vstat_fast(f, traj, 3) - 2.0) < 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_points_and_phases_build_the_same_trajectory(self, m):
+        # circle values that are not uint64 are points, whose phases are turns(points)
+        x = np.concatenate([[0.0, 0.25, 0.5, 0.75], gen_madic_trajectory(m, 60, seed=8).points])
+        from_points = Trajectory("circle", x)
+        from_phases = Trajectory("circle", fourier.turns(x))
+        assert from_points.values.tobytes() == from_phases.values.tobytes()
+        assert np.array_equal(from_points.points, from_phases.points)
+        assert np.array_equal(from_points.points, x)
+        f = pair_kernel()
+        assert vstat_fast(f, from_points, len(x)) == vstat_fast(f, from_phases, len(x))
 
     def test_naive_matches_pure_python_enumeration(self):
         import itertools
@@ -408,6 +437,21 @@ class TestFactorizedPath:
         assert np.array_equal(counts, np.array(want))
         assert events[:lanes + 1] == [None] * lanes + [span]
         assert sum(e for e in events if e is not None) == replicas * n
+
+    @pytest.mark.parametrize("lanes, uniforms", [(1, 7), (3, 1200), (4, 1200), (7, 2100)])
+    def test_lockstep_counts_follow_each_replica_path_on_wide_states(self, lanes, uniforms):
+        # 300 states are held as uint16 and each step gathers 299 cumulative
+        # values per lane; batches of 1, 3, 4 and 7 lanes take 500 steps in
+        # chunks of 7, 400, 300 and 300
+        s, n = 300, 500
+        chain = random_ergodic_chain(rng_for(300), s)
+        keys = [300 + r for r in range(7)]
+        with mock.patch("vmstat.dynamics.MAX_LANES", lanes), \
+                mock.patch("vmstat.dynamics.BATCH_UNIFORMS", uniforms):
+            counts = markov_occupations(chain, n, keys)
+        want = [np.bincount(gen_markov_trajectory(chain, n, key).points, minlength=s)
+                for key in keys]
+        assert np.array_equal(counts, np.array(want))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]), arity=st.integers(1, 3),

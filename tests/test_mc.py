@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +69,29 @@ class TestSeeding:
         a = stream(99).random(8)
         b = stream(99).random(8)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("key", [0, 1, 2**63, 2**64 - 1])
+    def test_stream_is_philox_keyed_by_the_seed(self, key):
+        # stream hands Philox its key words without an entropy-seeded SeedSequence
+        def flat(state):
+            inner = state.pop("state")
+            items = {**state, **inner}
+            return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in items.items()}
+
+        ours, want = stream(key), np.random.Generator(np.random.Philox(key=key))
+        assert flat(ours.bit_generator.state) == flat(want.bit_generator.state)
+        raw = ours.bit_generator.random_raw(9), want.bit_generator.random_raw(9)
+        assert raw[0].tobytes() == raw[1].tobytes()
+        assert ours.random(5).tobytes() == want.random(5).tobytes()
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # stream makes its seed-sequence class on first use, so starting a
+        # command does not import numpy.random
+        code = "import sys, vmstat, vmstat.cli; print('numpy.random' in sys.modules)"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
     def test_validation(self):
         with pytest.raises(ValueError):
