@@ -14,7 +14,7 @@ the replica's raw Philox words (_binary_windows), so the windows are
 shifts of those bits packed into 64-bit words.  A circle trajectory
 holds one array, the exact phases v_i = frac(x_i) 2^64 (fourier.turns)
 that evaluation reads: on m = 2 the windows themselves, otherwise
-turns(u_i / m^W), taken once here.
+turns(u_i / m^W), taken once here by fourier.unit_turns.
 
 The statistic of an arity-d kernel over the first n points is
 
@@ -46,7 +46,7 @@ from functools import cache
 import numpy as np
 
 from ._seeding import stream
-from .fourier import BLOCK, as_phases, turns
+from .fourier import BLOCK, as_phases, unit_turns
 from .kernels import CircleBase, SeparableKernel, kernel_mean
 from .hoeffding import is_canonical
 from .markov import MarkovChain
@@ -130,8 +130,10 @@ def _windows(d: np.ndarray, w: int, m: int) -> np.ndarray:
     return v
 
 
-#: shift of each of the 64 windows that start in one packed word
+#: shift of each of the 64 windows that start in one packed word, and of
+#: the next word's bits into that window
 _SHIFTS = np.arange(64, dtype=np.uint64)
+_CARRY_SHIFTS = np.uint64(64) - _SHIFTS
 
 
 def _binary_windows(n: int, seed: int, width: int) -> np.ndarray:
@@ -149,7 +151,7 @@ def _binary_windows(n: int, seed: int, width: int) -> np.ndarray:
     raw = stream(seed).bit_generator.random_raw(8 * words).astype("<u8", copy=False)
     w = np.packbits(raw.view(np.uint8) >> 7).view(">u8").astype(np.uint64)
     u = w[:-1, None] << _SHIFTS
-    u |= w[1:, None] >> (np.uint64(64) - _SHIFTS)
+    u |= w[1:, None] >> _CARRY_SHIFTS
     u = u.reshape(-1)[:n]
     if width < 64:
         u &= np.uint64(2 ** 64 - 2 ** (64 - width))
@@ -177,7 +179,7 @@ def gen_madic_trajectory(m: int, n: int, seed: int, window: int = 64) -> Traject
         b = min(BLOCK, n - a)
         x = _windows(digits[a:a + b + width - 1].astype(np.uint64), width, m).astype(np.float64)
         x /= float(m ** width)
-        phases[a:a + b] = turns(x)
+        phases[a:a + b] = unit_turns(x)
     return Trajectory("circle", phases)
 
 

@@ -72,6 +72,22 @@ def turns(x) -> np.ndarray:
     return v
 
 
+def unit_turns(x: np.ndarray) -> np.ndarray:
+    """turns(x), bit for bit, of float64 points x in [0, 1], which it overwrites.
+
+    Three passes where turns takes seven: v = (2^63 x as uint64) << 1.
+    For x <= 1/2, rint(x) = 0, so turns truncates the same 2^63 x.  For
+    x > 1/2, x - 1 is exact and 2^63 x an integer, so turns casts 2^63 x
+    less 2^63 exactly, and the doubling wraps that difference to 0; x =
+    1.0 gives 0.  It checks nothing, where turns rejects a non-finite x:
+    it is for points the generator builds in [0, 1].
+    """
+    x *= 2.0 ** 63
+    v = x.astype(np.uint64)
+    v <<= np.uint64(1)
+    return v
+
+
 def as_phases(x) -> np.ndarray:
     """Circle values as uint64 phases: a uint64 x is kept as it is, any other x becomes turns(x)."""
     return x if getattr(x, "dtype", None) == np.uint64 else turns(x)
@@ -83,7 +99,8 @@ def turns_exp(v) -> np.ndarray:
     Bits 63-53, 52-42 and 41-31 of v index e(j / 2^11), e(j / 2^22) and
     e(j / 2^33); the low 31 bits t, under 2^-33 turns, enter as the factor
     1 + 2 pi i t / 2^64, whose error is below (2 pi 2^-33)^2 / 2 < 2.7e-19.
-    Points are taken BLOCK at a time, which changes no bit of the result.
+    Points are taken BLOCK at a time, which changes no bit of the result,
+    and v is left unwritten.
     """
     v = np.asarray(v, dtype=np.uint64)
     out = np.empty(v.shape, dtype=np.complex128)
@@ -92,14 +109,17 @@ def turns_exp(v) -> np.ndarray:
     for a in range(0, flat.size, BLOCK):
         w, o = flat[a:a + BLOCK], res[a:a + BLOCK]
         i = (w >> np.uint64(31)).view(np.int64)  # bits 63-31
-        np.take(high, i >> 22, out=o)
+        # every index is in range, and mode "raise" would buffer the output
+        np.take(high, i >> 22, out=o, mode="clip")
         i &= 2 ** 22 - 1
         o *= mid.take(i >> 11)
         o *= low.take(i & 2 ** 11 - 1)
+        # theta in one contiguous pass, then one strided copy into the tail
+        theta = (w & _TAIL_MASK).astype(np.float64)
+        theta *= _RADIANS_PER_UNIT
         tail = np.empty_like(o)
         tail.real = 1.0
-        tail.imag = w & _TAIL_MASK
-        tail.imag *= _RADIANS_PER_UNIT
+        tail.imag = theta
         o *= tail
     return out
 
@@ -216,7 +236,8 @@ class FourierPoly:
             else:
                 e = table.get(abs(k))
                 if e is None:
-                    e = table[abs(k)] = turns_exp(np.multiply(v, np.uint64(abs(k) % 2 ** 64)))
+                    w = v if abs(k) == 1 else np.multiply(v, np.uint64(abs(k) % 2 ** 64))
+                    e = table[abs(k)] = turns_exp(w)
                 term = c * (e if k > 0 else e.conj())
             if out is None:
                 out = np.full(v.shape, term) if k == 0 else term

@@ -46,7 +46,7 @@ REFERENCE_FACTOR = 10
 
 
 #: what ExperimentConfig.system gives, the records perfbench/harness.py reads;
-#: they go with the next change to the benchmark (ROADMAP item 3)
+#: they go with the next change to the benchmark (ROADMAP item 2)
 CircleSystem = namedtuple("CircleSystem", "m window")
 MarkovSystem = namedtuple("MarkovSystem", "chain")
 

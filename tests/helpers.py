@@ -16,7 +16,7 @@ import numpy as np
 
 from vmstat._seeding import stream
 from vmstat.cli import parse_config
-from vmstat.fourier import FourierPoly, turns_exp
+from vmstat.fourier import _TURN_TABLES, FourierPoly, turns_exp
 from vmstat.hoeffding import HoeffdingParts, integrate_out
 from vmstat.kernels import (
     Base,
@@ -230,6 +230,27 @@ def exp_by_turns(k: int, traj) -> np.ndarray:
     """
     e = turns_exp(np.multiply(traj.values, np.uint64(abs(k))))
     return e if k > 0 else e.conj()
+
+
+def turns_exp_reference(v: np.ndarray) -> np.ndarray:
+    """e(v / 2^64) as the three-table product, written out pass by pass over the whole array.
+
+    The entries of bits 63-53, 52-42 and 41-31 of v are multiplied in
+    that order, then by the tail factor whose imaginary part is the low
+    31 bits converted straight into the complex array and scaled there:
+    turns_exp must give these bits.
+    """
+    high, mid, low = _TURN_TABLES
+    i = (v >> np.uint64(31)).astype(np.int64)
+    out = high[i >> 22]
+    out *= mid[(i >> 11) & 2047]
+    out *= low[i & 2047]
+    tail = np.empty_like(out)
+    tail.real = 1.0
+    tail.imag = v & np.uint64(2**31 - 1)
+    tail.imag *= 2 * np.pi * 2.0**-64
+    out *= tail
+    return out
 
 
 def exp_by_numpy(k: int, traj) -> np.ndarray:

@@ -25,7 +25,15 @@ from vmstat.fourier import (
 
 from vmstat.kernels import CircleBase, KernelTerm, SeparableKernel
 
-from helpers import grid, quad_lp, random_poly, reparse, rng_for, transfer_by_preimages
+from helpers import (
+    grid,
+    quad_lp,
+    random_poly,
+    reparse,
+    rng_for,
+    transfer_by_preimages,
+    turns_exp_reference,
+)
 
 
 class TestAlgebra:
@@ -254,6 +262,19 @@ class TestExactPhases:
         got = fourier.turns_exp(w).astype(np.clongdouble)
         assert float(np.max(np.abs(got - want))) <= 2e-15
 
+    @pytest.mark.parametrize("size", [1, 7, 4096, fourier.BLOCK + 5])
+    @pytest.mark.parametrize("k", [1, 3, 2**30, 2**53])
+    def test_turns_exp_keeps_the_bits_of_the_table_product(self, size, k):
+        # random phases, then the edge phases, times k; the argument stays unwritten
+        edges = np.array([0, 2**31 - 1, 2**31, 2**63, 2**64 - 1], dtype=np.uint64)
+        v = rng_for(size).integers(0, 2**64, size=size, dtype=np.uint64)
+        w = np.multiply(np.concatenate([v, edges]), np.uint64(k))
+        for phases in (w[:size], w[size:]):
+            before = phases.copy()
+            got = fourier.turns_exp(phases)
+            assert phases.tobytes() == before.tobytes()
+            assert got.tobytes() == turns_exp_reference(before).tobytes()
+
     def test_turns_exp_exact_at_quarter_turns(self):
         got = fourier.turns_exp(np.arange(4, dtype=np.uint64) << np.uint64(62))
         assert np.array_equal(got, [1, 1j, -1, -1j])
@@ -266,6 +287,20 @@ class TestExactPhases:
         assert fourier.turns(-x).tolist() == [-w % 2**64 for w in want]
         tiny = np.array([3 * 2.0**-64, 2.0**-12 + 2.0**-64])
         assert np.all(np.abs(fourier.turns(tiny).astype(np.int64) - tiny * 2**64) <= 2)
+
+    def test_unit_turns_are_turns(self):
+        # the edges of each case of the identity: x <= 1/2 truncates, x > 1/2 wraps, 1.0 gives 0
+        x = np.array([0.0, 2.0**-60, np.nextafter(2.0**-11, 0), np.nextafter(0.5, 0), 0.5,
+                      np.nextafter(0.5, 1), np.nextafter(1.0, 0), 1.0])
+        want = fourier.turns(x)
+        assert fourier.unit_turns(x.copy()).tobytes() == want.tobytes()
+        assert want[-1] == 0 and want[-2] == 2**64 - 2**11
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50))
+    def test_unit_turns_are_turns_on_the_unit_interval(self, points):
+        x = np.array(points, dtype=np.float64)
+        assert fourier.unit_turns(x.copy()).tobytes() == fourier.turns(x).tobytes()
 
     def test_evaluate_reads_uint64_as_phases(self, monkeypatch):
         # phases give the same values as the points they are turns of, every

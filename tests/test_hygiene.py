@@ -4,9 +4,10 @@ Every imported name is read somewhere: ``__init__.py`` is skipped because
 its imports are the public re-exports, and ``from __future__`` imports
 bind no name.  Branches on the base type stay bounded, the circle
 evaluation path takes its exponentials from ``fourier.turns_exp`` alone,
-every numpy tolerance comparison states its relative tolerance, only
-``fourier`` tells uint64 phases from points, and only ``dynamics`` knows
-the digit window.
+every numpy tolerance comparison states its relative tolerance, every
+``take`` into an ``out`` array passes mode ``"clip"``, only ``fourier``
+tells uint64 phases from points, and only ``dynamics`` knows the digit
+window.
 """
 
 from __future__ import annotations
@@ -125,6 +126,37 @@ def test_numpy_tolerance_calls_pass_rtol():
         and "rtol" not in {kw.arg for kw in node.keywords}
     ]
     assert not missing, f"np.allclose/np.isclose without an explicit rtol: {', '.join(missing)}"
+
+
+def _take_argument(call: ast.Call, name: str):
+    """The value passed as out or mode to np.take(a, indices, axis, out, mode) or a.take(indices, axis, out, mode)."""
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+    is_function = isinstance(call.func.value, ast.Name) and call.func.value.id in {"np", "numpy"}
+    index = {"out": 2, "mode": 3}[name] + is_function
+    return call.args[index] if len(call.args) > index else ast.Constant(None)
+
+
+def _takes_into_out_unclipped(node: ast.AST) -> bool:
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "take"):
+        return False
+    out, mode = _take_argument(node, "out"), _take_argument(node, "mode")
+    writes_out = not (isinstance(out, ast.Constant) and out.value is None)
+    return writes_out and not (isinstance(mode, ast.Constant) and mode.value == "clip")
+
+
+def test_take_into_out_clips():
+    # mode "raise", the default, checks the indices into a buffer and copies
+    # that into out; "clip" writes out directly (docs/constants.md)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _takes_into_out_unclipped(node)
+    ]
+    assert not found, f"take into out without mode='clip': {', '.join(found)}"
 
 
 def _is_np_uint64(node: ast.AST) -> bool:
