@@ -20,6 +20,7 @@ L_p norm by uniform-grid quadrature on the circle.
 
 from __future__ import annotations
 
+import cmath
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -130,12 +131,15 @@ class FourierPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, complex] | Iterable[tuple[int, complex]] = ()):
+        """Sums the coefficients given for each mode; raises ValueError when a sum is not finite."""
         items = coeffs.items() if isinstance(coeffs, (dict, Mapping)) else coeffs
         acc: dict[int, complex] = {}
         for k, c in items:
             if not isinstance(k, (int, np.integer)):
                 raise TypeError(f"mode index must be an integer, got {k!r}")
             acc[int(k)] = acc.get(int(k), 0.0) + complex(c)
+        if not all(map(cmath.isfinite, acc.values())):
+            raise ValueError(f"coefficients must be finite, got {acc}")
         self._coeffs = {k: c for k, c in acc.items() if abs(c) >= DROP_TOL}
 
     @classmethod

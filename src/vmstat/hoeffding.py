@@ -23,7 +23,9 @@ are 0-based.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .kernels import (
@@ -48,33 +50,30 @@ class SymmetryError(ValueError):
         self.witness = witness
 
 
-def _integrated_terms(f: SeparableKernel, slot: int) -> tuple:
-    """The terms integrate_out(f, slot) keeps: each with a nonzero slot mean, in place of that factor."""
+def integrate_out(f: SeparableKernel, slot: int) -> SeparableKernel:
+    """Replace slot ``slot`` by its mean in every term."""
+    if not 0 <= slot < f.arity:
+        raise ValueError(f"slot must be in [0, {f.arity}), got {slot}")
     base, terms = f.base, []
     for t in f.terms:
         mean = base.mean(t.factors[slot])
         if mean != 0:  # a zero mean is a zero constant factor, whose term the kernel drops
             factors = t.factors[:slot] + (base.constant(mean),) + t.factors[slot + 1:]
             terms.append(KernelTerm(t.coeff, factors))
-    return tuple(terms)
-
-
-def integrate_out(f: SeparableKernel, slot: int) -> SeparableKernel:
-    """Replace slot ``slot`` by its mean in every term."""
-    if not 0 <= slot < f.arity:
-        raise ValueError(f"slot must be in [0, {f.arity}), got {slot}")
-    return SeparableKernel(f.arity, f.base, _integrated_terms(f, slot))
+    return SeparableKernel(f.arity, base, tuple(terms))
 
 
 def _split_terms(f: SeparableKernel) -> list:
-    """Every term as its coefficient and one (E[u], u - E[u]) pair per slot (base.centre)."""
-    return [(t.coeff, list(map(f.base.centre, t.factors))) for t in f.terms]
+    """Each term as its coefficient, its (E[u], u - E[u]) pairs (base.centre) and their truth values."""
+    pairs = [list(map(f.base.centre, t.factors)) for t in f.terms]
+    return [(t.coeff, p, [(bool(a), bool(b)) for a, b in p]) for t, p in zip(f.terms, pairs)]
 
 
 def _component(f: SeparableKernel, split: list, S) -> SeparableKernel:
     """Q_S f from the split terms: centred factors in S, means elsewhere; no term with a zero factor."""
-    terms = (KernelTerm(c, tuple(pair[j in S] for j, pair in enumerate(pairs))) for c, pairs in split)
-    return _with_terms(f, tuple(t for t in terms if all(t.factors)))
+    picks, pick = [j in S for j in range(f.arity)], operator.getitem
+    return _with_terms(f, tuple(KernelTerm(c, tuple(map(pick, pairs, picks)))
+                                for c, pairs, nonzero in split if all(map(pick, nonzero, picks))))
 
 
 def hoeffding_components(f: SeparableKernel) -> dict[frozenset, SeparableKernel]:
@@ -87,14 +86,32 @@ def hoeffding_components(f: SeparableKernel) -> dict[frozenset, SeparableKernel]
     }
 
 
+def _slot_bounds(f: SeparableKernel) -> list:
+    """Per slot, sum_t |c_t| prod_j sup_coeff(u_tj) over integrate_out(f, slot) times a rounding margin.
+
+    At least the slot's kernel_sup_coeff, or inf (a subnormal partial product) or nan; docs/constants.md.
+    """
+    base, bounds = f.base, [0.0] * f.arity
+    for t in f.terms:
+        means = [abs(base.mean(u)) for u in t.factors]
+        sups = list(map(base.sup_coeff, t.factors)) if any(means) else []
+        for slot, mean in enumerate(means):
+            if mean != 0:
+                factors = sups[:slot] + [mean] + sups[slot + 1:]
+                partial = list(itertools.accumulate(factors, operator.mul, initial=abs(t.coeff)))
+                bounds[slot] += partial[-1] if min(partial) >= sys.float_info.min else math.inf
+    return [bound * (1.0 + (11 * f.arity + 2 * len(f.terms)) * 2.0 ** -51) for bound in bounds]
+
+
 def is_canonical(f: SeparableKernel, tol: float = COEFF_TOL) -> bool:
     """True when integrating out every single slot gives the zero kernel.
 
-    A slot whose means are all zero has no terms to integrate and builds no kernel.
+    A slot builds no kernel when its term bound (_slot_bounds) is at most
+    tol, as when all its means are zero and tol >= 0; any other slot
+    compares kernel_sup_coeff(integrate_out(f, slot)) with tol.
     """
-    sups = (kernel_sup_coeff(SeparableKernel(f.arity, f.base, terms)) if terms else 0.0
-            for terms in (_integrated_terms(f, slot) for slot in range(f.arity)))
-    return all(sup <= tol for sup in sups)
+    return all(bound <= tol or kernel_sup_coeff(integrate_out(f, slot)) <= tol
+               for slot, bound in enumerate(_slot_bounds(f)))
 
 
 def find_asymmetry_witness(f: SeparableKernel, tol: float = 1e-9):
@@ -171,7 +188,7 @@ class HoeffdingParts:
 def _level(base: Base, split: list, m: int) -> SeparableKernel:
     """Q_S f for S = {0, ..., m-1} at arity m: slots m..d-1 fold their means into slot 0."""
     terms = []
-    for coeff, pairs in split:
+    for coeff, pairs, _ in split:
         scalar = 1.0
         for mean, _ in pairs[m:]:
             scalar *= base.mean(mean)

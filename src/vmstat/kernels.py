@@ -100,6 +100,9 @@ class CircleBase:
         rest = dict(u.items())
         return FourierPoly._of({0: rest.pop(0, 0.0)}), FourierPoly._of(rest)
 
+    def sup_coeff(self, u: FourierPoly) -> float:
+        return max((abs(c) for _, c in u.items()), default=0.0)
+
     def lp_norm(self, u: FourierPoly, exponent: float) -> float:
         return lp_norm(u, exponent)
 
@@ -247,6 +250,9 @@ class MarkovBase:
         """(E[u] as a constant, u - E[u])."""
         mean = self.constant(self.mean(u))
         return mean, u - mean
+
+    def sup_coeff(self, u: StateFunction) -> float:
+        return float(abs(u.values).max())
 
     def lp_norm(self, u: StateFunction, exponent: float) -> float:
         return self.chain.lp_norm(u, exponent)
@@ -552,16 +558,23 @@ def _expand(f: SeparableKernel) -> dict[tuple[int, ...], complex]:
 
 
 def to_tensor(f: SeparableKernel) -> np.ndarray:
-    """Markov kernel as a dense arity-d tensor over states."""
+    """Markov kernel as a dense arity-d tensor: ((c_t u_1) u_2) ... u_d added in term order to zeros.
+
+    Terms go in groups of at most BLOCK product values (one term if s^d > BLOCK), one broadcast per slot.
+    """
     if not isinstance(f.base, MarkovBase):
         raise BaseMismatchError("tensor form is defined on the markov base")
-    s = f.base.chain.n_states
-    acc = np.zeros((s,) * f.arity)
-    for t in f.terms:
-        prod = np.asarray(t.coeff)
-        for u in t.factors:
-            prod = np.multiply.outer(prod, u.values)
-        acc += prod
+    s, d = f.base.chain.n_states, f.arity
+    acc = np.zeros((s,) * d)
+    step = max(1, BLOCK // s ** d)
+    for a in range(0, len(f.terms), step):
+        group = f.terms[a:a + step]
+        values = np.array([[u.values for u in t.factors] for t in group])
+        prod = np.array([t.coeff for t in group])
+        for j in range(d):
+            prod = prod[..., None] * values[:, j].reshape((len(group),) + (1,) * j + (s,))
+        for p in prod:
+            acc += p
     return acc
 
 

@@ -47,7 +47,7 @@ class StateFunction:
 
     def __bool__(self) -> bool:
         """True unless every value is zero, as a FourierPoly with no modes is false."""
-        return bool(self.values.any())
+        return bool(np.count_nonzero(self.values))
 
     def __add__(self, other: "StateFunction") -> "StateFunction":
         return StateFunction(self.values + other.values)

@@ -174,6 +174,22 @@ def integrate_out_reference(f: SeparableKernel, slot: int) -> SeparableKernel:
     return SeparableKernel(f.arity, f.base, tuple(terms))
 
 
+def to_tensor_reference(f: SeparableKernel) -> np.ndarray:
+    """The dense tensor one term at a time: np.multiply.outer from the coefficient, slot by slot.
+
+    Each value is ((c_t u_1) u_2) ... u_d, added over the terms in order to
+    a tensor of zeros; to_tensor must give these bytes, zero signs included.
+    """
+    s = f.base.chain.n_states
+    acc = np.zeros((s,) * f.arity)
+    for t in f.terms:
+        prod = np.asarray(t.coeff)
+        for u in t.factors:
+            prod = np.multiply.outer(prod, u.values)
+        acc += prod
+    return acc
+
+
 def kernels_allclose_reference(f: SeparableKernel, g: SeparableKernel, tol: float) -> bool:
     """Coefficientwise equality over the union of both exact forms' keys, 0.0 where absent."""
     if f.arity != g.arity or f.base != g.base:

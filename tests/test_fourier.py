@@ -147,6 +147,18 @@ class TestAlgebra:
             with pytest.raises(ValueError, match="finite"):
                 p.evaluate(np.array([0.25, bad]))
 
+    @pytest.mark.parametrize("coeffs", [{1: math.nan, 2: 1.0}, {1: math.inf}, {3: complex(0.0, -math.inf)},
+                                        [(1, 1e308), (1, 1e308)],
+                                        [(2, math.inf), (2, -math.inf)]],
+                             ids=["nan", "inf", "imaginary_inf", "overflowing_sum", "inf_minus_inf"])
+    def test_constructor_rejects_non_finite_coefficients(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            FourierPoly(coeffs)
+
+    def test_unchecked_constructor_keeps_what_it_is_given(self):
+        # _of checks nothing: inf passes its DROP_TOL test, nan fails it and is dropped
+        assert FourierPoly._of({1: complex(math.inf), 2: complex(math.nan), 3: 1.0}).modes() == [1, 3]
+
     def test_conjugate_and_is_real(self):
         p = FourierPoly({3: 1 + 2j, -3: 1 - 2j})
         assert p.is_real()

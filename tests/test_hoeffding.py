@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vmstat import kernels
+from vmstat import hoeffding, kernels
 from vmstat.fourier import FourierPoly
 from vmstat.hoeffding import (
     HoeffdingParts,
@@ -233,6 +234,25 @@ def canonical_oracle_kernels(draw):
     return SeparableKernel(d, base, terms)
 
 
+_EXTREME = st.sampled_from([1.0, -1.0, 0.7, -3.0, 1e-170, -1e-170, 1e150, 1e-300, 5e-324, 1e-15])
+
+
+@st.composite
+def extreme_kernels(draw):
+    """Kernels of arity 1-3 on both bases with coefficients and values from 5e-324 to 1e150."""
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        base = CIRCLE
+        factor = st.dictionaries(st.integers(-1, 1), _EXTREME, min_size=1, max_size=3)
+        factor = factor.map(FourierPoly).filter(bool)
+    else:
+        base = MarkovBase(HALF_CHAIN)
+        factor = st.lists(_EXTREME, min_size=2, max_size=2).map(lambda v: StateFunction(np.array(v)))
+    terms = tuple(KernelTerm(draw(_EXTREME), tuple(draw(factor) for _ in range(d)))
+                  for _ in range(draw(st.integers(1, 4))))
+    return SeparableKernel(d, base, terms)
+
+
 class TestCanonicalOracle:
     """is_canonical and integrate_out against integrate_out_reference, which builds every term."""
 
@@ -270,7 +290,7 @@ class TestCanonicalOracle:
         assert not is_canonical(circle, tol=-1.0)
 
     def test_every_slot_mean_zero_builds_no_kernel(self, monkeypatch):
-        levels = [g for f in itertools.islice(c02_kernels(), 40) for g in symmetric_parts(f).levels]
+        levels = [g for f in c02_kernels() for g in symmetric_parts(f).levels]
         levels.append(SeparableKernel(2, MarkovBase(HALF_CHAIN), (KernelTerm(1.0, (
             StateFunction(np.array([1.0, -1.0])), StateFunction(np.array([-0.5, 0.5])))),)))
         built = []
@@ -279,11 +299,48 @@ class TestCanonicalOracle:
         monkeypatch.setattr(kernels, "_expand", lambda g: built.append(g) or {})
         monkeypatch.setattr(kernels, "to_tensor", lambda g: built.append(g) or np.zeros(()))
         circle = [g for g in levels if isinstance(g.base, CircleBase)]
-        assert len(circle) > 40
+        assert len(circle) > 400
         for g in circle + levels[-1:]:
             assert all(g.base.mean(t.factors[slot]) == 0 for t in g.terms for slot in range(g.arity))
             assert is_canonical(g, tol=0.0)
+        # a chain level's centred factors keep means of rounding size; its term bound covers them
+        chain = [g for g in levels[:-1] if isinstance(g.base, MarkovBase)]
+        assert len(chain) > 200
+        assert any(g.base.mean(u) != 0 for g in chain for t in g.terms for u in t.factors)
+        assert all(is_canonical(g, tol=COEFF_TOL) for g in chain)
         assert built == []
+
+    def test_cancelling_terms_fall_back_to_the_kernel(self, monkeypatch):
+        u, v = StateFunction(np.array([1.0, 2.0])), StateFunction(np.array([-3.0, 0.5]))
+        f = SeparableKernel(2, MarkovBase(HALF_CHAIN), tuple(KernelTerm(c, (u, v)) for c in (2.0, -2.0)))
+        # two terms of 2 |E u| sup v = 9 bound slot 0, two of 2 sup u |E v| = 5 slot 1; yet f is zero
+        (b0, b1), margin = hoeffding._slot_bounds(f), 1 + (11 * 2 + 2 * 2) * 2.0 ** -51
+        assert (b0, b1) == (18.0 * margin, 10.0 * margin)
+        assert to_tensor(f).tobytes() == np.zeros((2, 2)).tobytes()
+        built = []
+        monkeypatch.setattr(kernels, "to_tensor", lambda g: built.append(g) or to_tensor(g))
+        assert is_canonical(f, tol=0.0)
+        assert len(built) == 2
+
+    def test_underflowing_bound_falls_back(self):
+        tiny, huge = StateFunction(np.array([1e-30, 1e-30])), StateFunction(np.array([1e30, 1e30]))
+        f = SeparableKernel(2, MarkovBase(HALF_CHAIN), (KernelTerm(1e-300, (tiny, huge)),))
+        # |c| |E tiny| = 1e-330 is below 2^-1022, where the margin stops covering the rounding
+        assert hoeffding._slot_bounds(f) == [math.inf, math.inf]
+        for tol in (0.0, 1e-301, 1e-299):
+            want = all(kernel_sup_coeff(integrate_out_reference(f, slot)) <= tol for slot in range(2))
+            assert is_canonical(f, tol) == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(f=extreme_kernels())
+    def test_bound_covers_the_sup(self, f):
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e150^3 overflows, as it should
+            bounds = hoeffding._slot_bounds(f)
+            sups = [kernel_sup_coeff(integrate_out_reference(f, slot)) for slot in range(f.arity)]
+            for bound, sup in zip(bounds, sups):
+                assert not bound < sup
+            for tol in sorted(set(sups) | {b for b in bounds if math.isfinite(b)} | {0.0, COEFF_TOL}):
+                assert is_canonical(f, tol) == all(sup <= tol for sup in sups)
 
 
 class TestSymmetry:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vmstat import kernels
-from vmstat.fourier import DROP_TOL, FourierPoly
+from vmstat.fourier import BLOCK, DROP_TOL, FourierPoly
 from vmstat.hoeffding import hoeffding_components, symmetric_parts
 from vmstat.kernels import (
     COEFF_TOL,
@@ -53,6 +53,7 @@ from helpers import (
     real_part_reference,
     reparse,
     rng_for,
+    to_tensor_reference,
 )
 
 CIRCLE = CircleBase(2)
@@ -98,6 +99,11 @@ class TestConstruction:
             KernelTerm(2.0, (FourierPoly({1: 1.0}),)),
         ))
         assert len(f.terms) == 1
+        # on a chain, a factor whose values are all 0.0 or -0.0
+        u, zero = StateFunction(np.array([1.0, -2.0])), StateFunction(np.array([-0.0, 0.0]))
+        terms = (KernelTerm(1.0, (u, zero)), KernelTerm(2.0, (u, u)))
+        g = SeparableKernel(2, MarkovBase(two_state_chain()), terms)
+        assert [t.coeff for t in g.terms] == [2.0]
 
     def test_wrong_factor_count(self):
         with pytest.raises(ValueError):
@@ -182,6 +188,23 @@ class TestBaseInterface:
         assert np.array_equal((u * v).values, [1.5, -8.0])
         assert np.array_equal((2.0 * u).values, (u * 2.0).values)
         assert u and not StateFunction(np.zeros(2))
+
+    def test_state_function_truth_is_any_nonzero_value(self):
+        for values, truth in (([0.0, -0.0], False), ([-0.0], False), ([5e-324, 0.0], True),
+                              ([0.0, math.inf], True), ([math.nan], True), ([-0.0, -1.0], True)):
+            values = np.array(values)
+            assert bool(StateFunction(values)) is truth is bool(values.any())
+
+    def test_sup_coeff(self):
+        (circle, five), (chain, u) = self.bases_with_observable()
+        assert circle.sup_coeff(five) == 5.0
+        assert circle.sup_coeff(FourierPoly({1: 3 + 4j, -2: -1.0})) == 5.0
+        assert chain.sup_coeff(u) == 4.0
+        for base in (circle, chain):
+            assert base.sup_coeff(base.constant(0.0)) == 0.0
+            assert base.sup_coeff(base.constant(-2.5)) == 2.5
+        assert math.isnan(chain.sup_coeff(StateFunction(np.array([1.0, math.nan]))))
+        assert chain.sup_coeff(StateFunction(np.array([-math.inf, 1.0]))) == math.inf
 
 
 class TestEvaluation:
@@ -442,6 +465,82 @@ class TestBoundsAndExpansion:
         g = SeparableKernel(1, CIRCLE, (KernelTerm(1.0, (e1,)),
                                         KernelTerm(1.0, (e2,))))
         assert kernels_allclose(f, g)
+
+
+#: chains of 1, 2 and 3 states
+_TENSOR_CHAINS = (MarkovChain(np.array([[1.0]])), MarkovChain(np.array([[0.25, 0.75], [0.75, 0.25]])),
+                  MarkovChain(np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])))
+_SIGNED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3e-160, -3e-160, -7.0])
+
+
+@st.composite
+def signed_chain_kernels(draw):
+    """Chain kernels of arity 1-3 over 1-3 states whose products are often -0.0, 0.0 or tiny."""
+    base = MarkovBase(draw(st.sampled_from(_TENSOR_CHAINS)))
+    s, d = base.chain.n_states, draw(st.integers(1, 3))
+
+    def factor():
+        return StateFunction(np.array(draw(st.lists(_SIGNED_VALUES, min_size=s, max_size=s))))
+
+    terms = tuple(KernelTerm(draw(st.sampled_from([1.0, -1.0, 0.5, -3.0, 1e-200])),
+                             tuple(factor() for _ in range(d)))
+                  for _ in range(draw(st.integers(0, 5))))
+    return SeparableKernel(d, base, terms)
+
+
+class TestTensorOracle:
+    """to_tensor against to_tensor_reference, byte for byte."""
+
+    @staticmethod
+    def assert_matches_oracle(f):
+        got, want = to_tensor(f), to_tensor_reference(f)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_c02_chain_kernels_and_levels(self):
+        chain = [f for f in c02_kernels() if isinstance(f.base, MarkovBase)]
+        assert len(chain) == 100
+        for f in chain:
+            self.assert_matches_oracle(f)
+            for g in symmetric_parts(f).levels:
+                self.assert_matches_oracle(g)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(f=signed_chain_kernels())
+    def test_drawn_kernels(self, f):
+        self.assert_matches_oracle(f)
+
+    def test_signed_zeros(self):
+        # every product at state 0 is -0.0, which the zeros the sum starts from turn into 0.0
+        base = MarkovBase(_TENSOR_CHAINS[1])
+        u, v = StateFunction(np.array([-0.0, 1.0])), StateFunction(np.array([2.0, -1.0]))
+        f = SeparableKernel(1, base, (KernelTerm(1.0, (u,)), KernelTerm(3.0, (u,))))
+        assert to_tensor(f).tobytes() == np.array([0.0, 4.0]).tobytes()
+        self.assert_matches_oracle(f)
+        g = SeparableKernel(2, base, (KernelTerm(-1.0, (u, v)), KernelTerm(1.0, (v, u))))
+        self.assert_matches_oracle(g)
+
+    def test_one_state_chain_and_empty_kernel(self):
+        base = MarkovBase(_TENSOR_CHAINS[0])
+        f = SeparableKernel(3, base, tuple(KernelTerm(c, (StateFunction(np.array([x])),) * 3)
+                                           for c, x in ((1.0, 2.0), (-0.5, -1.0), (0.25, 3.0))))
+        assert to_tensor(f).shape == (1, 1, 1)
+        self.assert_matches_oracle(f)
+        for base in (MarkovBase(chain) for chain in _TENSOR_CHAINS):
+            empty = zero_kernel(2, base)
+            assert not to_tensor(empty).any()
+            self.assert_matches_oracle(empty)
+
+    def test_several_term_groups(self):
+        rng = rng_for(331)
+        for s, d, n_terms in ((16, 3, 10), (130, 2, 3)):
+            base = MarkovBase(random_ergodic_chain(rng, s))
+            # 4 terms of 16^3 values to a group; one term to a group when s^d > BLOCK
+            assert n_terms > max(1, BLOCK // s ** d)
+            f = SeparableKernel(d, base, tuple(
+                KernelTerm(rng.normal(), tuple(StateFunction(rng.normal(size=s)) for _ in range(d)))
+                for _ in range(n_terms)))
+            self.assert_matches_oracle(f)
 
 
 class TestKernelAdd:
