@@ -29,7 +29,6 @@ from .kernels import (
     MarkovBase,
     PiecewiseConstant,
     SeparableKernel,
-    SummabilityReport,
     coordinate_op,
     diag_restrict,
     kernel_eval,
@@ -37,7 +36,6 @@ from .kernels import (
     kernels_allclose,
     partition_restrict,
     projective_bound,
-    summability_certificate,
 )
 from .hoeffding import (
     HoeffdingParts,

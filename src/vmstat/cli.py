@@ -1,13 +1,13 @@
 """Command line front end.
 
 Subcommands: the experiments slln, clt and degen (vmstat.mc), and the
-analyses decompose, variance, spectrum, growth, check-conditions and
-mixing, each with --config and the options its handler reads (COMMANDS).
-Every command reads one JSON config shape, a system block and a kernel
-block plus the experiment fields; the schema is closed: unknown
-fields are rejected with their path.  Exit code 0 means success (and a
-passing test for experiments and growth), 2 a failed test, 1 an
-operational or usage error.
+analyses decompose, variance, spectrum, growth and mixing, each with
+--config and the options its handler reads (COMMANDS).  Every command
+reads one JSON config shape, a system block and a kernel block plus
+the experiment fields; the schema is closed: unknown fields are
+rejected with their path.  Exit code 0 means success (and a passing
+test for experiments and growth), 2 a failed test, 1 an operational or
+usage error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .kernels import (
     MarkovBase,
     SeparableKernel,
     diag_restrict,
-    summability_certificate,
 )
 from .markov import MarkovChain, StateFunction, mixing_coefficients
 from .martingale import (
@@ -318,20 +317,6 @@ def _cmd_growth(args) -> int:
     return 0 if stat <= bound else 2
 
 
-def _cmd_check_conditions(args) -> int:
-    report = summability_certificate(_load(args.config)["kernel"])
-    _emit(
-        {
-            "exponent": report.exponent,
-            "orbit_lengths": {str(k): v for k, v in report.orbit_lengths.items()},
-            "certificate": report.certificate,
-            "converges": report.converges,
-            "skipped_mass": report.skipped_mass,
-        }
-    )
-    return 0
-
-
 def _cmd_mixing(args) -> int:
     base = _load(args.config)["kernel"].base
     if base.kind != "markov":
@@ -364,7 +349,6 @@ COMMANDS = {
     "degen": ("degenerate weighted-chi-square experiment", _cmd_experiment, _EXPERIMENT_OPTIONS),
     "growth": ("diagonal growth-ratio diagnostic", _cmd_growth,
                (("--n", "largest n of the growth ratios (default: the config's n, else 1024)"),)),
-    "check-conditions": ("summability certificate for the kernel", _cmd_check_conditions, ()),
     "mixing": ("phi/psi mixing coefficient table of a chain", _cmd_mixing,
                ("--out", ("--n", "last lag of the table (default 20)"))),
 }

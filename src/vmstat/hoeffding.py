@@ -141,14 +141,14 @@ def find_asymmetry_witness(f: SeparableKernel, tol: float = 1e-9):
     return None
 
 
-def is_symmetric(f: SeparableKernel, tol: float = 1e-9) -> bool:
+def is_symmetric(f: SeparableKernel) -> bool:
     """Invariance under slot permutations, checked exactly.
 
     Adjacent transposes generate all permutations, so the kernel is
     symmetric exactly when no transpose changes a coefficient of its
-    expansion by more than ``tol``; see :func:`find_asymmetry_witness`.
+    expansion by more than 1e-9; see :func:`find_asymmetry_witness`.
     """
-    return find_asymmetry_witness(f, tol) is None
+    return find_asymmetry_witness(f) is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,13 +198,13 @@ def _level(base: Base, split: list, m: int) -> SeparableKernel:
     return SeparableKernel(m, base, tuple(terms))
 
 
-def symmetric_parts(f: SeparableKernel, tol: float = 1e-9) -> HoeffdingParts:
+def symmetric_parts(f: SeparableKernel) -> HoeffdingParts:
     """Hoeffding decomposition of a symmetric kernel, one part per level.
 
     Raises SymmetryError, carrying the witness of
     :func:`find_asymmetry_witness`, if the kernel is not symmetric.
     """
-    witness = find_asymmetry_witness(f, tol)
+    witness = find_asymmetry_witness(f)
     if witness is not None:
         index, j, a, b = witness
         raise SymmetryError(

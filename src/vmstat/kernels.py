@@ -40,7 +40,6 @@ from .fourier import (
     apply_transfer,
     integral,
     lp_norm,
-    transfer_orbit_length,
 )
 from .markov import MarkovChain, StateFunction, solve_poisson
 
@@ -590,63 +589,3 @@ def kernels_allclose(f: SeparableKernel, g: SeparableKernel, tol: float = COEFF_
     df, dg = f.base.coefficients(f), f.base.coefficients(g)
     return (all(abs(c - dg.get(k, 0.0)) <= tol for k, c in df.items())
             and all(abs(c) <= tol for k, c in dg.items() if k not in df))
-
-
-# ---------------------------------------------------------------------------
-# summability certificate
-
-
-@dataclass(frozen=True)
-class SummabilityReport:
-    """Certificate that the adjoint orbit sums of a kernel converge.
-
-    orbit_lengths maps each nonzero mode k appearing in the expansion to
-    the length of its transfer orbit, v_m(|k|) + 1.  The certificate is
-    sum over expanded components of |coeff| times the product of the
-    slot orbit lengths.  Components with a constant slot carry no orbit
-    and are excluded; their total coefficient mass is reported.
-    """
-
-    exponent: float
-    orbit_lengths: dict[int, int]
-    certificate: float
-    converges: bool
-    skipped_mass: float
-
-
-def summability_certificate(f: SeparableKernel, exponent: float = 2.0) -> SummabilityReport:
-    """Finite certificate for convergence of slotwise adjoint orbit sums.
-
-    Orbits are taken under the transfer operator: |V*^n e_k|_p is 1 while
-    m^n divides k and 0 afterwards, so mode k contributes a factor
-    v_m(|k|) + 1.  Forward composition preserves every |e_k|_p = 1 and
-    never terminates, which is why the certificate is stated for the
-    adjoint direction.
-    """
-    if not isinstance(f.base, CircleBase):
-        raise BaseMismatchError("the summability certificate is defined on the circle base")
-    if not 1 <= exponent < np.inf:
-        raise ValueError("exponent must be finite and >= 1")
-    m = f.base.m
-    table: dict[int, int] = {}
-    certificate = 0.0
-    skipped = 0.0
-    for key, c in expand_modes(f).items():
-        if any(k == 0 for k in key):
-            skipped += abs(c)
-            continue
-        prod = abs(c)
-        for k in key:
-            length = table.get(k)
-            if length is None:
-                length = transfer_orbit_length(k, m)
-                table[k] = length
-            prod *= length
-        certificate += prod
-    return SummabilityReport(
-        exponent=float(exponent),
-        orbit_lengths=dict(sorted(table.items())),
-        certificate=certificate,
-        converges=True,
-        skipped_mass=skipped,
-    )

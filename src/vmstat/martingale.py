@@ -173,14 +173,13 @@ class MartingaleCoboundaryParts:
 
     martingale is a martingale increment in both slots; slot1_coboundary
     and slot2_coboundary enter under a discrete derivative in one slot;
-    double_coboundary under both.  series is the full adjoint series g.
+    double_coboundary under both.
     """
 
     martingale: SeparableKernel
     slot1_coboundary: SeparableKernel
     slot2_coboundary: SeparableKernel
     double_coboundary: SeparableKernel
-    series: SeparableKernel
 
 
 def _mode_kernel(base: CircleBase, modes: dict) -> SeparableKernel:
@@ -215,11 +214,7 @@ def martingale_coboundary_d2(f: SeparableKernel) -> MartingaleCoboundaryParts:
             if abs(c) > COEFF_TOL and any(key[j] % m == 0 for j in slots):
                 raise AssertionError("conditional-expectation condition violated")
     return MartingaleCoboundaryParts(
-        martingale=g0,
-        slot1_coboundary=g1,
-        slot2_coboundary=g2,
-        double_coboundary=g12,
-        series=g,
+        martingale=g0, slot1_coboundary=g1, slot2_coboundary=g2, double_coboundary=g12
     )
 
 
@@ -250,15 +245,15 @@ def reconstruct_from_parts(parts: MartingaleCoboundaryParts) -> SeparableKernel:
 # spectral decomposition of the martingale part
 
 
-def spectral_decompose(g0: SeparableKernel, tol: float = SPECTRUM_TOL):
+def spectral_decompose(g0: SeparableKernel):
     """Eigenpairs (lambda_m, phi_m) of a symmetric real arity-2 kernel.
 
     The eigenfunctions are orthonormal in L2 of the invariant measure
     and the kernel equals sum_m lambda_m phi_m(x) phi_m(y).  The base's
     spectral_form gives the kernel's real symmetric matrix in an
     orthonormal basis and the map from an eigenvector to its observable.
-    Pairs with |lambda| <= tol are dropped; the result is sorted by
-    descending |lambda|.
+    Pairs with |lambda| <= SPECTRUM_TOL are dropped; the result is
+    sorted by descending |lambda|.
     """
     if g0.arity != 2:
         raise ValueError("spectral decomposition takes an arity-2 kernel")
@@ -266,7 +261,7 @@ def spectral_decompose(g0: SeparableKernel, tol: float = SPECTRUM_TOL):
         raise ValueError("spectral decomposition needs a symmetric kernel")
     M, eigenfunction = g0.base.spectral_form(g0)
     w, V = np.linalg.eigh(M)
-    pairs = [(float(w[i]), eigenfunction(V[:, i])) for i in range(len(w)) if abs(w[i]) > tol]
+    pairs = [(float(w[i]), eigenfunction(V[:, i])) for i in range(len(w)) if abs(w[i]) > SPECTRUM_TOL]
     pairs.sort(key=lambda p: abs(p[0]), reverse=True)
     return pairs
 
@@ -282,12 +277,8 @@ def degenerate_limit_law(f: SeparableKernel) -> LimitLaw:
 # growth diagnostic
 
 
-def growth_ratios(
-    f: SeparableKernel,
-    max_exponent: int = 10,
-    norm_exponent: float = 1.0,
-) -> list[tuple[int, float]]:
-    """Diagonal growth ratios |D_d sum_{0<=k<n} V*^k f|_r / n^{d/2} at dyadic n.
+def growth_ratios(f: SeparableKernel, max_exponent: int = 10) -> list[tuple[int, float]]:
+    """Diagonal growth ratios |D_d sum_{0<=k<n} V*^k f|_1 / n^{d/2} at dyadic n.
 
     The partial sums stabilize once n exceeds the longest transfer orbit,
     so the ratios decay like n^{-d/2}; boundedness by the documented
@@ -310,14 +301,14 @@ def growth_ratios(
                        for u in us]
             terms.append(KernelTerm(c, tuple(partial)))
         diag = diag_restrict(SeparableKernel(d, f.base, tuple(terms)))
-        ratio = lp_norm(diag, norm_exponent) / float(n) ** (d / 2.0)
+        ratio = lp_norm(diag, 1.0) / float(n) ** (d / 2.0)
         out.append((n, float(ratio)))
     return out
 
 
-def growth_bound(f: SeparableKernel, exponent: float = 2.0) -> float:
+def growth_bound(f: SeparableKernel) -> float:
     """Documented bound for the growth ratios of an arity-2 kernel."""
     if f.arity != 2:
         raise ValueError("the recorded constant is for arity-2 kernels")
     g = adjoint_series_sum(f)
-    return GROWTH_CONSTANT_D2 * projective_bound(g, exponent)
+    return GROWTH_CONSTANT_D2 * projective_bound(g, 2.0)

@@ -134,8 +134,12 @@ class ExperimentResult:
 
 
 def canonical_json_bytes(obj) -> bytes:
-    """Stable serialization: sorted keys, two-space indent, trailing newline."""
-    return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode()
+    """Stable serialization: sorted keys, two-space indent, trailing newline.
+
+    Raises ValueError on a NaN or infinite float, which JSON cannot hold.
+    """
+    return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
+            + "\n").encode()
 
 
 # ---------------------------------------------------------------------------

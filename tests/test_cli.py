@@ -261,12 +261,11 @@ class TestOptions:
             **{c: experiment for c in ("slln", "clt", "degen")},
             "growth": {"--config", "--n"},
             "mixing": {"--config", "--out", "--n"},
-            **{c: {"--config"} for c in ("decompose", "variance", "spectrum",
-                                         "check-conditions")},
+            **{c: {"--config"} for c in ("decompose", "variance", "spectrum")},
         }
         got = parser_options()
         assert got == want
-        assert sum(map(len, got.values())) == 27
+        assert sum(map(len, got.values())) == 26
 
     def test_readme_table_matches_parser(self):
         # each row of the README's command table: `a`, `b` | `--config ...` (notes)
@@ -457,13 +456,29 @@ class TestAnalysisCommands:
         assert out["pass"] is False and out["threshold"] == 1.0 and out["statistic"] == 2.0
 
     def test_spectrum_rejects_chain(self, tmp_path, capsys):
-        # the weights are those of the martingale part, which is derived on
-        # the circle only; f's own spectrum is not the limit law on a chain
+        # spectrum's weights are those of the martingale part, and growth's
+        # partial sums those of the transfer orbits, both derived on the
+        # circle only; f's own spectrum is not the limit law on a chain
         data = json.loads((CONFIGS / "clt_markov.json").read_text())
         u = {"values": [1.0, -1.0]}
         data["kernel"] = {"arity": 2, "terms": [{"coeff": 1.0, "factors": [u, u]}]}
-        assert main(["spectrum", "--config", write_config(tmp_path, data)]) == 1
-        assert "defined on the circle base" in capsys.readouterr().err
+        cfg = write_config(tmp_path, data)
+        for command in ("spectrum", "growth"):
+            assert main([command, "--config", cfg]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "defined on the circle base" in captured.err
+
+    def test_overflow_prints_no_json(self, tmp_path, capsys):
+        # a statistic and bound that overflow to inf are not JSON; the command
+        # prints nothing rather than "Infinity" beside "pass": true
+        data = json.loads((CONFIGS / "degen_doubling.json").read_text())
+        for term in data["kernel"]["terms"]:
+            term["coeff"] = 1e300
+            for factor in term["factors"]:
+                factor["modes"] = [[k, re * 1e10, im * 1e10] for k, re, im in factor["modes"]]
+        assert main(["growth", "--config", write_config(tmp_path, data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not JSON compliant" in captured.err
 
     def test_decompose(self, tmp_path, capsys):
         rc = main(["decompose", "--config", write_config(tmp_path, clt_config())])
@@ -492,25 +507,6 @@ class TestAnalysisCommands:
         out = json.loads(capsys.readouterr().out)
         assert np.allclose(out["lambdas"], [1.0, 1.0], atol=1e-9)
         assert abs(out["sum"] - out["diag_mean"]) < 1e-10
-
-    def test_check_conditions(self, tmp_path, capsys):
-        e2 = {"modes": [[2, 1.0, 0.0]]}
-        em2 = {"modes": [[-2, 1.0, 0.0]]}
-        data = {
-            "system": circle_system(),
-            "kernel": {
-                "arity": 2,
-                "terms": [
-                    {"coeff": 1.0, "factors": [e2, em2]},
-                    {"coeff": 1.0, "factors": [em2, e2]},
-                ],
-            },
-        }
-        rc = main(["check-conditions", "--config", write_config(tmp_path, data)])
-        assert rc == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["converges"] is True
-        assert abs(out["certificate"] - 8.0) < 1e-12
 
     def test_mixing_stdout(self, tmp_path, capsys):
         rc = main(["mixing", "--config", write_config(tmp_path, markov_config()),

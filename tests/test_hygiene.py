@@ -56,7 +56,7 @@ def test_no_unused_imports(path):
 BASE_TYPES = {"CircleBase", "MarkovBase", "FourierPoly", "StateFunction", "CircleSystem", "MarkovSystem"}
 #: most such tests ``src/vmstat`` may hold outside ``fourier.py``; the per-base
 #: operations live on CircleBase and MarkovBase, so a new branch needs a reason
-MAX_BASE_BRANCHES = 12
+MAX_BASE_BRANCHES = 11
 
 
 def _base_branches(tree: ast.Module) -> list[int]:

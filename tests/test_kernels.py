@@ -1,4 +1,4 @@
-"""Separable kernels over both bases: algebra, restrictions, certificates."""
+"""Separable kernels over both bases: algebra and restrictions."""
 
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from vmstat.kernels import (
     kernels_allclose,
     partition_restrict,
     projective_bound,
-    summability_certificate,
     to_tensor,
     zero_kernel,
 )
@@ -162,8 +161,6 @@ class TestBaseInterface:
         for base, u in self.bases_with_observable():
             with pytest.raises(ValueError):
                 base.lp_norm(u, exponent)
-        with pytest.raises(ValueError):
-            summability_certificate(example_kernel(), exponent=exponent)
 
     def test_lp_norm_finite_exponents(self):
         (circle, five), (chain, u) = self.bases_with_observable()
@@ -886,33 +883,3 @@ class TestAllcloseOracle:
         for a, b in ((h, k), (k, h), (k, k)):
             assert kernels_allclose(a, b, 4.0) == kernels_allclose_reference(a, b, 4.0) is False
 
-
-class TestSummability:
-    def test_example_kernel_certificate(self):
-        rep = summability_certificate(example_kernel())
-        assert rep.orbit_lengths == {-2: 2, 2: 2}
-        assert abs(rep.certificate - 8.0) < 1e-12
-        assert rep.converges
-        assert rep.skipped_mass == 0.0
-
-    def test_single_mode_orbit_lengths(self):
-        f8 = SeparableKernel(1, CIRCLE, (KernelTerm(1.0, (FourierPoly({8: 1.0}),)),))
-        assert abs(summability_certificate(f8).certificate - 4.0) < 1e-12
-        f1 = SeparableKernel(1, CIRCLE, (KernelTerm(1.0, (FourierPoly({1: 1.0}),)),))
-        assert abs(summability_certificate(f1).certificate - 1.0) < 1e-12
-
-    def test_constant_slot_reported_not_counted(self):
-        f = SeparableKernel(2, CIRCLE, (
-            KernelTerm(2.0, (FourierPoly.constant(1.0), FourierPoly({1: 1.0}))),
-            KernelTerm(1.0, (FourierPoly({2: 1.0}), FourierPoly({2: 1.0}))),
-        ))
-        rep = summability_certificate(f)
-        assert abs(rep.skipped_mass - 2.0) < 1e-12
-        assert abs(rep.certificate - 4.0) < 1e-12
-
-    def test_rejects_markov_and_bad_exponent(self):
-        chain = two_state_chain()
-        with pytest.raises(BaseMismatchError):
-            summability_certificate(zero_kernel(1, MarkovBase(chain)))
-        with pytest.raises(ValueError):
-            summability_certificate(example_kernel(), exponent=0.5)

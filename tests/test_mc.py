@@ -432,6 +432,9 @@ class TestDeterminism:
     def test_canonical_json_shape(self):
         b = canonical_json_bytes({"b": 1, "a": [1.5, None]})
         assert b == b'{\n  "a": [\n    1.5,\n    null\n  ],\n  "b": 1\n}\n'
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                canonical_json_bytes({"a": [bad]})
 
     def test_reference_sample_is_seed_stable(self):
         law = LimitLaw.weighted_chi_square([1.0, 1.0])
