@@ -6,15 +6,16 @@ floating point instead would collapse onto the fixed point after about
 53 steps for m = 2, so the digit-window construction is the only
 supported generator.  W is the requested window capped at the most
 base-m digits 64 bits hold (64 for m = 2, 40 for m = 3), and the
-windows are the integers u_i = m^W x_i in uint64.  For m != 2 they are
-built from uint8 digits by Horner's rule, doubling the width per pass,
-one fourier.BLOCK of points at a time with W - 1 digits of overlap, so
-their temporaries stay in cache.  For m = 2 each digit is one bit of
-the replica's raw Philox words (_binary_windows), so the windows are
-shifts of those bits packed into 64-bit words.  A circle trajectory
-holds one array, the exact phases v_i = frac(x_i) 2^64 (fourier.turns)
-that evaluation reads: on m = 2 the windows themselves, otherwise
-turns(u_i / m^W), taken once here by fourier.unit_turns.
+windows are the integers u_i = m^W x_i.  For m != 2 they are built
+from uint8 digits by Horner's rule, doubling the width per pass in the
+narrowest unsigned type that holds it, one fourier.BLOCK of points at a
+time with W - 1 digits of overlap, so their temporaries stay in cache.
+For m = 2 each digit is one bit of the replica's raw Philox words
+(_binary_windows), so the windows are shifts of those bits packed into
+64-bit words.  A circle trajectory holds one array, the exact phases
+v_i = frac(x_i) 2^64 (fourier.turns) that evaluation reads: on m = 2
+the windows themselves, otherwise turns(u_i / m^W), taken once here by
+fourier.unit_turns.
 
 The statistic of an arity-d kernel over the first n points is
 
@@ -31,11 +32,12 @@ the float points are never built and evaluation holds about a megabyte
 whatever n is.
 
 markov_occupations steps a batch of Markov replicas in lockstep through
-every step, each on its own uniforms drawn a time chunk at a time, and
-keeps only their occupation counts, so the Markov statistic never holds
-a path per replica and its working set grows with neither n nor the
-replica count.  A step is a gather, a compare and a count, each written
-into a buffer made once per batch.
+every step, each on its own raw Philox words drawn a time chunk at a
+time, which pick the states random() would through integer cuts, and
+keeps only their occupation counts, taken from a ring of recent states,
+so the Markov statistic never holds a path per replica and its working
+set grows with neither n nor the replica count.  A step is a gather, a
+compare and a count, each written into a buffer made once per batch.
 """
 
 from __future__ import annotations
@@ -59,12 +61,12 @@ NAIVE_BUDGET = 1_000_000_000
 #: 0.7 MB on m != 2, evaluating it 1.1 MB more
 MAX_N = 2 ** 22
 
-#: most uniforms one time chunk of a lockstep batch of Markov replicas
-#: holds (8 MB), and most cumulative values one of its steps gathers
-BATCH_UNIFORMS = 2 ** 20
+#: most raw words one time chunk of a lockstep batch of Markov replicas
+#: holds (4 MB), and most cumulative values one of its steps gathers
+BATCH_UNIFORMS = 2 ** 19
 
 #: most Markov replicas one lockstep batch steps together, so a full
-#: batch's time chunks are at least BATCH_UNIFORMS / MAX_LANES = 512 steps
+#: batch's time chunks are at least BATCH_UNIFORMS / MAX_LANES = 256 steps
 MAX_LANES = 2 ** 11
 
 
@@ -115,18 +117,21 @@ def _word_digits(m: int) -> int:
 
 
 def _windows(d: np.ndarray, w: int, m: int) -> np.ndarray:
-    """Every w-digit window of the uint64 digits d: out[i] = sum_j d[i+j] m^(w-1-j).
+    """Every w-digit window of the uint8 digits d: out[i] = sum_j d[i+j] m^(w-1-j).
 
     Horner's rule by doubling: a 2h-digit window is the h-digit window at
     i times m^h plus the one at i + h, so w digits take about log2(w) passes.
+    Each level is built in the narrowest unsigned type that holds m^w - 1,
+    which holds every partial sum of its level.
     """
     if w == 1:
         return d
     h = w // 2
+    t = np.min_scalar_type(m ** w - 1).type
     v = _windows(d, h, m)
-    v = v[:-h] * np.uint64(m ** h) + v[h:]
+    v = v[:-h] * t(m ** h) + v[h:]
     if w % 2:
-        v = v[:-1] * np.uint64(m) + d[2 * h:]
+        v = v[:-1] * t(m) + d[2 * h:]
     return v
 
 
@@ -177,7 +182,7 @@ def gen_madic_trajectory(m: int, n: int, seed: int, window: int = 64) -> Traject
     # a block at a time, so the temporaries stay in cache; its windows read width - 1 digits past it
     for a in range(0, n, BLOCK):
         b = min(BLOCK, n - a)
-        x = _windows(digits[a:a + b + width - 1].astype(np.uint64), width, m).astype(np.float64)
+        x = _windows(digits[a:a + b + width - 1], width, m).astype(np.float64)
         x /= float(m ** width)
         phases[a:a + b] = unit_turns(x)
     return Trajectory("circle", phases)
@@ -206,6 +211,30 @@ def gen_markov_trajectory(chain: MarkovChain, n: int, seed: int) -> Trajectory:
     return Trajectory("markov", states)
 
 
+#: bit 62, set in every shifted word (below 2^53) and cut (below 2^54), so
+#: that as float64 they are positive normal doubles, ordered as the integers are
+_ORDER_BIT = np.uint64(2 ** 62)
+
+
+def _cuts(cum: np.ndarray) -> np.ndarray:
+    """The cut K = ceil(c 2^53) of each cumulative value c, with _ORDER_BIT set, as float64.
+
+    random() is u = k 2^-53 with k = w >> 11 of the raw word w, and c 2^53
+    is exact, so u >= c exactly when k >= K.  With bit 62 set, k and K are
+    the bit patterns of doubles in [2, 16), which IEEE 754 orders as their
+    bit patterns, so greater_equal on the doubles (_ordered words against
+    cuts) is k >= K: the states random() picks, in numpy's float compare.
+    """
+    return (np.ceil(cum * 2.0 ** 53).astype(np.uint64) | _ORDER_BIT).view(np.float64)
+
+
+def _ordered(words: np.ndarray) -> np.ndarray:
+    """The raw words w, in place, as the doubles with bit patterns (w >> 11) | 2^62."""
+    np.right_shift(words, 11, words)
+    np.bitwise_or(words, _ORDER_BIT, words)
+    return words.view(np.float64)
+
+
 def markov_occupations(chain: MarkovChain, n: int, seeds) -> np.ndarray:
     """Occupation counts of gen_markov_trajectory(chain, n, seed), one row per seed.
 
@@ -213,57 +242,59 @@ def markov_occupations(chain: MarkovChain, n: int, seeds) -> np.ndarray:
     states are the counts of each current row's first s - 1 cumulative
     values at or below the replicas' uniforms, which is bisect_right, so
     every path is the one gen_markov_trajectory draws.  Each replica's
-    uniforms come a time chunk at a time, successive random calls on its
-    stream, which give the doubles of one random(n); each chunk's states
-    are counted by bincount, offset by s per lane, an eighth at a time.
-    A batch of L <= MAX_LANES replicas holds L span <= BATCH_UNIFORMS
-    uniforms and gathers L (s - 1) cumulative values per step, so what it
-    holds grows with neither n nor the replica count.  A step takes each
-    lane's row of cumulative values (take), compares it with the lane's
-    uniform (greater_equal) and counts the hits into the next states
-    (add.reduce), each into a buffer made once per batch.  It compares
+    uniforms come a time chunk at a time, as raw Philox words from
+    successive random_raw calls on its stream, the words of its random(n);
+    the chunk is made _ordered once and compared with the cumulative
+    values' _cuts, which picks the states random() would.  The states go
+    into a ring of ceil(span / 8) rows, counted by bincount, offset by s
+    per lane, each time it fills.  A batch of L <= MAX_LANES replicas
+    holds L span <= BATCH_UNIFORMS words and gathers L (s - 1) cuts per
+    step, so what it holds grows with neither n nor the replica count.  A
+    step takes each lane's row of cuts (take), compares it with the lane's
+    word (greater_equal) and counts the hits into the next states
+    (add.reduce), each into a buffer made once per batch; the first step
+    reads an extra row of cuts, pi's, from a start state s.  It compares
     against all s - 1 values, where bisect_right takes about log2(s);
     docs/constants.md has timings.
     """
     if n < 1:
         raise ValueError("trajectory length must be positive")
     s = chain.n_states
-    cum_pi = np.cumsum(chain.pi)[:-1]
-    # contiguous (the prefix sums of cumsum(Q)[:, :-1]), so take copies rows, not the table
-    cum_rows = np.cumsum(chain.Q[:, :-1], axis=1)
+    # the bits of cumsum(Q)[:, :-1], then a row for the start state s: pi's
+    cuts = _cuts(np.vstack([np.cumsum(chain.Q[:, :-1], axis=1), np.cumsum(chain.pi[:-1])]))
     lanes = max(1, min(len(seeds), MAX_LANES, BATCH_UNIFORMS // s))
     out = np.empty((len(seeds), s), dtype=np.int64)
     for a in range(0, len(seeds), lanes):
-        gens = [stream(key) for key in seeds[a:a + lanes]]
-        span = max(1, min(n, BATCH_UNIFORMS // len(gens)))
-        u = np.empty((len(gens), span))
-        # row 0 holds each lane's state before the chunk, row i + 1 its state at step t + i
-        states = np.empty((span + 1, len(gens)), dtype=np.min_scalar_type(s - 1))
-        cum = np.empty((len(gens), s - 1))
-        hit = np.empty((len(gens), s - 1), dtype=bool)
-        offset = np.arange(len(gens)) * s
-        # a chunk's states are counted an eighth at a time, so their int64
-        # indices take an eighth of the uniforms' 8 bytes per step and lane
-        rows = -(-span // 8)
-        counts = np.zeros(len(gens) * s, dtype=np.int64)
+        draws = [stream(key).bit_generator.random_raw for key in seeds[a:a + lanes]]
+        span = max(1, min(n, BATCH_UNIFORMS // len(draws)))
+        words = np.empty((len(draws), span), dtype=np.uint64)
+        cols = list(words.view(np.float64).T[:, :, None])
+        ring = np.empty((-(-span // 8), len(draws)), dtype=np.min_scalar_type(s - 1))
+        rows = list(ring)
+        cut = np.empty((len(draws), s - 1))
+        hit = np.empty((len(draws), s - 1), dtype=bool)
+        offset = np.arange(len(draws)) * s
+        counts = np.zeros(len(draws) * s, dtype=np.int64)
+        x, j = np.full(len(draws), s), 0
         for t in range(0, n, span):
             steps = min(span, n - t)
-            for b, g in enumerate(gens):
-                u[b, :steps] = g.random(steps)
-            if t == 0:
-                np.greater_equal(u[:, 0, None], cum_pi, out=hit)
-                np.add.reduce(hit, axis=1, out=states[1])
-            for i in range(1 if t == 0 else 0, steps):
+            for b, draw in enumerate(draws):
+                words[b, :steps] = draw(steps)
+            _ordered(words)
+            for i in range(steps):
                 # positional arguments, as keywords cost about 0.4 us a call;
                 # every state is a row, and mode "raise" would buffer the output
-                cum_rows.take(states[i], 0, cum, "clip")
-                np.greater_equal(u[:, i, None], cum, hit)
-                np.add.reduce(hit, 1, None, states[i + 1])
-            live = states[1:steps + 1]
-            for r in range(0, steps, rows):
-                counts += np.bincount((live[r:r + rows] + offset).ravel(), minlength=counts.size)
-            states[0] = states[steps]
-        out[a:a + len(gens)] = counts.reshape(-1, s)
+                cuts.take(x, 0, cut, "clip")
+                np.greater_equal(cols[i], cut, hit)
+                x = rows[j]
+                np.add.reduce(hit, 1, None, x)
+                j += 1
+                if j == len(rows):
+                    counts += np.bincount((ring + offset).ravel(), minlength=counts.size)
+                    j = 0
+        if j:
+            counts += np.bincount((ring[:j] + offset).ravel(), minlength=counts.size)
+        out[a:a + len(draws)] = counts.reshape(-1, s)
     return out
 
 

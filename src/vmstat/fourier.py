@@ -277,11 +277,17 @@ def integral(p: FourierPoly) -> complex:
 
 
 def lp_norm(p: FourierPoly, exponent: float) -> float:
-    """L_p norm, 1 <= p < inf: exact for p = 2, else QUAD_POINTS-point uniform quadrature."""
+    """L_p norm, 1 <= p < inf: exact for p = 2, else QUAD_POINTS-point uniform quadrature.
+
+    For p = 2 it is inf once some |c|^2 exceeds the largest double.
+    """
     if not 1 <= exponent < np.inf:
         raise ValueError("exponent must be finite and >= 1")
     if exponent == 2:
-        return float(np.sqrt(sum(abs(c) ** 2 for _, c in p.items())))
+        try:
+            return float(np.sqrt(sum(abs(c) ** 2 for _, c in p.items())))
+        except OverflowError:  # a |c|^2 past the largest double
+            return np.inf
     x = np.arange(QUAD_POINTS, dtype=np.float64) / QUAD_POINTS
     vals = np.abs(p.evaluate(x))
     return float(np.mean(vals ** exponent) ** (1.0 / exponent))

@@ -136,10 +136,34 @@ class ExperimentResult:
 def canonical_json_bytes(obj) -> bytes:
     """Stable serialization: sorted keys, two-space indent, trailing newline.
 
-    Raises ValueError on a NaN or infinite float, which JSON cannot hold.
+    Raises ValueError on a NaN or infinite float, which JSON cannot hold,
+    naming the key path of the first one in output order.
     """
-    return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
-            + "\n").encode()
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
+    except ValueError as exc:
+        path = _non_finite_path(obj)
+        if path is None:
+            raise
+        raise ValueError(f"output field {path or '(top level)'}: {exc}") from None
+    return (text + "\n").encode()
+
+
+def _non_finite_path(obj, path: str = ""):
+    """Key path (a.b[2]) of obj's first NaN or infinite float in sorted key order, else None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite_path(value, key)
+        if found is not None:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------

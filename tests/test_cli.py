@@ -480,6 +480,31 @@ class TestAnalysisCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and "not JSON compliant" in captured.err
 
+    def test_huge_coefficients_exit_without_traceback(self, tmp_path, capsys):
+        # |c|^2 of a 1e308 coefficient overflows; its L2 norm is inf, which the
+        # JSON output refuses, so the command reports an error, not a traceback
+        data = json.loads((CONFIGS / "degen_doubling.json").read_text())
+        for term in data["kernel"]["terms"]:
+            for factor in term["factors"]:
+                factor["modes"] = [[k, re * 1e308, im] for k, re, im in factor["modes"]]
+        assert main(["growth", "--config", write_config(tmp_path, data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_json_refusal_names_the_field(self, tmp_path, capsys):
+        # the two terms cancel on the diagonal, so the statistic is 0 while the
+        # bound, which adds their sizes, overflows
+        data = json.loads((CONFIGS / "degen_doubling.json").read_text())
+        for term, sign in zip(data["kernel"]["terms"], (1, -1)):
+            term["coeff"] = sign * 1e150
+            for factor in term["factors"]:
+                factor["modes"] = [[k, re * 1e150, im] for k, re, im in factor["modes"]]
+        assert main(["growth", "--config", write_config(tmp_path, data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: output field threshold: ")
+
     def test_decompose(self, tmp_path, capsys):
         rc = main(["decompose", "--config", write_config(tmp_path, clt_config())])
         assert rc == 0

@@ -26,8 +26,11 @@ from vmstat.kernels import (
 )
 from vmstat.markov import MarkovChain, StateFunction
 from vmstat.dynamics import (
+    BATCH_UNIFORMS,
     BudgetError,
     Trajectory,
+    _cuts,
+    _ordered,
     gen_madic_trajectory,
     gen_markov_trajectory,
     markov_occupations,
@@ -422,11 +425,11 @@ class TestFactorizedPath:
         class Spy:
             def __init__(self, key):
                 events.append(None)
-                self.rng = stream(key)
+                self.bit_generator, self.raw = self, stream(key).bit_generator
 
-            def random(self, size):
+            def random_raw(self, size):
                 events.append(size)
-                return self.rng.random(size)
+                return self.raw.random_raw(size)
 
         with mock.patch("vmstat.dynamics.MAX_LANES", lanes), \
                 mock.patch("vmstat.dynamics.BATCH_UNIFORMS", lanes * span), \
@@ -452,6 +455,28 @@ class TestFactorizedPath:
         want = [np.bincount(gen_markov_trajectory(chain, n, key).points, minlength=s)
                 for key in keys]
         assert np.array_equal(counts, np.array(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 16, 17, 40])
+    def test_lockstep_counts_on_chains_with_zero_transitions(self, n):
+        # zero entries give repeated cumulative values and cuts at exactly 0
+        # and 1; batches of 2 lanes take 16-step chunks and rings of 2 rows
+        # (on 17 states one lane, 32 steps and 4 rows), so the lengths cross
+        # ring, chunk and batch ends
+        rng = rng_for(17)
+        q = rng.random((17, 17)) * (rng.random((17, 17)) < 0.3)
+        q[np.arange(17), (np.arange(17) + 1) % 17] += 1.0  # a cycle through every state
+        q[0, 0] += 1.0  # and a loop, so the chain is primitive
+        chains = [MarkovChain(np.array([[0.75, 0.25], [0.25, 0.75]])),
+                  MarkovChain(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])),
+                  MarkovChain(q / q.sum(axis=1, keepdims=True))]
+        keys = [40 + r for r in range(5)]
+        for chain in chains:
+            want = np.array([np.bincount(gen_markov_trajectory(chain, n, key).points,
+                                         minlength=chain.n_states) for key in keys])
+            with mock.patch("vmstat.dynamics.MAX_LANES", 2), \
+                    mock.patch("vmstat.dynamics.BATCH_UNIFORMS", 32):
+                assert np.array_equal(markov_occupations(chain, n, keys), want)
+            assert np.array_equal(markov_occupations(chain, n, keys), want)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]), arity=st.integers(1, 3),
@@ -552,13 +577,63 @@ class TestFactorizedPath:
                 tracemalloc.stop()
             assert peak <= 2 * 2**20, (name, peak)
 
-    def test_lockstep_top_draw_lands_in_last_state(self, monkeypatch):
-        top = np.nextafter(1.0, 0.0)
+    def test_lockstep_memory_stays_within_the_batch_budget(self):
+        # 2000 lanes of BATCH_UNIFORMS // 2000 = 262 steps: the raw words, 8
+        # bytes each; a ring of ceil(262 / 8) = 33 rows of uint8 states and
+        # their int64 bincount indices, 9 bytes an entry; per lane about 700
+        # bytes of generator and 100 of buffers and counts; 64 kB of views
+        chain = MarkovChain(np.array([[0.75, 0.25], [0.25, 0.75]]))
+        keys = list(range(2000))
+        ring = -(-(BATCH_UNIFORMS // len(keys)) // 8) * len(keys)
+        markov_occupations(chain, 600, keys[:2])  # numpy.random's first import is not the batch's
+        tracemalloc.start()
+        try:
+            markov_occupations(chain, 600, keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * BATCH_UNIFORMS + 9 * ring + 800 * len(keys) + 2**16, peak
 
+    def test_lockstep_top_draw_lands_in_last_state(self, monkeypatch):
+        # a raw word of all ones is the draw 1 - 2^-53
         class TopStream:
-            def random(self, n):
-                return np.full(n, top)
+            def __init__(self):
+                self.bit_generator = self
+
+            def random_raw(self, n):
+                return np.full(n, 2**64 - 1, dtype=np.uint64)
 
         monkeypatch.setattr("vmstat.dynamics.stream", lambda seed: TopStream())
         chain = MarkovChain(np.full((10, 10), 0.1))
         assert np.array_equal(markov_occupations(chain, 50, [0, 1]), [[0] * 9 + [50]] * 2)
+
+
+class TestRawWords:
+    @pytest.mark.parametrize("n", [1, 262, 4097])
+    def test_random_is_the_shifted_raw_words(self, n):
+        # markov_occupations steps on raw words as the uniforms of random(),
+        # chunk after chunk, so a numpy change to random() fails here
+        for key in (0, 7, 2**40 + 3, 2**64 - 1):
+            g, raw = stream(key), stream(key).bit_generator
+            for _ in range(2):
+                assert np.array_equal(g.random(n), (raw.random_raw(n) >> 11) * 2.0**-53)
+
+    @pytest.mark.parametrize("c", [0.0, 2.0**-1074, 2.0**-53, 0.1, 1 / 3, 0.5,
+                                   1 - 2.0**-53, 1.0, float(np.cumsum([0.2, 0.4, 0.3, 0.1])[-1])])
+    def test_cuts_pick_what_random_picks(self, c):
+        # (w >> 11) >= ceil(c 2^53) exactly when u = (w >> 11) 2^-53 >= c, and
+        # the doubles _ordered and _cuts make compare the same way
+        k = int(np.ceil(c * 2.0**53))
+        edges = [0, 1, 2**11 - 1, 2**11, 2**64 - 2**11, 2**64 - 1]
+        edges += [v for v in ((k << 11) - 1, k << 11, (k << 11) + 1) if 0 <= v < 2**64]
+        words = np.concatenate([np.array(edges, dtype=np.uint64),
+                                stream(int(c * 2**60)).bit_generator.random_raw(10_000)])
+        want = (words >> 11) * 2.0**-53 >= c
+        assert np.array_equal((words >> 11) >= np.uint64(k), want)
+        assert np.array_equal(_ordered(words.copy()) >= _cuts(np.array([c]))[0], want)
+        if c == 0.0:
+            assert want.all()
+        if c >= 1.0:  # the cumsum rounds to 1 + 2^-52
+            assert not want.any()
+        if c == 1 - 2.0**-53:
+            assert want.sum() >= 2

@@ -377,6 +377,17 @@ class TestNorms:
             oracle = quad_lp(poly.evaluate(grid()), p_exp)
             assert abs(direct - oracle) < 5e-4 * max(1.0, oracle)
 
+    def test_l2_overflows_to_inf(self):
+        # |c|^2 raises OverflowError past about 1.34e154; the norm is inf there
+        assert lp_norm(FourierPoly({1: 1e308, -1: 1e308}), 2.0) == math.inf
+        assert lp_norm(FourierPoly({3: 1e155j}), 2.0) == math.inf
+        # below that every finite norm is the plain sum's square root, bit for bit
+        rng = rng_for(104)
+        for scale in (1e-300, 1.0, 1e100, 1e150):
+            p = FourierPoly({int(k): scale * complex(rng.normal(), rng.normal())
+                             for k in rng.integers(-50, 50, size=4)})
+            assert lp_norm(p, 2.0) == float(np.sqrt(sum(abs(c) ** 2 for _, c in p.items())))
+
     def test_lp_rejects_exponent_below_one(self):
         with pytest.raises(ValueError):
             lp_norm(FourierPoly({1: 1.0}), 0.5)

@@ -6,8 +6,8 @@ bind no name.  Branches on the base type stay bounded, the circle
 evaluation path takes its exponentials from ``fourier.turns_exp`` alone,
 every numpy tolerance comparison states its relative tolerance, every
 ``take`` into an ``out`` array passes mode ``"clip"``, only ``fourier``
-tells uint64 phases from points, and only ``dynamics`` knows the digit
-window.
+tells uint64 phases from points, only ``dynamics`` knows the digit
+window, and only ``_seeding`` makes random generators.
 """
 
 from __future__ import annotations
@@ -202,3 +202,31 @@ def test_window_lives_in_dynamics_alone():
     elsewhere = {name: lines for name, lines in found.items() if lines and name != "dynamics.py"}
     assert not elsewhere, f"window outside dynamics.py: {elsewhere}"
     assert found["dynamics.py"]
+
+
+#: constructors of numpy random generators, bit generators and seed sequences
+RNG_MAKERS = {"default_rng", "Generator", "Philox", "SeedSequence"}
+
+
+def _rng_calls(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every call to a bare or dotted name in RNG_MAKERS."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in RNG_MAKERS:
+                out.append((name, node.lineno))
+    return out
+
+
+def test_only_seeding_makes_random_generators():
+    # every draw comes from _seeding.stream, keyed by derive_seed, so the
+    # raw words dynamics reads are the replica's and no stream is unkeyed
+    found = {
+        path.name: _rng_calls(ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    elsewhere = {name: calls for name, calls in found.items() if calls and name != "_seeding.py"}
+    assert not elsewhere, f"random generators made outside _seeding.py: {elsewhere}"
+    assert {name for name, _ in found["_seeding.py"]} == {"Generator", "Philox"}

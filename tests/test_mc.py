@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -435,6 +436,16 @@ class TestDeterminism:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 canonical_json_bytes({"a": [bad]})
+
+    def test_non_finite_value_is_named_by_its_key_path(self):
+        # the first one in output order: sorted keys, then list positions
+        cases = [({"b": math.inf, "a": [1.0, {"z": math.nan, "y": [2.0, -math.inf]}]}, "a[1].y[1]"),
+                 ({"threshold": math.inf, "statistic": 1.0}, "threshold"),
+                 ([0.5, (1.0, math.nan)], "[1][1]"),
+                 (math.inf, "(top level)")]
+        for obj, path in cases:
+            with pytest.raises(ValueError, match=rf"^output field {re.escape(path)}: "):
+                canonical_json_bytes(obj)
 
     def test_reference_sample_is_seed_stable(self):
         law = LimitLaw.weighted_chi_square([1.0, 1.0])
