@@ -289,8 +289,9 @@ def lp_norm(p: FourierPoly, exponent: float) -> float:
         except OverflowError:  # a |c|^2 past the largest double
             return np.inf
     x = np.arange(QUAD_POINTS, dtype=np.float64) / QUAD_POINTS
-    vals = np.abs(p.evaluate(x))
-    return float(np.mean(vals ** exponent) ** (1.0 / exponent))
+    with np.errstate(over="ignore"):  # a |p|^exponent past the largest double makes the norm inf
+        vals = np.abs(p.evaluate(x))
+        return float(np.mean(vals ** exponent) ** (1.0 / exponent))
 
 
 def _check_base(m: int) -> None:

@@ -14,10 +14,10 @@ equal cardinality coincide up to slot relabeling, so the decomposition
 collapses to one canonical kernel per level m, stored at native arity m.
 
 Symmetry is checked exactly on the function, not on its term
-representation: the base's real_coefficients, the mode expansion of the
-real part (circle) or the kernel's values (Markov base), are compared
-coefficient by coefficient with their adjacent slot transposes.  Slots
-are 0-based.
+representation: the real part of the kernel's exact form, the mode
+expansion of the real part (circle) or the kernel's values (Markov
+base), is compared coefficient by coefficient with its adjacent slot
+transposes.  Slots are 0-based.
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ from .kernels import (
     Base,
     KernelTerm,
     SeparableKernel,
+    _lookup,
+    _modulus,
     _with_terms,
+    exact_form,
     kernel_mean,
     kernel_sup_coeff,
 )
@@ -120,24 +123,24 @@ def find_asymmetry_witness(f: SeparableKernel, tol: float = 1e-9):
     Returns (index, j, a, b): swapping slots j and j+1 moves the
     coefficient b at the swapped index onto ``index``, where the kernel
     has a, and |a - b| > tol; b is 0.0 where the swapped index is absent.
-    The coefficients are the base's real_coefficients: on the circle the
-    index is a mode tuple and a, b are coefficients of the real part's
-    mode expansion, (c_k + conj(c_{-k})) / 2, since kernel values are
-    real parts; on a Markov base the index is a state tuple and a, b are
-    kernel values.  Transposes are taken in slot order; for each, every
-    index is checked in one unsorted pass, and the witness is the smallest
-    failing index, so it is the one a scan in sorted order finds first.
+    The coefficients are those of the real part's exact form
+    (ExactForm.real_part): on the circle the index is a mode tuple and a,
+    b are coefficients of the real part's mode expansion,
+    (c_k + conj(c_{-k})) / 2, since kernel values are real parts; on a
+    Markov base the index is a state tuple and a, b are kernel values.
+    Transposes are taken in slot order; for each, every code is swapped
+    and looked up at once, and the witness is the smallest failing code,
+    so it is the index a scan in sorted order finds first.
     """
     if f.arity == 1:
         return None
-    coeffs = f.base.real_coefficients(f)
-    get = coeffs.get
+    form = exact_form(f).real_part()
     for j in range(f.arity - 1):
-        swap = operator.itemgetter(*range(j), j + 1, j, *range(j + 2, f.arity))
-        failing = [index for index, a in coeffs.items() if abs(a - get(swap(index), 0.0)) > tol]
-        if failing:
-            index = min(failing)
-            return index, j, coeffs[index], get(swap(index), 0.0)
+        b, found = _lookup(form.codes, form.values, form.swapped(j))
+        failing = _modulus(form.values - b) > tol
+        if failing.any():
+            i = int(failing.argmax())
+            return form.key(i), j, form.values[i].item(), b[i].item() if found[i] else 0.0
     return None
 
 
@@ -185,17 +188,22 @@ class HoeffdingParts:
         }
 
 
-def _level(base: Base, split: list, m: int) -> SeparableKernel:
-    """Q_S f for S = {0, ..., m-1} at arity m: slots m..d-1 fold their means into slot 0."""
+def _level(f: SeparableKernel, split: list, m: int) -> SeparableKernel:
+    """Q_S f for S = {0, ..., m-1} at arity m: slots m..d-1 fold their means into slot 0.
+
+    A term whose scaled first factor or any centred factor has no modes is
+    dropped, as the kernel's constructor would drop it.
+    """
     terms = []
     for coeff, pairs, _ in split:
         scalar = 1.0
         for mean, _ in pairs[m:]:
-            scalar *= base.mean(mean)
+            scalar *= f.base.mean(mean)
         factors = [centred for _, centred in pairs[:m]]
         factors[0] = scalar * factors[0]
-        terms.append(KernelTerm(coeff, tuple(factors)))
-    return SeparableKernel(m, base, tuple(terms))
+        if all(factors):
+            terms.append(KernelTerm(coeff, tuple(factors)))
+    return _with_terms(f, tuple(terms), arity=m)
 
 
 def symmetric_parts(f: SeparableKernel) -> HoeffdingParts:
@@ -214,6 +222,6 @@ def symmetric_parts(f: SeparableKernel) -> HoeffdingParts:
         )
     split = _split_terms(f)
     # the leading-slot component of each level; symmetry makes the others relabelings
-    levels = tuple(_level(f.base, split, m) for m in range(1, f.arity + 1))
+    levels = tuple(_level(f, split, m) for m in range(1, f.arity + 1))
     return HoeffdingParts(arity=f.arity, base=f.base, constant=kernel_mean(f), levels=levels)
 

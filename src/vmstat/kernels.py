@@ -12,18 +12,30 @@ representation; floating point enters only through coefficient
 arithmetic.
 
 CircleBase and MarkovBase carry the same operations on one observable
-and write a kernel exactly (coefficients, real_coefficients,
+and write a kernel exactly (form, coefficients, real_coefficients,
 spectral_form: the mode expansion on the circle, the value tensor on a
 chain), so every kernel function below that takes both bases has one
 body; docs/correspondence.md tables the operations.  A base is also the
 system an experiment simulates: system writes its result.json block and
 statistics computes S_n of a kernel on one trajectory per seed key.
+
+The exact form (ExactForm, exact_form) holds a kernel as arrays over
+one sorted axis of slot values: every factor mode with its negation on
+the circle, the states 0..s-1 on a chain.  Each entry has the
+mixed-radix code of its axis ranks, base M = len(axis), slot 0 most
+significant, as int64 or, when M^d >= 2^63, as Python ints; codes are
+sorted and unique, and values are complex on the circle, float on a
+chain.  Lookups are searchsorted on the codes, a slot transpose is digit
+arithmetic, a negation M^d - 1 - code, and the smallest code is the
+smallest index, so the symmetry witness, kernel_sup_coeff and
+kernels_allclose take one body for both bases.  expand_modes,
+real_coefficients and MarkovBase.coefficients are read-only Mapping
+views of a form, in the expansion's first-occurrence order.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
@@ -134,28 +146,17 @@ class CircleBase:
                 sums[i] += u.evaluate(v, table).sum()
         return sums
 
+    def form(self, f) -> "ExactForm":
+        """The kernel exactly, unremembered: its mode expansion (_expand)."""
+        return _expand(f)
+
     def coefficients(self, f) -> Mapping:
         """The kernel exactly: its mode expansion (expand_modes)."""
         return expand_modes(f)
 
     def real_coefficients(self, f) -> Mapping:
-        """Mode expansion of the real part: (c_k + conj(c_{-k})) / 2 at every k.
-
-        A Hermitian expansion (c_{-k} = conj c_k) is its own real part and is returned as it is,
-        unless a part is -0.0 or not below 2^1023 in modulus: there the formula may change c_k.
-        """
-        modes = expand_modes(f)
-        if all(modes.get(tuple(map(operator.neg, index))) == c.conjugate() for index, c in modes.items()):
-            parts = np.fromiter(modes.values(), np.complex128, len(modes)).view(np.float64)
-            if (np.abs(parts) < 2.0 ** 1023).all() and not np.signbit(parts[parts == 0]).any():
-                return modes
-        out = {}
-        for index, c in modes.items():
-            neg = tuple(map(operator.neg, index))
-            out[index] = (c + modes.get(neg, 0.0).conjugate()) / 2
-            if neg not in modes:
-                out[neg] = (0.0 + c.conjugate()) / 2
-        return out
+        """Mode expansion of the real part: (c_k + conj(c_{-k})) / 2 at every k (ExactForm.real_part)."""
+        return exact_form(f).real_part().mapping()
 
     def spectral_form(self, g) -> tuple:
         """Matrix of a real arity-2 kernel in a real orthonormal basis, and the basis map.
@@ -276,10 +277,15 @@ class MarkovBase:
         """sum_i u(X_i) for each u, from the occupation counts of the states."""
         return [u.values @ counts for u in us]
 
-    def coefficients(self, f) -> dict:
+    def form(self, f) -> "ExactForm":
+        """The kernel exactly, unremembered: to_tensor(f) in C order, coded on the axis 0..s-1."""
+        values = to_tensor(f).ravel()
+        codes = np.arange(len(values), dtype=np.int64)
+        return ExactForm(f.arity, np.arange(self.chain.n_states, dtype=np.int64), codes, values, codes)
+
+    def coefficients(self, f) -> Mapping:
         """The kernel exactly: state tuple -> value, in the C order of to_tensor."""
-        values = to_tensor(f).ravel().tolist()
-        return dict(zip(itertools.product(range(self.chain.n_states), repeat=f.arity), values))
+        return exact_form(f).mapping()
 
     real_coefficients = coefficients  # state-function kernels are real
 
@@ -373,10 +379,10 @@ def kernel_add(f: SeparableKernel, g: SeparableKernel) -> SeparableKernel:
     return _with_terms(f, f.terms + g.terms)
 
 
-def _with_terms(f: SeparableKernel, terms: tuple) -> SeparableKernel:
-    """f's arity and base with terms that are already checked and normalized: no __post_init__."""
+def _with_terms(f: SeparableKernel, terms: tuple, arity: int | None = None) -> SeparableKernel:
+    """f's base and arity (or this one) with terms already checked and normalized: no __post_init__."""
     out = object.__new__(SeparableKernel)
-    vars(out).update(vars(f), terms=terms)
+    vars(out).update(vars(f), terms=terms, arity=f.arity if arity is None else arity)
     return out
 
 
@@ -510,50 +516,189 @@ def projective_bound(f: SeparableKernel, exponent: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# mode expansion and equality
+# the exact form and equality
 
 
-#: (weak reference to a kernel, its read-only expansion) for the last few expand_modes calls
+def _code_dtype(radix: int, arity: int):
+    """int64 when every code of radix**arity fits, else object (Python ints)."""
+    return np.int64 if radix ** arity < 2 ** 63 else object
+
+
+def _lookup(codes: np.ndarray, values: np.ndarray, query: np.ndarray) -> tuple:
+    """(values at the query codes, 0 where absent; which are present) in sorted unique codes."""
+    if not len(codes):
+        return np.zeros(len(query), values.dtype), np.zeros(len(query), bool)
+    pos = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
+    found = codes[pos] == query
+    return np.where(found, values[pos], 0), found
+
+
+def _modulus(values: np.ndarray) -> np.ndarray:
+    """|c| of every value as hypot(re, im), Python's abs bit for bit; |x| on a float array."""
+    return np.hypot(values.real, values.imag)
+
+
+class ExactForm:
+    """A kernel exactly: sorted unique codes over a sorted axis, and their values (module docstring).
+
+    The index whose slot j holds axis[r_j] has the code sum_j r_j M^(d-1-j),
+    M = len(axis); first orders the entries as mapping() lists them.
+    """
+
+    __slots__ = ("arity", "axis", "codes", "values", "first", "_mapping")
+
+    def __init__(self, arity: int, axis: np.ndarray, codes: np.ndarray, values: np.ndarray,
+                 first: np.ndarray):
+        self.arity, self.axis, self.codes, self.values, self.first = arity, axis, codes, values, first
+        self._mapping = None
+
+    def ranks(self, codes: np.ndarray) -> list:
+        """The axis rank of each code in every slot, slot 0 first, as int64 arrays."""
+        radix = len(self.axis)
+        return [(codes // radix ** (self.arity - 1 - j) % radix).astype(np.int64)
+                for j in range(self.arity)]
+
+    def key(self, i: int) -> tuple:
+        """The index of entry i as a tuple of Python ints."""
+        return tuple(self.axis[[r[0] for r in self.ranks(self.codes[i:i + 1])]].tolist())
+
+    def swapped(self, j: int) -> np.ndarray:
+        """Every code with slots j and j+1 swapped: digit arithmetic, in the codes' dtype."""
+        radix = len(self.axis)
+        low = radix ** (self.arity - 2 - j)
+        high = low * radix
+        return self.codes + (self.codes // low % radix - self.codes // high % radix) * (high - low)
+
+    def recoded(self, radix: int, where: np.ndarray) -> np.ndarray:
+        """The codes on a sorted axis of radix values that holds axis[r] at where[r], still sorted."""
+        if radix == len(self.axis):
+            return self.codes
+        dtype = _code_dtype(radix, self.arity)
+        where = where.astype(dtype)
+        codes = np.zeros(len(self.codes), dtype)
+        for r in self.ranks(self.codes):
+            codes = codes * radix + where[r]
+        return codes
+
+    def mapping(self) -> MappingProxyType:
+        """The form as a read-only map index tuple -> value (Python ints and scalars), in first order."""
+        if self._mapping is None:
+            order = np.argsort(self.first, kind="stable")
+            ranks = self.ranks(self.codes[order])
+            keys = np.stack([self.axis[r] for r in ranks], axis=-1).tolist()
+            self._mapping = MappingProxyType(dict(zip(map(tuple, keys), self.values[order].tolist())))
+        return self._mapping
+
+    def real_part(self) -> "ExactForm":
+        """The form of the real part, (c_k + conj(c_{-k})) / 2 at every k and -k, in Python's arithmetic.
+
+        A float form is real.  So is a Hermitian one (c_{-k} = conj c_k at
+        every k): it is returned as it is, unless a part is -0.0 or not
+        below 2^1023 in modulus, where the formula may change c_k.  Keys
+        keep their order, each new -k right after its k; docs/constants.md.
+        """
+        return self if np.isrealobj(self.values) or self._hermitian() else self._real_formula()
+
+    def _hermitian(self) -> bool:
+        neg = len(self.axis) ** self.arity - 1 - self.codes
+        partner, found = _lookup(self.codes, self.values, neg)
+        parts = self.values.view(np.float64)
+        return bool(found.all() and (partner == self.values.conj()).all()
+                    and (np.abs(parts) < 2.0 ** 1023).all() and not np.signbit(parts[parts == 0]).any())
+
+    def _real_formula(self) -> "ExactForm":
+        top = len(self.axis) ** self.arity - 1
+        neg = top - self.codes
+        lonely = ~_lookup(self.codes, self.values, neg)[1]
+        codes = np.concatenate([self.codes, neg[lonely]])
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        first = np.concatenate([2 * self.first, 2 * self.first[lonely] + 1])[order]
+        own = np.concatenate([self.values, np.zeros(np.count_nonzero(lonely), complex)])[order]
+        partner = _lookup(self.codes, self.values.conj(), top - codes)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # c + conj(partner), 0.0 for an absent c or partner, then Python's division
+            # by 2 + 0j: ((s_r + s_i 0.0) / 2, (s_i - s_r 0.0) / 2)
+            re, im = own.real + partner.real, own.imag + partner.imag
+            out = np.empty(len(codes), complex)
+            out.real = (re + im * 0.0) / 2.0
+            out.imag = (im - re * 0.0) / 2.0
+        return ExactForm(self.arity, self.axis, codes, out, first)
+
+
+#: (weak reference to a kernel, its exact form) for the last few exact_form calls
 _EXPANSIONS: deque = deque(maxlen=4)
 
 
+def exact_form(f: SeparableKernel) -> ExactForm:
+    """The kernel's exact form on its base (base.form), remembered.
+
+    The last four forms are kept until newer ones push them out, keyed by
+    kernel identity through weak references: kernels are immutable, and
+    the memo keeps none of them alive.
+    """
+    for ref, form in _EXPANSIONS:
+        if ref() is f:
+            return form
+    form = f.base.form(f)
+    _EXPANSIONS.append((weakref.ref(f), form))
+    return form
+
+
 def expand_modes(f: SeparableKernel) -> MappingProxyType:
-    """Circle kernel as a read-only map (k_1, ..., k_d) -> coefficient.
+    """Circle kernel as a read-only map (k_1, ..., k_d) -> coefficient: its exact form's mapping.
 
     This is the function itself in the product basis e_{k_1} x ... x e_{k_d},
-    independent of the stored term representation.  Terms are expanded one
-    factor at a time, sharing prefix products; each coefficient is still
-    ((c_t c_1) c_2) ... c_d, keys first occur in itertools.product order
-    (last slot fastest) and exact zeros of the sums are dropped.
-
-    The last four expansions are kept until newer ones push them out,
-    keyed by kernel identity through weak references: kernels are
-    immutable, and the memo keeps none of them alive.
+    independent of the stored term representation.  Each coefficient is
+    the sum over the terms, in order and from 0.0, of ((c_t c_1) c_2) ...
+    c_d; keys first occur in itertools.product order (last slot fastest)
+    and exact zeros of the sums are dropped (_expand).
     """
     if not isinstance(f.base, CircleBase):
         raise BaseMismatchError("mode expansion is defined on the circle base")
-    for ref, modes in _EXPANSIONS:
-        if ref() is f:
-            return modes
-    modes = MappingProxyType(_expand(f))
-    _EXPANSIONS.append((weakref.ref(f), modes))
-    return modes
+    return exact_form(f).mapping()
 
 
-def _expand(f: SeparableKernel) -> dict[tuple[int, ...], complex]:
-    """expand_modes unremembered; the last factor's products go straight into the sums."""
-    out: dict[tuple[int, ...], complex] = {}
-    get = out.get
-    for t in f.terms:
-        partial = [((), complex(t.coeff))]
-        for u in t.factors[:-1]:
-            partial = [(key + (k,), c * cc) for key, c in partial for k, cc in u.items()]
-        last = t.factors[-1].items()
-        for key, c in partial:
-            for k, cc in last:
-                index = key + (k,)
-                out[index] = get(index, 0.0) + c * cc
-    return {k: c for k, c in out.items() if abs(c) > 0.0}
+def _expand(f: SeparableKernel) -> ExactForm:
+    """A circle kernel's exact form, unremembered: every term's products, then their sums.
+
+    The products go slot by slot, np.repeat over terms: each partial
+    product meets its term's next factor, in complex multiplication taken
+    in real arithmetic, as Python multiplies (docs/constants.md).  Equal
+    codes are added by np.bincount in occurrence order from 0.0, and a
+    sum of modulus 0 (or nan) is dropped.
+    """
+    d, terms = f.arity, f.terms
+    polys = [t.factors[j]._coeffs for j in range(d) for t in terms]
+    sizes = np.fromiter(map(len, polys), np.int64, len(polys))
+    modes = list(itertools.chain.from_iterable(polys))
+    # int64 when every mode negates within it, else Python ints, like the codes
+    modes = np.array(modes, np.int64 if max(map(abs, modes), default=0) < 2 ** 63 else object)
+    coeffs = np.fromiter(itertools.chain.from_iterable(p.values() for p in polys), complex, len(modes))
+    axis, ranks = np.unique(np.concatenate([modes, -modes]), return_inverse=True)
+    radix, dtype = len(axis), _code_dtype(len(axis), d)
+    ranks = ranks[:len(modes)].astype(dtype)
+    starts = (np.cumsum(sizes) - sizes).reshape(d, len(terms))
+    sizes = sizes.reshape(d, len(terms))
+    value = np.array([t.coeff for t in terms], complex)
+    code, term = np.zeros(len(terms), dtype), np.arange(len(terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d):
+            reps = sizes[j][term]
+            ends = np.cumsum(reps)
+            at = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - reps - starts[j][term], reps)
+            a, b = np.repeat(value, reps), coeffs[at]
+            value = np.empty(len(at), complex)
+            value.real = a.real * b.real - a.imag * b.imag
+            value.imag = a.real * b.imag + a.imag * b.real
+            code = np.repeat(code, reps) * radix + ranks[at]
+            term = np.repeat(term, reps)
+        codes, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        sums = np.empty(len(codes), complex)
+        sums.real = np.bincount(inverse, value.real, len(codes))
+        sums.imag = np.bincount(inverse, value.imag, len(codes))
+        keep = _modulus(sums) > 0.0
+    return ExactForm(d, axis, codes[keep], sums[keep], first[keep])
 
 
 def to_tensor(f: SeparableKernel) -> np.ndarray:
@@ -578,14 +723,26 @@ def to_tensor(f: SeparableKernel) -> np.ndarray:
 
 
 def kernel_sup_coeff(f: SeparableKernel) -> float:
-    """Largest coefficient modulus of the kernel's exact form (largest |value| on a chain)."""
-    return max((abs(c) for c in f.base.coefficients(f).values()), default=0.0)
+    """Largest coefficient modulus of the kernel's exact form (largest |value| on a chain).
+
+    As Python's max over the moduli in mapping order, 0.0 for no entries:
+    nan when the first modulus is nan, and a later nan is passed over.
+    """
+    form = exact_form(f)
+    moduli = _modulus(form.values)
+    if not len(moduli):
+        return 0.0
+    lead = moduli[form.first.argmin()]
+    return float(lead if np.isnan(lead) else np.fmax.reduce(moduli))
 
 
 def kernels_allclose(f: SeparableKernel, g: SeparableKernel, tol: float = COEFF_TOL) -> bool:
-    """Equality as functions, coefficientwise on the exact forms."""
+    """Equality as functions, coefficientwise on the exact forms, 0.0 where a form has no entry."""
     if f.arity != g.arity or f.base != g.base:
         return False
-    df, dg = f.base.coefficients(f), f.base.coefficients(g)
-    return (all(abs(c - dg.get(k, 0.0)) <= tol for k, c in df.items())
-            and all(abs(c) <= tol for k, c in dg.items() if k not in df))
+    a, b = exact_form(f), exact_form(g)
+    axis, where = np.unique(np.concatenate([a.axis, b.axis]), return_inverse=True)
+    codes_a, codes_b = a.recoded(len(axis), where[:len(a.axis)]), b.recoded(len(axis), where[len(a.axis):])
+    at_a = _lookup(codes_b, b.values, codes_a)[0]
+    in_a = _lookup(codes_a, a.values, codes_b)[1]
+    return bool((_modulus(a.values - at_a) <= tol).all() and (_modulus(b.values[~in_a]) <= tol).all())

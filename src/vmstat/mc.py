@@ -24,7 +24,6 @@ import math
 import os
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,6 +309,8 @@ def _compute_values(cfg: ExperimentConfig, workers: int) -> np.ndarray:
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or cfg.replicas < 2 * workers:
         return np.asarray(_replica_values(cfg, indices))
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only a parallel run needs it
+
     chunks = np.array_split(np.arange(cfg.replicas), 4 * workers)
     chunks = [c.tolist() for c in chunks if len(c)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

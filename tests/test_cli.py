@@ -6,6 +6,7 @@ import argparse
 import itertools
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -491,6 +492,21 @@ class TestAnalysisCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    def test_overflowing_quadrature_prints_only_the_error(self, tmp_path, capsys):
+        # the diagonal's L1 quadrature overflows to inf; numpy's overflow warning
+        # stays quiet, so the one line on stderr is the command's own
+        data = json.loads((CONFIGS / "degen_doubling.json").read_text())
+        for term in data["kernel"]["terms"]:
+            for factor in term["factors"]:
+                factor["modes"] = [[k, re * 1e153, im] for k, re, im in factor["modes"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["growth", "--config", write_config(tmp_path, data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: output field ratios[0][1]: ")
+        assert captured.err.count("\n") == 1
 
     def test_json_refusal_names_the_field(self, tmp_path, capsys):
         # the two terms cancel on the diagonal, so the statistic is 0 while the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from collections import OrderedDict
 from types import MappingProxyType
 from unittest import mock
@@ -387,6 +388,13 @@ class TestNorms:
             p = FourierPoly({int(k): scale * complex(rng.normal(), rng.normal())
                              for k in rng.integers(-50, 50, size=4)})
             assert lp_norm(p, 2.0) == float(np.sqrt(sum(abs(c) ** 2 for _, c in p.items())))
+
+    def test_quadrature_overflow_is_inf_without_a_warning(self):
+        # |p|^3 passes the largest double at every node, and so does the sum of |p| over 4096 nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lp_norm(FourierPoly({1: 1e307, -1: 1e307}), 3) == math.inf
+            assert lp_norm(FourierPoly({1: 1e305, -1: 1e305}), 1.0) == math.inf
 
     def test_lp_rejects_exponent_below_one(self):
         with pytest.raises(ValueError):

@@ -7,12 +7,16 @@ evaluation path takes its exponentials from ``fourier.turns_exp`` alone,
 every numpy tolerance comparison states its relative tolerance, every
 ``take`` into an ``out`` array passes mode ``"clip"``, only ``fourier``
 tells uint64 phases from points, only ``dynamics`` knows the digit
-window, and only ``_seeding`` makes random generators.
+window, and only ``_seeding`` makes random generators.  Importing the
+package and its command-line reader loads no process pool.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -230,3 +234,13 @@ def test_only_seeding_makes_random_generators():
     elsewhere = {name: calls for name, calls in found.items() if calls and name != "_seeding.py"}
     assert not elsewhere, f"random generators made outside _seeding.py: {elsewhere}"
     assert {name for name, _ in found["_seeding.py"]} == {"Generator", "Philox"}
+
+
+def test_import_loads_no_process_pool():
+    # concurrent.futures and multiprocessing cost every command about 17 ms
+    # at start-up; only a run with workers > 1 imports them (mc._compute_values)
+    code = ("import sys, vmstat; from vmstat.cli import parse_config; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+    assert out.stdout.strip() == "[]", out.stdout

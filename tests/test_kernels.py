@@ -5,7 +5,6 @@ from __future__ import annotations
 import gc
 import math
 import weakref
-from types import MappingProxyType
 from unittest import mock
 
 import numpy as np
@@ -14,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from vmstat import kernels
 from vmstat.fourier import BLOCK, DROP_TOL, FourierPoly
-from vmstat.hoeffding import hoeffding_components, symmetric_parts
+from vmstat.hoeffding import find_asymmetry_witness, hoeffding_components, symmetric_parts
 from vmstat.kernels import (
     COEFF_TOL,
     BaseMismatchError,
@@ -44,11 +43,13 @@ from helpers import (
     c09_kernels,
     constant_kernel,
     expand_modes_reference,
+    find_asymmetry_witness_reference,
     grid,
     kernel_scale,
     kernels_allclose_reference,
     random_ergodic_chain,
     random_poly,
+    random_symmetric_markov_kernel,
     real_part_reference,
     reparse,
     rng_for,
@@ -801,6 +802,19 @@ def hermitian_circle_kernels(draw):
     return SeparableKernel(d, CIRCLE, tuple(terms))
 
 
+def form_of(modes: dict, arity: int = 1) -> kernels.ExactForm:
+    """The exact form holding exactly these entries, in this key order, zero signs included."""
+    keys = list(modes)
+    slots = [k for key in keys for k in key]
+    axis = np.unique(np.array(slots + [-k for k in slots], np.int64))
+    radix = len(axis)
+    codes = np.array([sum(int(np.searchsorted(axis, k)) * radix ** (arity - 1 - j) for j, k in enumerate(key))
+                      for key in keys], np.int64)
+    order = np.argsort(codes, kind="stable")
+    values = np.array(list(modes.values()), complex)
+    return kernels.ExactForm(arity, axis, codes[order], values[order], order)
+
+
 class TestRealCoefficientsOracle:
     """CircleBase.real_coefficients against real_part_reference, by key order and repr."""
 
@@ -846,8 +860,103 @@ class TestRealCoefficientsOracle:
         {},
     ])
     def test_signed_zeros_overflow_and_partners(self, modes, monkeypatch):
-        monkeypatch.setattr(kernels, "expand_modes", lambda f: MappingProxyType(modes))
+        monkeypatch.setattr(kernels, "_expand", lambda f: form_of(modes))
         self.assert_matches(CIRCLE.real_coefficients(zero_kernel(1, CIRCLE)), modes)
+
+
+def wide_kernel(seed: int) -> SeparableKernel:
+    """Arity 8 with factors drawn from 300 distinct modes: M^8 passes 2^63, so the codes are Python ints.
+
+    The last term repeats the first with two slots swapped and another
+    coefficient, so that sums collect across terms and a transpose cancels.
+    """
+    rng = rng_for(seed)
+    pool = rng.choice(np.arange(-2000, 2001), size=300, replace=False)
+    terms = [KernelTerm(float(rng.normal()), tuple(
+        FourierPoly({int(k): complex(rng.normal(), rng.normal()) for k in rng.choice(pool, rng.integers(1, 3))})
+        for _ in range(8))) for _ in range(20)]
+    swapped = terms[0].factors[1::-1] + terms[0].factors[2:]
+    return SeparableKernel(8, CIRCLE, (*terms, KernelTerm(-0.5, swapped)))
+
+
+class TestExactForm:
+    """The exact form's codes, lookups and checks against the dict-walking references of helpers."""
+
+    def test_codes_past_int64_match_the_oracles(self):
+        f = wide_kernel(1101)
+        form = kernels.exact_form(f)
+        assert form.codes.dtype == object and len(form.axis) ** 8 >= 2 ** 63
+        assert list(form.codes) == sorted(set(form.codes))
+        modes = expand_modes_reference(f)
+        for got, want in ((expand_modes(f), modes), (CIRCLE.real_coefficients(f), real_part_reference(modes))):
+            assert list(got) == list(want)
+            assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
+        assert kernel_sup_coeff(f) == max(abs(c) for c in modes.values())
+        for tol in (1e-9, 0.25, 1e3):
+            assert repr(find_asymmetry_witness(f, tol)) == repr(find_asymmetry_witness_reference(f, tol))
+        # a term on modes of its own widens the union axis, so both forms are recoded
+        extra = SeparableKernel(8, CIRCLE, (KernelTerm(1e-3, tuple(FourierPoly({5001 + j: 1.0}) for j in range(8))),))
+        g = kernel_add(f, extra)
+        for a, b in ((f, g), (g, f), (f, f)):
+            for tol in (COEFF_TOL, 1e-2):
+                assert kernels_allclose(a, b, tol) == kernels_allclose_reference(a, b, tol) == (a is b or tol > 1e-3)
+
+    def test_modes_past_int64(self):
+        # modes whose negation leaves int64 make the axis Python ints, and so the codes
+        u = FourierPoly({2 ** 70: 1.0, -2 ** 63: 2j, 3: 0.5})
+        v = FourierPoly({2 ** 63 - 1: 1.0, -2 ** 70: 1 - 1j})
+        f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (u, v)), KernelTerm(0.5, (v, u))))
+        assert kernels.exact_form(f).axis.dtype == object
+        modes = expand_modes_reference(f)
+        for got, want in ((expand_modes(f), modes), (CIRCLE.real_coefficients(f), real_part_reference(modes))):
+            assert list(got) == list(want)
+            assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
+        assert repr(find_asymmetry_witness(f)) == repr(find_asymmetry_witness_reference(f))
+        g = kernel_add(f, SeparableKernel(2, CIRCLE, (KernelTerm(1e-3, (FourierPoly({1: 1.0}),) * 2),)))
+        for tol in (COEFF_TOL, 1e-2):
+            assert kernels_allclose(f, g, tol) == kernels_allclose_reference(f, g, tol) == (tol > 1e-3)
+
+    def test_witness_is_the_smallest_index_not_the_first(self):
+        e1, e2, em3 = FourierPoly({1: 1.0}), FourierPoly({2: 1.0}), FourierPoly({-3: 1.0})
+        f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (e1, e2)), KernelTerm(1.0, (em3, e1))))
+        # every index of the real part fails transpose 0; (1, 2) comes first, (-3, 1) sorts first
+        assert list(CIRCLE.real_coefficients(f)) == [(1, 2), (-1, -2), (-3, 1), (3, -1)]
+        witness = find_asymmetry_witness(f)
+        assert repr(witness) == repr(find_asymmetry_witness_reference(f))
+        assert witness == ((-3, 1), 0, 0.5 + 0j, 0.0)
+
+    def test_allclose_on_disjoint_axes(self):
+        f = SeparableKernel(2, CIRCLE, (KernelTerm(1e-13, (FourierPoly({1: 1.0}), FourierPoly({2: 1j}))),))
+        g = SeparableKernel(2, CIRCLE, (KernelTerm(2e-13, (FourierPoly({5: 1.0}), FourierPoly({-7: 1.0}))),))
+        zero = zero_kernel(2, CIRCLE)
+        assert not set(kernels.exact_form(f).axis.tolist()) & set(kernels.exact_form(g).axis.tolist())
+        assert len(kernels.exact_form(zero).axis) == 0
+        # no index is shared, so each pair is close when both largest coefficients are within tol
+        for tol in (0.0, 1e-13, 2e-13, COEFF_TOL):
+            for a, b, sup in ((f, g, 2e-13), (g, f, 2e-13), (f, zero, 1e-13), (zero, g, 2e-13)):
+                assert kernels_allclose(a, b, tol) == kernels_allclose_reference(a, b, tol) == (sup <= tol)
+
+    def test_chain_witness_allclose_and_sup(self):
+        rng = rng_for(1102)
+        for d in (2, 3, 4):
+            chain = random_ergodic_chain(rng, 3)
+            f = random_symmetric_markov_kernel(rng, d, chain, max_terms=8)
+            u, v = (StateFunction(rng.normal(size=3)) for _ in range(2))
+            g = kernel_add(f, SeparableKernel(d, f.base, (KernelTerm(1e-6, (u, v) + (u,) * (d - 2)),)))
+            for h in (f, g):
+                for tol in (1e-9, 1e-7, 0.0):
+                    assert repr(find_asymmetry_witness(h, tol)) == repr(find_asymmetry_witness_reference(h, tol))
+                assert kernel_sup_coeff(h) == max(abs(c) for c in h.base.coefficients(h).values())
+            for tol in (0.0, COEFF_TOL, 1e-5):
+                for a, b in ((f, g), (g, f), (f, kernel_scale(f, 1.0 + 1e-13))):
+                    assert kernels_allclose(a, b, tol) == kernels_allclose_reference(a, b, tol)
+
+    def test_sup_follows_python_max_over_nan(self):
+        base = MarkovBase(two_state_chain())
+        for values in ([1.0, np.nan], [np.nan, 1.0], [np.nan, np.nan], [-2.0, 1.0]):
+            f = SeparableKernel(1, base, (KernelTerm(1.0, (StateFunction(np.array(values)),)),))
+            want = max((abs(c) for c in base.coefficients(f).values()), default=0.0)
+            assert repr(kernel_sup_coeff(f)) == repr(want)
 
 
 @st.composite

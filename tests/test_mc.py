@@ -403,7 +403,7 @@ class TestDeterminism:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("vmstat.mc.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         cfg = ExperimentConfig(clt_kernel(), "clt", 64,
                                replicas=40, seed=3)
