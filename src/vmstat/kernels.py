@@ -12,12 +12,12 @@ representation; floating point enters only through coefficient
 arithmetic.
 
 CircleBase and MarkovBase carry the same operations on one observable
-and write a kernel exactly (form, coefficients, real_coefficients,
-spectral_form: the mode expansion on the circle, the value tensor on a
-chain), so every kernel function below that takes both bases has one
-body; docs/correspondence.md tables the operations.  A base is also the
-system an experiment simulates: system writes its result.json block and
-statistics computes S_n of a kernel on one trajectory per seed key.
+and write a kernel exactly (form and spectral_form: the mode expansion
+on the circle, the value tensor on a chain), so every kernel function
+below that takes both bases has one body; docs/correspondence.md tables
+the operations.  A base is also the system an experiment simulates:
+system writes its result.json block and statistics computes S_n of a
+kernel on one trajectory per seed key.
 
 The exact form (ExactForm, exact_form) holds a kernel as arrays over
 one sorted axis of slot values: every factor mode with its negation on
@@ -28,9 +28,9 @@ sorted and unique, and values are complex on the circle, float on a
 chain.  Lookups are searchsorted on the codes, a slot transpose is digit
 arithmetic, a negation M^d - 1 - code, and the smallest code is the
 smallest index, so the symmetry witness, kernel_sup_coeff and
-kernels_allclose take one body for both bases.  expand_modes,
-real_coefficients and MarkovBase.coefficients are read-only Mapping
-views of a form, in the expansion's first-occurrence order.
+kernels_allclose take one body for both bases.  ExactForm.mapping is
+a read-only view of a form, in the expansion's first-occurrence order;
+expand_modes is that view of a circle kernel.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -150,21 +150,14 @@ class CircleBase:
         """The kernel exactly, unremembered: its mode expansion (_expand)."""
         return _expand(f)
 
-    def coefficients(self, f) -> Mapping:
-        """The kernel exactly: its mode expansion (expand_modes)."""
-        return expand_modes(f)
-
-    def real_coefficients(self, f) -> Mapping:
-        """Mode expansion of the real part: (c_k + conj(c_{-k})) / 2 at every k (ExactForm.real_part)."""
-        return exact_form(f).real_part().mapping()
-
     def spectral_form(self, g) -> tuple:
         """Matrix of a real arity-2 kernel in a real orthonormal basis, and the basis map.
 
         The basis is sqrt2 cos 2 pi j x (index j - 1), sqrt2 sin 2 pi j x
         (index kmax + j - 1) for j = 1..kmax, then the constant 1 (index
         2 kmax) when a mode 0 occurs.  The map takes a coordinate vector
-        to its polynomial.
+        v to its polynomial: (v_cos -+ i v_sin) / sqrt2 at the modes +-j
+        and v_const at mode 0.
         """
         modes = expand_modes(g)
         kmax = 0
@@ -172,11 +165,8 @@ class CircleBase:
             if abs(np.conj(c) - modes.get((-k1, -k2), 0.0)) > 1e-9:
                 raise ValueError("kernel is not real-valued")
             kmax = max(kmax, abs(k1), abs(k2))
+        constant = any(0 in key for key in modes)
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        basis = [FourierPoly({j: inv_sqrt2, -j: inv_sqrt2}) for j in range(1, kmax + 1)]
-        basis += [FourierPoly({j: -1j * inv_sqrt2, -j: 1j * inv_sqrt2}) for j in range(1, kmax + 1)]
-        if any(0 in key for key in modes):
-            basis.append(FourierPoly.constant(1.0))
 
         def coords(k: int) -> tuple:
             # (a, integral of e_k against basis function a) for the nonzero integrals
@@ -185,7 +175,7 @@ class CircleBase:
             sine = 1j * (1 if k > 0 else -1) * inv_sqrt2
             return ((abs(k) - 1, inv_sqrt2), (kmax + abs(k) - 1, sine))
 
-        M = np.zeros((len(basis), len(basis)), dtype=np.complex128)
+        M = np.zeros((2 * kmax + constant,) * 2, dtype=np.complex128)
         for (k1, k2), c in modes.items():
             for a, ha in coords(k1):
                 for b, hb in coords(k2):
@@ -194,11 +184,13 @@ class CircleBase:
             raise ValueError("mode matrix of a non-real kernel")
 
         def eigenfunction(v) -> FourierPoly:
-            phi = FourierPoly.zero()
-            for a, u in enumerate(basis):
-                if abs(v[a]) > 1e-15:
-                    phi = phi + v[a] * u
-            return phi
+            scaled = (v[:2 * kmax] * inv_sqrt2).tolist()
+            coeffs = {}
+            for j, (a, b) in enumerate(zip(scaled[:kmax], scaled[kmax:]), start=1):
+                coeffs[j], coeffs[-j] = complex(a, -b), complex(a, b)
+            if constant:
+                coeffs[0] = complex(v[2 * kmax])
+            return FourierPoly._of(coeffs)
 
         return M.real, eigenfunction
 
@@ -282,12 +274,6 @@ class MarkovBase:
         values = to_tensor(f).ravel()
         codes = np.arange(len(values), dtype=np.int64)
         return ExactForm(f.arity, np.arange(self.chain.n_states, dtype=np.int64), codes, values, codes)
-
-    def coefficients(self, f) -> Mapping:
-        """The kernel exactly: state tuple -> value, in the C order of to_tensor."""
-        return exact_form(f).mapping()
-
-    real_coefficients = coefficients  # state-function kernels are real
 
     def spectral_form(self, g) -> tuple:
         """pi^(1/2) G pi^(1/2) for the tensor G, and v -> pi^(-1/2) v as a state function."""

@@ -4,25 +4,24 @@ For a canonical kernel f over the circle base the slotwise adjoint
 series g = sum_{k >= 0} V*^k f is a finite trigonometric kernel because
 every transfer orbit of a nonzero mode terminates.  The slotwise
 projection E_j = V^{e_j} V*^{e_j} keeps the modes whose slot-j index m
-divides, so splitting g mode by mode isolates a part that is a
+divides, so splitting each factor of g in two isolates a part that is a
 martingale increment in both slots plus coboundary corrections:
 
     f = g0 + (V^{e_1} - I) g1 + (V^{e_2} - I) g2
            + (V^{e_1} - I)(V^{e_2} - I) g12
 
-where the coefficient of g at the mode (a, b) goes to
-
-    g0  at (a, b)      when m divides neither a nor b,
-    g1  at (a/m, b)    when m divides a only,
-    g2  at (a, b/m)    when m divides b only,
-    g12 at (a/m, b/m)  when m divides both,
-
-so that E_1 g0 = E_2 g0 = 0, E_2 g1 = 0, E_1 g2 = 0.  The degenerate
-limit of arity-2 statistics is the quadratic form of g0, diagonalized
-in the orthonormal real basis of the base's spectral_form (sqrt2 cos
-and sqrt2 sin of each frequency, and 1 when a mode 0 occurs, on the
-circle; pi-weighted states on a chain); the nondegenerate limit is
-Gaussian with variance determined by the arity-1 adjoint series.
+Each factor u of a term of g splits into u - E u, the modes of u that
+m does not divide, and V* u; the term goes to g0, g1, g2 and g12 with
+(u - E u, v - E v), (V* u, v - E v), (u - E u, V* v) and (V* u, V* v)
+for its factors (u, v).  So g's coefficient at (a, b) goes to g0 at
+(a, b), g1 at (a/m, b), g2 at (a, b/m) or g12 at (a/m, b/m) as m
+divides neither, a only, b only or both, and E_1 g0 = E_2 g0 = 0,
+E_2 g1 = 0, E_1 g2 = 0.  The degenerate limit of arity-2 statistics is
+the quadratic form of g0, diagonalized in the orthonormal real basis of
+the base's spectral_form (sqrt2 cos and sqrt2 sin of each frequency,
+and 1 when a mode 0 occurs, on the circle; pi-weighted states on a
+chain); the nondegenerate limit is Gaussian with variance determined by
+the arity-1 adjoint series.
 """
 
 from __future__ import annotations
@@ -32,15 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeding import stream
-from .fourier import FourierPoly, lp_norm, transfer_orbit_length
+from .fourier import FourierPoly, apply_transfer, lp_norm, transfer_orbit_length
 from .kernels import (
-    COEFF_TOL,
     CircleBase,
     KernelTerm,
     SeparableKernel,
     coordinate_op,
     diag_restrict,
-    expand_modes,
     projective_bound,
 )
 from .hoeffding import is_canonical, is_symmetric
@@ -182,37 +179,28 @@ class MartingaleCoboundaryParts:
     double_coboundary: SeparableKernel
 
 
-def _mode_kernel(base: CircleBase, modes: dict) -> SeparableKernel:
-    """Arity-2 kernel with one term per mode, the coefficient in slot 1."""
-    terms = tuple(
-        KernelTerm(1.0, (FourierPoly({a: c}), FourierPoly({b: 1.0})))
-        for (a, b), c in modes.items()
-    )
-    return SeparableKernel(2, base, terms)
+def _split(u: FourierPoly, m: int) -> tuple:
+    """(u - E u, V* u): the modes of u that m does not divide, and those it divides, divided by m."""
+    return FourierPoly._of({k: c for k, c in u.items() if k % m}), apply_transfer(u, m)
 
 
 def martingale_coboundary_d2(f: SeparableKernel) -> MartingaleCoboundaryParts:
     """Split an arity-2 canonical circle kernel into martingale and coboundary parts.
 
-    One pass over the modes of g: each mode goes to the one part that
-    the divisibility of its indices by m selects (module docstring).
+    One pass over the terms of g: each goes to every part as one product
+    of its split factors (_split, module docstring), so a part's mode
+    expansion sums the products of g's that its modes select, in order.
     """
     if f.arity != 2:
         raise ValueError("this decomposition is for arity-2 kernels")
     if not isinstance(f.base, CircleBase):
         raise ValueError("this decomposition is defined on the circle base")
-    m = f.base.m
     g = adjoint_series_sum(f)
-    modes = [{}, {}, {}, {}]  # g0, g1, g2, g12
-    for (a, b), c in expand_modes(g).items():
-        da, db = a % m == 0, b % m == 0
-        modes[da + 2 * db][a // m if da else a, b // m if db else b] = c
-    g0, g1, g2, g12 = (_mode_kernel(f.base, part) for part in modes)
-    # E_1 g0 = E_2 g0 = E_2 g1 = E_1 g2 = 0: no mode divisible by m in those slots
-    for part, slots in ((g0, (0, 1)), (g1, (1,)), (g2, (0,))):
-        for key, c in expand_modes(part).items():
-            if abs(c) > COEFF_TOL and any(key[j] % m == 0 for j in slots):
-                raise AssertionError("conditional-expectation condition violated")
+    split = [[_split(u, f.base.m) for u in t.factors] for t in g.terms]
+    g0, g1, g2, g12 = (
+        SeparableKernel(2, f.base, tuple(KernelTerm(t.coeff, (u[i], v[j])) for t, (u, v) in zip(g.terms, split)))
+        for i, j in ((0, 0), (1, 0), (0, 1), (1, 1))
+    )
     return MartingaleCoboundaryParts(
         martingale=g0, slot1_coboundary=g1, slot2_coboundary=g2, double_coboundary=g12
     )

@@ -25,10 +25,12 @@ from vmstat.kernels import (
     MarkovBase,
     Observable,
     SeparableKernel,
+    exact_form,
     kernel_add,
     zero_kernel,
 )
 from vmstat.markov import MarkovChain, StateFunction
+from vmstat.martingale import adjoint_series_sum
 
 
 def rng_for(label: int) -> np.random.Generator:
@@ -149,7 +151,7 @@ def expand_modes_reference(f: SeparableKernel) -> dict:
 def real_part_reference(modes) -> dict:
     """(c_k + conj(c_{-k})) / 2 at every k of a mode expansion and at its negation.
 
-    The formula real_coefficients applies to every expansion that is not
+    The formula ExactForm.real_part applies to every expansion that is not
     its own real part; it must match this in key order and every bit.
     """
     out = {}
@@ -194,7 +196,7 @@ def kernels_allclose_reference(f: SeparableKernel, g: SeparableKernel, tol: floa
     """Coefficientwise equality over the union of both exact forms' keys, 0.0 where absent."""
     if f.arity != g.arity or f.base != g.base:
         return False
-    df, dg = f.base.coefficients(f), f.base.coefficients(g)
+    df, dg = exact_form(f).mapping(), exact_form(g).mapping()
     return all(abs(df.get(k, 0.0) - dg.get(k, 0.0)) <= tol for k in set(df) | set(dg))
 
 
@@ -208,7 +210,7 @@ def find_asymmetry_witness_reference(f: SeparableKernel, tol: float = 1e-9):
     """
     if f.arity == 1:
         return None
-    coeffs = f.base.real_coefficients(f)
+    coeffs = exact_form(f).real_part().mapping()
     indices = sorted(coeffs)
     for j in range(f.arity - 1):
         for index in indices:
@@ -217,6 +219,26 @@ def find_asymmetry_witness_reference(f: SeparableKernel, tol: float = 1e-9):
             if abs(a - b) > tol:
                 return index, j, a, b
     return None
+
+
+def martingale_split_reference(f: SeparableKernel) -> tuple:
+    """(g0, g1, g2, g12) mode by mode over the expansion of g = adjoint_series_sum(f), one term per mode.
+
+    The coefficient c of g at (a, b) goes to the one part that the
+    divisibility of a and b by m selects, at (a, b) with every divisible
+    index divided by m, as the term 1.0 (c e_a) x e_b; a part keeps the
+    expansion's key order.  martingale_coboundary_d2 must give parts
+    whose expansions match these in key order and every bit.
+    """
+    m = f.base.m
+    modes = [{}, {}, {}, {}]
+    for (a, b), c in expand_modes_reference(adjoint_series_sum(f)).items():
+        da, db = a % m == 0, b % m == 0
+        modes[da + 2 * db][a // m if da else a, b // m if db else b] = c
+    return tuple(
+        SeparableKernel(2, f.base, tuple(KernelTerm(1.0, (FourierPoly({a: c}), FourierPoly({b: 1.0})))
+                                         for (a, b), c in part.items()))
+        for part in modes)
 
 
 def exact_windows(m: int, n: int, seed: int, window: int = 64) -> list[int]:

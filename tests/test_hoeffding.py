@@ -28,6 +28,7 @@ from vmstat.kernels import (
     KernelTerm,
     MarkovBase,
     SeparableKernel,
+    exact_form,
     expand_modes,
     kernel_add,
     kernel_eval,
@@ -48,6 +49,7 @@ from helpers import (
     find_asymmetry_witness_reference,
     hoeffding_component_oracle,
     integrate_out_reference,
+    martingale_split_reference,
     random_canonical_pair_kernel,
     random_ergodic_chain,
     random_symmetric_circle_kernel,
@@ -258,7 +260,7 @@ class TestCanonicalOracle:
 
     @staticmethod
     def coefficient_reprs(g) -> list:
-        return [(k, repr(c)) for k, c in g.base.coefficients(g).items()]
+        return [(k, repr(c)) for k, c in exact_form(g).mapping().items()]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(f=canonical_oracle_kernels(), data=st.data())
@@ -383,11 +385,11 @@ class TestSymmetry:
         assert abs(a - b) > 1e-9
 
     def test_martingale_part_symmetric_without_point_evaluation(self, monkeypatch):
-        # the martingale part of a c09-style kernel folds each coefficient
-        # into its first factor, so its terms never match their slot
-        # transposes as a multiset; the function is symmetric all the same
+        # the mode-by-mode martingale part of a c09-style kernel folds each
+        # coefficient into its first factor, so its terms never match their
+        # slot transposes as a multiset; the function is symmetric all the same
         f = random_canonical_pair_kernel(rng_for(1009), n_pairs=3)
-        g0 = martingale_coboundary_d2(f).martingale
+        g0 = martingale_split_reference(f)[0]
 
         def key(u, v):
             return tuple(sorted(u.items())), tuple(sorted(v.items()))

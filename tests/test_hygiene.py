@@ -7,8 +7,9 @@ evaluation path takes its exponentials from ``fourier.turns_exp`` alone,
 every numpy tolerance comparison states its relative tolerance, every
 ``take`` into an ``out`` array passes mode ``"clip"``, only ``fourier``
 tells uint64 phases from points, only ``dynamics`` knows the digit
-window, and only ``_seeding`` makes random generators.  Importing the
-package and its command-line reader loads no process pool.
+window, ``martingale`` names no exact form, and only ``_seeding``
+makes random generators.  Importing the package and its command-line
+reader loads no process pool.
 """
 
 from __future__ import annotations
@@ -206,6 +207,14 @@ def test_window_lives_in_dynamics_alone():
     elsewhere = {name: lines for name, lines in found.items() if lines and name != "dynamics.py"}
     assert not elsewhere, f"window outside dynamics.py: {elsewhere}"
     assert found["dynamics.py"]
+
+
+def test_martingale_split_takes_no_exact_form():
+    # the split works on the terms of the adjoint series, not on an expansion
+    path = PACKAGE / "martingale.py"
+    found = [(name, line) for name, line in _names(ast.parse(path.read_text(), filename=str(path)))
+             if name in {"exact_form", "expand_modes", "ExactForm"}]
+    assert not found, f"exact form in martingale.py: {found}"
 
 
 #: constructors of numpy random generators, bit generators and seed sequences

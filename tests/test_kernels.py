@@ -728,7 +728,7 @@ class TestExpansionOracle:
         self.assert_matches_oracle(f)
         # the real part's expansion, against the numpy-scalar form it replaced
         modes = expand_modes_reference(f)
-        real = CIRCLE.real_coefficients(f)
+        real = kernels.exact_form(f).real_part().mapping()
         assert list(real) == list(real_part_reference(modes))
         assert set(real) == set(modes) | {tuple(-k for k in key) for key in modes}
         for key, c in real.items():
@@ -816,7 +816,7 @@ def form_of(modes: dict, arity: int = 1) -> kernels.ExactForm:
 
 
 class TestRealCoefficientsOracle:
-    """CircleBase.real_coefficients against real_part_reference, by key order and repr."""
+    """The real part's exact form (ExactForm.real_part) against real_part_reference, by key order and repr."""
 
     @staticmethod
     def assert_matches(got, modes):
@@ -829,18 +829,18 @@ class TestRealCoefficientsOracle:
     def test_hermitian_kernels(self, f):
         modes = expand_modes_reference(f)
         assert all(modes.get(tuple(-k for k in key)) == c.conjugate() for key, c in modes.items())
-        self.assert_matches(CIRCLE.real_coefficients(f), modes)
+        self.assert_matches(kernels.exact_form(f).real_part().mapping(), modes)
 
     def test_c02_kernels_and_levels(self):
         for f in c02_kernels():
             if isinstance(f.base, CircleBase):
                 for g in (f, *symmetric_parts(f).levels):
-                    self.assert_matches(CIRCLE.real_coefficients(g), expand_modes_reference(g))
+                    self.assert_matches(kernels.exact_form(g).real_part().mapping(), expand_modes_reference(g))
 
     def test_hermitian_expansion_is_its_own_real_part(self):
         cos = FourierPoly({1: 0.5, -1: 0.5})
         f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (cos, cos)),))
-        assert CIRCLE.real_coefficients(f) is expand_modes(f)
+        assert kernels.exact_form(f).real_part().mapping() is expand_modes(f)
 
     @pytest.mark.parametrize("modes", [
         # Hermitian by value, but the formula does not give every -0.0 part back
@@ -861,7 +861,7 @@ class TestRealCoefficientsOracle:
     ])
     def test_signed_zeros_overflow_and_partners(self, modes, monkeypatch):
         monkeypatch.setattr(kernels, "_expand", lambda f: form_of(modes))
-        self.assert_matches(CIRCLE.real_coefficients(zero_kernel(1, CIRCLE)), modes)
+        self.assert_matches(kernels.exact_form(zero_kernel(1, CIRCLE)).real_part().mapping(), modes)
 
 
 def wide_kernel(seed: int) -> SeparableKernel:
@@ -888,7 +888,8 @@ class TestExactForm:
         assert form.codes.dtype == object and len(form.axis) ** 8 >= 2 ** 63
         assert list(form.codes) == sorted(set(form.codes))
         modes = expand_modes_reference(f)
-        for got, want in ((expand_modes(f), modes), (CIRCLE.real_coefficients(f), real_part_reference(modes))):
+        real = kernels.exact_form(f).real_part().mapping()
+        for got, want in ((expand_modes(f), modes), (real, real_part_reference(modes))):
             assert list(got) == list(want)
             assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
         assert kernel_sup_coeff(f) == max(abs(c) for c in modes.values())
@@ -908,7 +909,8 @@ class TestExactForm:
         f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (u, v)), KernelTerm(0.5, (v, u))))
         assert kernels.exact_form(f).axis.dtype == object
         modes = expand_modes_reference(f)
-        for got, want in ((expand_modes(f), modes), (CIRCLE.real_coefficients(f), real_part_reference(modes))):
+        real = kernels.exact_form(f).real_part().mapping()
+        for got, want in ((expand_modes(f), modes), (real, real_part_reference(modes))):
             assert list(got) == list(want)
             assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
         assert repr(find_asymmetry_witness(f)) == repr(find_asymmetry_witness_reference(f))
@@ -920,7 +922,7 @@ class TestExactForm:
         e1, e2, em3 = FourierPoly({1: 1.0}), FourierPoly({2: 1.0}), FourierPoly({-3: 1.0})
         f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (e1, e2)), KernelTerm(1.0, (em3, e1))))
         # every index of the real part fails transpose 0; (1, 2) comes first, (-3, 1) sorts first
-        assert list(CIRCLE.real_coefficients(f)) == [(1, 2), (-1, -2), (-3, 1), (3, -1)]
+        assert list(kernels.exact_form(f).real_part().mapping()) == [(1, 2), (-1, -2), (-3, 1), (3, -1)]
         witness = find_asymmetry_witness(f)
         assert repr(witness) == repr(find_asymmetry_witness_reference(f))
         assert witness == ((-3, 1), 0, 0.5 + 0j, 0.0)
@@ -946,7 +948,7 @@ class TestExactForm:
             for h in (f, g):
                 for tol in (1e-9, 1e-7, 0.0):
                     assert repr(find_asymmetry_witness(h, tol)) == repr(find_asymmetry_witness_reference(h, tol))
-                assert kernel_sup_coeff(h) == max(abs(c) for c in h.base.coefficients(h).values())
+                assert kernel_sup_coeff(h) == max(abs(c) for c in kernels.exact_form(h).mapping().values())
             for tol in (0.0, COEFF_TOL, 1e-5):
                 for a, b in ((f, g), (g, f), (f, kernel_scale(f, 1.0 + 1e-13))):
                     assert kernels_allclose(a, b, tol) == kernels_allclose_reference(a, b, tol)
@@ -955,7 +957,7 @@ class TestExactForm:
         base = MarkovBase(two_state_chain())
         for values in ([1.0, np.nan], [np.nan, 1.0], [np.nan, np.nan], [-2.0, 1.0]):
             f = SeparableKernel(1, base, (KernelTerm(1.0, (StateFunction(np.array(values)),)),))
-            want = max((abs(c) for c in base.coefficients(f).values()), default=0.0)
+            want = max((abs(c) for c in kernels.exact_form(f).mapping().values()), default=0.0)
             assert repr(kernel_sup_coeff(f)) == repr(want)
 
 

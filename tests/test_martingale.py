@@ -40,7 +40,10 @@ from vmstat.martingale import (
 )
 
 from helpers import (
+    c09_kernels,
+    expand_modes_reference,
     kernel_scale,
+    martingale_split_reference,
     random_canonical_pair_kernel,
     random_ergodic_chain,
     random_poly,
@@ -201,6 +204,18 @@ class TestCltVariance:
             assert clt_variance(arity1(u)) >= 0.0
 
 
+def drawn_pair_kernel(seed: int, m: int, n_terms: int, max_abs_mode: int) -> SeparableKernel:
+    """Random arity-2 kernel on CircleBase(m): canonical (every factor has mean zero), neither symmetric nor real."""
+    rng = rng_for(seed)
+    terms = tuple(
+        KernelTerm(float(rng.normal()), tuple(
+            random_poly(rng, max_abs_mode=max_abs_mode, n_modes=2, zero_mean=True)
+            for _ in range(2)))
+        for _ in range(n_terms)
+    )
+    return SeparableKernel(2, CircleBase(m), terms)
+
+
 class TestDecompositionD2:
     def test_example_parts_all_equal_base_pair(self):
         parts = martingale_coboundary_d2(mode_pair_kernel(2))
@@ -247,17 +262,38 @@ class TestDecompositionD2:
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3, 5]),
            n_terms=st.integers(1, 5), max_abs_mode=st.integers(1, 12))
     def test_reconstruct_property(self, seed, m, n_terms, max_abs_mode):
-        # canonical because every factor has mean zero; neither symmetric nor real
-        rng = rng_for(seed)
-        terms = tuple(
-            KernelTerm(float(rng.normal()), tuple(
-                random_poly(rng, max_abs_mode=max_abs_mode, n_modes=2, zero_mean=True)
-                for _ in range(2)))
-            for _ in range(n_terms)
-        )
-        f = SeparableKernel(2, CircleBase(m), terms)
+        f = drawn_pair_kernel(seed, m, n_terms, max_abs_mode)
         parts = martingale_coboundary_d2(f)
         assert kernels_allclose(reconstruct_from_parts(parts), f, tol=1e-11)
+
+    @staticmethod
+    def assert_matches_oracle(f):
+        parts = martingale_coboundary_d2(f)
+        got = (parts.martingale, parts.slot1_coboundary, parts.slot2_coboundary, parts.double_coboundary)
+        for part, want in zip(got, martingale_split_reference(f)):
+            modes, oracle = expand_modes(part), expand_modes_reference(want)
+            assert list(modes) == list(oracle)
+            assert [repr(c) for c in modes.values()] == [repr(c) for c in oracle.values()]
+
+    def test_c09_parts_match_the_mode_by_mode_split(self):
+        for f in c09_kernels():
+            self.assert_matches_oracle(f)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3, 5]),
+           n_terms=st.integers(1, 5), max_abs_mode=st.integers(1, 12))
+    def test_drawn_parts_match_the_mode_by_mode_split(self, seed, m, n_terms, max_abs_mode):
+        self.assert_matches_oracle(drawn_pair_kernel(seed, m, n_terms, max_abs_mode))
+
+    def test_coefficient_below_drop_tol_is_kept(self):
+        # g's coefficient at (1, 1) is 2^-52, below fourier.DROP_TOL: a part
+        # built one term per mode loses it, the split of the factors does not
+        e1 = FourierPoly({1: 1.0})
+        f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (e1, e1)), KernelTerm(-(1.0 - 2.0 ** -52), (e1, e1))))
+        assert expand_modes(f) == {(1, 1): 2.0 ** -52}
+        assert not martingale_split_reference(f)[0].terms
+        parts = martingale_coboundary_d2(f)
+        assert kernels_allclose(reconstruct_from_parts(parts), f, tol=0.0)
 
     def test_rejects_non_canonical(self):
         f = SeparableKernel(2, CIRCLE, (
@@ -296,6 +332,27 @@ class TestSpectral:
                 total = kernel_add(total, SeparableKernel(2, f.base, (
                     KernelTerm(lam, (phi, phi.conjugate())),)))
             assert kernels_allclose(total, g0, tol=1e-9)
+
+    def test_eigenfunctions_match_the_basis_sum(self):
+        # the eigenfunction read off the coordinates, against sum_a v_a u_a
+        # over the basis polynomials sqrt2 cos, sqrt2 sin and 1
+        r = 1.0 / np.sqrt(2.0)
+        one, cos2 = FourierPoly.constant(1.0), FourierPoly({2: 0.5, -2: 0.5})
+        coupled = kernel_add(mode_pair_kernel(1), SeparableKernel(2, CIRCLE, (
+            KernelTerm(1.0, (cos2, one)), KernelTerm(1.0, (one, cos2)), KernelTerm(0.5, (one, one)))))
+        for g in [coupled, *(martingale_coboundary_d2(f).martingale for f in c09_kernels())]:
+            M, eigenfunction = CIRCLE.spectral_form(g)
+            kmax = len(M) // 2
+            basis = [FourierPoly({j: r, -j: r}) for j in range(1, kmax + 1)]
+            basis += [FourierPoly({j: -1j * r, -j: 1j * r}) for j in range(1, kmax + 1)]
+            basis += [one] * (len(M) % 2)
+            for v in np.linalg.eigh(M)[1].T:
+                want = FourierPoly.zero()
+                for a, u in enumerate(basis):
+                    if abs(v[a]) > 1e-15:
+                        want = want + v[a] * u
+                got = eigenfunction(v)
+                assert all(abs(got.coeff(k) - want.coeff(k)) <= 1e-15 for k in set(got.modes()) | set(want.modes()))
 
     def test_eigenvalues_match_nystrom_grid(self):
         # the integral operator of a trig kernel is diagonalized exactly
