@@ -279,7 +279,9 @@ def integral(p: FourierPoly) -> complex:
 def lp_norm(p: FourierPoly, exponent: float) -> float:
     """L_p norm, 1 <= p < inf: exact for p = 2, else QUAD_POINTS-point uniform quadrature.
 
-    For p = 2 it is inf once some |c|^2 exceeds the largest double.
+    For p = 2 it is inf once some |c|^2 exceeds the largest double.  A
+    quadrature sum past the largest double is taken again over the node
+    values scaled by the largest, so a norm is inf only when a value is.
     """
     if not 1 <= exponent < np.inf:
         raise ValueError("exponent must be finite and >= 1")
@@ -289,9 +291,13 @@ def lp_norm(p: FourierPoly, exponent: float) -> float:
         except OverflowError:  # a |c|^2 past the largest double
             return np.inf
     x = np.arange(QUAD_POINTS, dtype=np.float64) / QUAD_POINTS
-    with np.errstate(over="ignore"):  # a |p|^exponent past the largest double makes the norm inf
+    with np.errstate(over="ignore"):
         vals = np.abs(p.evaluate(x))
-        return float(np.mean(vals ** exponent) ** (1.0 / exponent))
+        norm = np.mean(vals ** exponent) ** (1.0 / exponent)
+    if norm == np.inf and np.isfinite(vals).all():  # the sum overflowed, not a value
+        top = vals.max()
+        norm = top * np.mean((vals / top) ** exponent) ** (1.0 / exponent)
+    return float(norm)
 
 
 def _check_base(m: int) -> None:

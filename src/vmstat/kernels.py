@@ -28,9 +28,10 @@ sorted and unique, and values are complex on the circle, float on a
 chain.  Lookups are searchsorted on the codes, a slot transpose is digit
 arithmetic, a negation M^d - 1 - code, and the smallest code is the
 smallest index, so the symmetry witness, kernel_sup_coeff and
-kernels_allclose take one body for both bases.  ExactForm.mapping is
-a read-only view of a form, in the expansion's first-occurrence order;
-expand_modes is that view of a circle kernel.
+kernels_allclose take one body for both bases, and both spectral_form
+read the form.  first is each entry's place in first-occurrence order:
+itertools.product order (last slot fastest) of the expansion on the
+circle, C order on a chain.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import itertools
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Sequence, Union
 
 import numpy as np
@@ -159,13 +159,15 @@ class CircleBase:
         v to its polynomial: (v_cos -+ i v_sin) / sqrt2 at the modes +-j
         and v_const at mode 0.
         """
-        modes = expand_modes(g)
-        kmax = 0
-        for (k1, k2), c in modes.items():
-            if abs(np.conj(c) - modes.get((-k1, -k2), 0.0)) > 1e-9:
-                raise ValueError("kernel is not real-valued")
-            kmax = max(kmax, abs(k1), abs(k2))
-        constant = any(0 in key for key in modes)
+        form = exact_form(g)
+        order = np.argsort(form.first, kind="stable")
+        codes, values = form.codes[order], form.values[order]
+        partner = _lookup(form.codes, form.values, len(form.axis) ** 2 - 1 - codes)[0]
+        if (_modulus(values.conj() - partner) > 1e-9).any():
+            raise ValueError("kernel is not real-valued")
+        keys = [form.axis[r] for r in form.ranks(codes)]
+        both = np.concatenate(keys)
+        kmax, constant = int(np.abs(both).max(initial=0)), bool((both == 0).any())
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
 
         def coords(k: int) -> tuple:
@@ -176,12 +178,10 @@ class CircleBase:
             return ((abs(k) - 1, inv_sqrt2), (kmax + abs(k) - 1, sine))
 
         M = np.zeros((2 * kmax + constant,) * 2, dtype=np.complex128)
-        for (k1, k2), c in modes.items():
+        for k1, k2, c in zip(keys[0].tolist(), keys[1].tolist(), values.tolist()):
             for a, ha in coords(k1):
                 for b, hb in coords(k2):
                     M[a, b] += c * ha * hb
-        if np.max(np.abs(M.imag), initial=0.0) > 1e-9:
-            raise ValueError("mode matrix of a non-real kernel")
 
         def eigenfunction(v) -> FourierPoly:
             scaled = (v[:2 * kmax] * inv_sqrt2).tolist()
@@ -270,15 +270,16 @@ class MarkovBase:
         return [u.values @ counts for u in us]
 
     def form(self, f) -> "ExactForm":
-        """The kernel exactly, unremembered: to_tensor(f) in C order, coded on the axis 0..s-1."""
-        values = to_tensor(f).ravel()
+        """The kernel exactly, unremembered: _tensor(f) in C order, coded on the axis 0..s-1."""
+        values = _tensor(f).ravel()
         codes = np.arange(len(values), dtype=np.int64)
         return ExactForm(f.arity, np.arange(self.chain.n_states, dtype=np.int64), codes, values, codes)
 
     def spectral_form(self, g) -> tuple:
-        """pi^(1/2) G pi^(1/2) for the tensor G, and v -> pi^(-1/2) v as a state function."""
+        """pi^(1/2) G pi^(1/2) for the exact form's tensor G, and v -> pi^(-1/2) v as a state function."""
         sq = np.sqrt(self.chain.pi)
-        return sq[:, None] * to_tensor(g) * sq[None, :], lambda v: StateFunction(v / sq)
+        G = exact_form(g).values.reshape(len(sq), len(sq))
+        return sq[:, None] * G * sq[None, :], lambda v: StateFunction(v / sq)
 
 
 Base = Union[CircleBase, MarkovBase]
@@ -528,15 +529,14 @@ class ExactForm:
     """A kernel exactly: sorted unique codes over a sorted axis, and their values (module docstring).
 
     The index whose slot j holds axis[r_j] has the code sum_j r_j M^(d-1-j),
-    M = len(axis); first orders the entries as mapping() lists them.
+    M = len(axis); np.argsort(first, kind="stable") lists the entries in first-occurrence order.
     """
 
-    __slots__ = ("arity", "axis", "codes", "values", "first", "_mapping")
+    __slots__ = ("arity", "axis", "codes", "values", "first")
 
     def __init__(self, arity: int, axis: np.ndarray, codes: np.ndarray, values: np.ndarray,
                  first: np.ndarray):
         self.arity, self.axis, self.codes, self.values, self.first = arity, axis, codes, values, first
-        self._mapping = None
 
     def ranks(self, codes: np.ndarray) -> list:
         """The axis rank of each code in every slot, slot 0 first, as int64 arrays."""
@@ -565,15 +565,6 @@ class ExactForm:
         for r in self.ranks(self.codes):
             codes = codes * radix + where[r]
         return codes
-
-    def mapping(self) -> MappingProxyType:
-        """The form as a read-only map index tuple -> value (Python ints and scalars), in first order."""
-        if self._mapping is None:
-            order = np.argsort(self.first, kind="stable")
-            ranks = self.ranks(self.codes[order])
-            keys = np.stack([self.axis[r] for r in ranks], axis=-1).tolist()
-            self._mapping = MappingProxyType(dict(zip(map(tuple, keys), self.values[order].tolist())))
-        return self._mapping
 
     def real_part(self) -> "ExactForm":
         """The form of the real part, (c_k + conj(c_{-k})) / 2 at every k and -k, in Python's arithmetic.
@@ -631,20 +622,6 @@ def exact_form(f: SeparableKernel) -> ExactForm:
     return form
 
 
-def expand_modes(f: SeparableKernel) -> MappingProxyType:
-    """Circle kernel as a read-only map (k_1, ..., k_d) -> coefficient: its exact form's mapping.
-
-    This is the function itself in the product basis e_{k_1} x ... x e_{k_d},
-    independent of the stored term representation.  Each coefficient is
-    the sum over the terms, in order and from 0.0, of ((c_t c_1) c_2) ...
-    c_d; keys first occur in itertools.product order (last slot fastest)
-    and exact zeros of the sums are dropped (_expand).
-    """
-    if not isinstance(f.base, CircleBase):
-        raise BaseMismatchError("mode expansion is defined on the circle base")
-    return exact_form(f).mapping()
-
-
 def _expand(f: SeparableKernel) -> ExactForm:
     """A circle kernel's exact form, unremembered: every term's products, then their sums.
 
@@ -687,13 +664,11 @@ def _expand(f: SeparableKernel) -> ExactForm:
     return ExactForm(d, axis, codes[keep], sums[keep], first[keep])
 
 
-def to_tensor(f: SeparableKernel) -> np.ndarray:
-    """Markov kernel as a dense arity-d tensor: ((c_t u_1) u_2) ... u_d added in term order to zeros.
+def _tensor(f: SeparableKernel) -> np.ndarray:
+    """A chain kernel as a dense arity-d tensor: ((c_t u_1) u_2) ... u_d added in term order to zeros.
 
     Terms go in groups of at most BLOCK product values (one term if s^d > BLOCK), one broadcast per slot.
     """
-    if not isinstance(f.base, MarkovBase):
-        raise BaseMismatchError("tensor form is defined on the markov base")
     s, d = f.base.chain.n_states, f.arity
     acc = np.zeros((s,) * d)
     step = max(1, BLOCK // s ** d)
@@ -711,7 +686,7 @@ def to_tensor(f: SeparableKernel) -> np.ndarray:
 def kernel_sup_coeff(f: SeparableKernel) -> float:
     """Largest coefficient modulus of the kernel's exact form (largest |value| on a chain).
 
-    As Python's max over the moduli in mapping order, 0.0 for no entries:
+    As Python's max over the moduli in first-occurrence order, 0.0 for no entries:
     nan when the first modulus is nan, and a later nan is passed over.
     """
     form = exact_form(f)

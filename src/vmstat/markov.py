@@ -160,7 +160,13 @@ class MarkovChain:
     def lp_norm(self, f: StateFunction, exponent: float) -> float:
         if not 1 <= exponent < np.inf:
             raise ValueError("exponent must be finite and >= 1")
-        return float(np.sum(self.pi * np.abs(f.values) ** exponent) ** (1.0 / exponent))
+        vals = np.abs(f.values)
+        with np.errstate(over="ignore"):
+            norm = np.sum(self.pi * vals ** exponent) ** (1.0 / exponent)
+        if norm == np.inf and np.isfinite(vals).all():  # the sum overflowed, not a value: scale it
+            top = vals.max()
+            norm = top * np.sum(self.pi * (vals / top) ** exponent) ** (1.0 / exponent)
+        return float(norm)
 
     def apply(self, f: StateFunction, power: int = 1) -> StateFunction:
         """Q^power f, the conditional expectation `power` steps ahead."""

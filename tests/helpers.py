@@ -21,6 +21,7 @@ from vmstat.hoeffding import HoeffdingParts, integrate_out
 from vmstat.kernels import (
     Base,
     CircleBase,
+    ExactForm,
     KernelTerm,
     MarkovBase,
     Observable,
@@ -130,11 +131,28 @@ def hoeffding_component_oracle(f: SeparableKernel, S) -> SeparableKernel:
     return out
 
 
+def mapping(form: ExactForm) -> dict:
+    """The form as a map index tuple -> value (Python ints and scalars), in first-occurrence order."""
+    order = np.argsort(form.first, kind="stable")
+    keys = np.stack([form.axis[r] for r in form.ranks(form.codes[order])], axis=-1).tolist()
+    return dict(zip(map(tuple, keys), form.values[order].tolist()))
+
+
+def expand_modes(f: SeparableKernel) -> dict:
+    """A circle kernel as a map (k_1, ..., k_d) -> coefficient: the mapping of its exact form.
+
+    Each coefficient is the sum over the terms, in order and from 0.0, of
+    ((c_t c_1) c_2) ... c_d; keys first occur in itertools.product order
+    (last slot fastest) and exact zeros of the sums are dropped.
+    """
+    return mapping(exact_form(f))
+
+
 def expand_modes_reference(f: SeparableKernel) -> dict:
     """Mode expansion combo by combo over itertools.product, with no shared prefix.
 
     Each combo's key is built and its coefficient chain ((c_t c_1) c_2) ...
-    multiplied on its own, so expand_modes must match it in key order and
+    multiplied on its own, so the exact form must match it in key order and
     to the last bit, zero signs included.
     """
     out: dict = {}
@@ -180,7 +198,7 @@ def to_tensor_reference(f: SeparableKernel) -> np.ndarray:
     """The dense tensor one term at a time: np.multiply.outer from the coefficient, slot by slot.
 
     Each value is ((c_t u_1) u_2) ... u_d, added over the terms in order to
-    a tensor of zeros; to_tensor must give these bytes, zero signs included.
+    a tensor of zeros; the chain's exact form must hold these bytes, zero signs included.
     """
     s = f.base.chain.n_states
     acc = np.zeros((s,) * f.arity)
@@ -192,11 +210,42 @@ def to_tensor_reference(f: SeparableKernel) -> np.ndarray:
     return acc
 
 
+def circle_spectral_matrix_reference(g: SeparableKernel) -> np.ndarray:
+    """CircleBase.spectral_form's matrix by a walk of the expand_modes dict, key by key.
+
+    Each key is checked against its negation, then each coefficient c adds
+    c * ha * hb into the complex matrix for every pair of basis
+    coordinates of its two modes, in key order; the real part is returned.
+    spectral_form must give these bytes.
+    """
+    modes = expand_modes(g)
+    kmax = 0
+    for (k1, k2), c in modes.items():
+        if abs(np.conj(c) - modes.get((-k1, -k2), 0.0)) > 1e-9:
+            raise ValueError("kernel is not real-valued")
+        kmax = max(kmax, abs(k1), abs(k2))
+    constant = any(0 in key for key in modes)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+
+    def coords(k: int) -> tuple:
+        if k == 0:
+            return ((2 * kmax, 1.0),)
+        sine = 1j * (1 if k > 0 else -1) * inv_sqrt2
+        return ((abs(k) - 1, inv_sqrt2), (kmax + abs(k) - 1, sine))
+
+    M = np.zeros((2 * kmax + constant,) * 2, dtype=np.complex128)
+    for (k1, k2), c in modes.items():
+        for a, ha in coords(k1):
+            for b, hb in coords(k2):
+                M[a, b] += c * ha * hb
+    return M.real
+
+
 def kernels_allclose_reference(f: SeparableKernel, g: SeparableKernel, tol: float) -> bool:
     """Coefficientwise equality over the union of both exact forms' keys, 0.0 where absent."""
     if f.arity != g.arity or f.base != g.base:
         return False
-    df, dg = exact_form(f).mapping(), exact_form(g).mapping()
+    df, dg = mapping(exact_form(f)), mapping(exact_form(g))
     return all(abs(df.get(k, 0.0) - dg.get(k, 0.0)) <= tol for k in set(df) | set(dg))
 
 
@@ -210,7 +259,7 @@ def find_asymmetry_witness_reference(f: SeparableKernel, tol: float = 1e-9):
     """
     if f.arity == 1:
         return None
-    coeffs = exact_form(f).real_part().mapping()
+    coeffs = mapping(exact_form(f).real_part())
     indices = sorted(coeffs)
     for j in range(f.arity - 1):
         for index in indices:

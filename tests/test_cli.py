@@ -494,12 +494,14 @@ class TestAnalysisCommands:
         assert "Traceback" not in captured.err
 
     def test_overflowing_quadrature_prints_only_the_error(self, tmp_path, capsys):
-        # the diagonal's L1 quadrature overflows to inf; numpy's overflow warning
-        # stays quiet, so the one line on stderr is the command's own
+        # the diagonal is 1e308 (1 + e_3), whose value at 0 overflows to inf, and so does
+        # its L1 quadrature; numpy's overflow warning stays quiet, so the one line on
+        # stderr is the command's own
         data = json.loads((CONFIGS / "degen_doubling.json").read_text())
         for term in data["kernel"]["terms"]:
             for factor in term["factors"]:
-                factor["modes"] = [[k, re * 1e153, im] for k, re, im in factor["modes"]]
+                factor["modes"] = [[k, re * 1e154, im] for k, re, im in factor["modes"]]
+        data["kernel"]["terms"][1]["factors"][0]["modes"][0][0] = 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["growth", "--config", write_config(tmp_path, data)]) == 1

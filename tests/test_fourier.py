@@ -390,11 +390,17 @@ class TestNorms:
             assert lp_norm(p, 2.0) == float(np.sqrt(sum(abs(c) ** 2 for _, c in p.items())))
 
     def test_quadrature_overflow_is_inf_without_a_warning(self):
-        # |p|^3 passes the largest double at every node, and so does the sum of |p| over 4096 nodes
+        unit = FourierPoly({1: 1.0, -1: 1.0})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert lp_norm(FourierPoly({1: 1e307, -1: 1e307}), 3) == math.inf
-            assert lp_norm(FourierPoly({1: 1e305, -1: 1e305}), 1.0) == math.inf
+            # |p|^3 passes the largest double at every node, and the sum of |p| over 4096 nodes
+            # does too; the norms are finite, the scaled-down polynomial's times the scale
+            for scale, exponent in ((1e307, 3), (1e305, 1.0), (1e307, 1.0)):
+                got = lp_norm(FourierPoly({1: scale, -1: scale}), exponent)
+                assert math.isclose(got, scale * lp_norm(unit, exponent), rel_tol=1e-14)
+            assert lp_norm(FourierPoly({1: 1e307, -1: 1e307}), 1.0) == 1.2732392950638007e+307
+            # a node value past the largest double makes the norm inf
+            assert lp_norm(FourierPoly({1: 1e308, 2: 1e308}), 1.0) == math.inf
 
     def test_lp_rejects_exponent_below_one(self):
         with pytest.raises(ValueError):

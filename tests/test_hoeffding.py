@@ -29,13 +29,11 @@ from vmstat.kernels import (
     MarkovBase,
     SeparableKernel,
     exact_form,
-    expand_modes,
     kernel_add,
     kernel_eval,
     kernel_mean,
     kernel_sup_coeff,
     kernels_allclose,
-    to_tensor,
     zero_kernel,
 )
 from vmstat.markov import MarkovChain, StateFunction
@@ -46,9 +44,11 @@ from helpers import (
     c09_kernels,
     constant_kernel,
     constant_observable,
+    expand_modes,
     find_asymmetry_witness_reference,
     hoeffding_component_oracle,
     integrate_out_reference,
+    mapping,
     martingale_split_reference,
     random_canonical_pair_kernel,
     random_ergodic_chain,
@@ -260,7 +260,7 @@ class TestCanonicalOracle:
 
     @staticmethod
     def coefficient_reprs(g) -> list:
-        return [(k, repr(c)) for k, c in exact_form(g).mapping().items()]
+        return [(k, repr(c)) for k, c in mapping(exact_form(g)).items()]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(f=canonical_oracle_kernels(), data=st.data())
@@ -299,7 +299,7 @@ class TestCanonicalOracle:
         post_init = SeparableKernel.__post_init__
         monkeypatch.setattr(SeparableKernel, "__post_init__", lambda g: built.append(g) or post_init(g))
         monkeypatch.setattr(kernels, "_expand", lambda g: built.append(g) or {})
-        monkeypatch.setattr(kernels, "to_tensor", lambda g: built.append(g) or np.zeros(()))
+        monkeypatch.setattr(kernels, "_tensor", lambda g: built.append(g) or np.zeros(()))
         circle = [g for g in levels if isinstance(g.base, CircleBase)]
         assert len(circle) > 400
         for g in circle + levels[-1:]:
@@ -318,9 +318,10 @@ class TestCanonicalOracle:
         # two terms of 2 |E u| sup v = 9 bound slot 0, two of 2 sup u |E v| = 5 slot 1; yet f is zero
         (b0, b1), margin = hoeffding._slot_bounds(f), 1 + (11 * 2 + 2 * 2) * 2.0 ** -51
         assert (b0, b1) == (18.0 * margin, 10.0 * margin)
-        assert to_tensor(f).tobytes() == np.zeros((2, 2)).tobytes()
+        tensor = kernels._tensor
+        assert tensor(f).tobytes() == np.zeros((2, 2)).tobytes()
         built = []
-        monkeypatch.setattr(kernels, "to_tensor", lambda g: built.append(g) or to_tensor(g))
+        monkeypatch.setattr(kernels, "_tensor", lambda g: built.append(g) or tensor(g))
         assert is_canonical(f, tol=0.0)
         assert len(built) == 2
 
@@ -379,7 +380,7 @@ class TestSymmetry:
         assert j == 0
         assert all(isinstance(i, int) for i in index)
         swapped = (index[1], index[0])
-        tensor = to_tensor(g)
+        tensor = kernels._tensor(g)
         assert a == tensor[index] == kernel_eval(g, index)
         assert b == tensor[swapped] == kernel_eval(g, swapped)
         assert abs(a - b) > 1e-9

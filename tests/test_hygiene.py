@@ -7,8 +7,9 @@ evaluation path takes its exponentials from ``fourier.turns_exp`` alone,
 every numpy tolerance comparison states its relative tolerance, every
 ``take`` into an ``out`` array passes mode ``"clip"``, only ``fourier``
 tells uint64 phases from points, only ``dynamics`` knows the digit
-window, ``martingale`` names no exact form, and only ``_seeding``
-makes random generators.  Importing the package and its command-line
+window, ``martingale`` names no exact form, no module names a second
+view of a kernel beside the exact form, and only ``_seeding`` makes
+random generators.  Importing the package and its command-line
 reader loads no process pool.
 """
 
@@ -61,7 +62,7 @@ def test_no_unused_imports(path):
 BASE_TYPES = {"CircleBase", "MarkovBase", "FourierPoly", "StateFunction", "CircleSystem", "MarkovSystem"}
 #: most such tests ``src/vmstat`` may hold outside ``fourier.py``; the per-base
 #: operations live on CircleBase and MarkovBase, so a new branch needs a reason
-MAX_BASE_BRANCHES = 11
+MAX_BASE_BRANCHES = 9
 
 
 def _base_branches(tree: ast.Module) -> list[int]:
@@ -215,6 +216,17 @@ def test_martingale_split_takes_no_exact_form():
     found = [(name, line) for name, line in _names(ast.parse(path.read_text(), filename=str(path)))
              if name in {"exact_form", "expand_modes", "ExactForm"}]
     assert not found, f"exact form in martingale.py: {found}"
+
+
+def test_no_second_view_of_a_kernel():
+    # the exact form's arrays are the one exact view; the dict view lives in tests/helpers.py
+    found = [
+        (path.name, name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in _names(ast.parse(path.read_text(), filename=str(path)))
+        if name in {"expand_modes", "to_tensor", "MappingProxyType", "mapping"}
+    ]
+    assert not found, f"a second kernel view in src/vmstat: {found}"
 
 
 #: constructors of numpy random generators, bit generators and seed sequences

@@ -24,7 +24,6 @@ from vmstat.kernels import (
     SeparableKernel,
     coordinate_op,
     diag_restrict,
-    expand_modes,
     kernel_add,
     kernel_eval,
     kernel_mean,
@@ -32,7 +31,6 @@ from vmstat.kernels import (
     kernels_allclose,
     partition_restrict,
     projective_bound,
-    to_tensor,
     zero_kernel,
 )
 from vmstat.markov import MarkovChain, StateFunction
@@ -41,12 +39,15 @@ from vmstat.martingale import martingale_coboundary_d2, spectral_decompose
 from helpers import (
     c02_kernels,
     c09_kernels,
+    circle_spectral_matrix_reference,
     constant_kernel,
+    expand_modes,
     expand_modes_reference,
     find_asymmetry_witness_reference,
     grid,
     kernel_scale,
     kernels_allclose_reference,
+    mapping,
     random_ergodic_chain,
     random_poly,
     random_symmetric_markov_kernel,
@@ -431,7 +432,7 @@ class TestBoundsAndExpansion:
         v = StateFunction(rng.normal(size=3))
         f = SeparableKernel(2, base, (KernelTerm(1.0, (u, v)),
                                       KernelTerm(-2.0, (v, u))))
-        T = to_tensor(f)
+        T = kernels._tensor(f)
         assert T.shape == (3, 3)
         for i in range(3):
             for j in range(3):
@@ -448,7 +449,7 @@ class TestBoundsAndExpansion:
         v = StateFunction(np.array([0.5, 2.0]))
         h = SeparableKernel(2, MarkovBase(two_state_chain()), (KernelTerm(1.0, (u, v)),
                                                                KernelTerm(-0.5, (v, v))))
-        assert kernel_sup_coeff(h) == np.max(np.abs(to_tensor(h))) == 8.0
+        assert kernel_sup_coeff(h) == np.max(np.abs(kernels._tensor(h))) == 8.0
         assert kernels_allclose(h, kernel_scale(h, 1.0 + 1e-13))
         # the largest change is 8e-4, at the entry -8
         assert kernels_allclose(h, kernel_scale(h, 1.0 + 1e-4), tol=1e-3)
@@ -487,11 +488,11 @@ def signed_chain_kernels(draw):
 
 
 class TestTensorOracle:
-    """to_tensor against to_tensor_reference, byte for byte."""
+    """The chain's tensor builder (kernels._tensor) against to_tensor_reference, byte for byte."""
 
     @staticmethod
     def assert_matches_oracle(f):
-        got, want = to_tensor(f), to_tensor_reference(f)
+        got, want = kernels._tensor(f), to_tensor_reference(f)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -513,7 +514,7 @@ class TestTensorOracle:
         base = MarkovBase(_TENSOR_CHAINS[1])
         u, v = StateFunction(np.array([-0.0, 1.0])), StateFunction(np.array([2.0, -1.0]))
         f = SeparableKernel(1, base, (KernelTerm(1.0, (u,)), KernelTerm(3.0, (u,))))
-        assert to_tensor(f).tobytes() == np.array([0.0, 4.0]).tobytes()
+        assert kernels._tensor(f).tobytes() == np.array([0.0, 4.0]).tobytes()
         self.assert_matches_oracle(f)
         g = SeparableKernel(2, base, (KernelTerm(-1.0, (u, v)), KernelTerm(1.0, (v, u))))
         self.assert_matches_oracle(g)
@@ -522,11 +523,11 @@ class TestTensorOracle:
         base = MarkovBase(_TENSOR_CHAINS[0])
         f = SeparableKernel(3, base, tuple(KernelTerm(c, (StateFunction(np.array([x])),) * 3)
                                            for c, x in ((1.0, 2.0), (-0.5, -1.0), (0.25, 3.0))))
-        assert to_tensor(f).shape == (1, 1, 1)
+        assert kernels._tensor(f).shape == (1, 1, 1)
         self.assert_matches_oracle(f)
         for base in (MarkovBase(chain) for chain in _TENSOR_CHAINS):
             empty = zero_kernel(2, base)
-            assert not to_tensor(empty).any()
+            assert not kernels._tensor(empty).any()
             self.assert_matches_oracle(empty)
 
     def test_several_term_groups(self):
@@ -603,7 +604,7 @@ def _circle_kernel(seed: int, d: int = 2) -> SeparableKernel:
 
 
 class TestExpansionMemo:
-    """expand_modes remembers its last few expansions by identity, weakly and read-only."""
+    """exact_form remembers its last few forms by identity, weakly, and its readers leave them as built."""
 
     @staticmethod
     def expansions_of(spy, f) -> int:
@@ -629,21 +630,21 @@ class TestExpansionMemo:
 
     def test_bounded(self):
         f = _circle_kernel(601)
-        expand_modes(f)
+        kernels.exact_form(f)
         others = [_circle_kernel(602 + i) for i in range(kernels._EXPANSIONS.maxlen)]
         with mock.patch.object(kernels, "_expand", wraps=kernels._expand) as spy:
             for g in others[1:]:
-                expand_modes(g)
-            expand_modes(f)
+                kernels.exact_form(g)
+            kernels.exact_form(f)
             assert self.expansions_of(spy, f) == 0
             for g in others:
-                expand_modes(g)
-            expand_modes(f)
+                kernels.exact_form(g)
+            kernels.exact_form(f)
         assert self.expansions_of(spy, f) == 1
 
     def test_keeps_no_kernel_alive(self):
         f = _circle_kernel(610)
-        expand_modes(f)
+        kernels.exact_form(f)
         ref = weakref.ref(f)
         del f
         gc.collect()
@@ -651,7 +652,7 @@ class TestExpansionMemo:
 
     def test_sum_of_an_expanded_kernel_expands_to_itself(self):
         f, g = _circle_kernel(611), _circle_kernel(612)
-        expand_modes(f)
+        kernels.exact_form(f)
         h = kernel_add(f, g)
         assert vars(h).keys() == vars(f).keys()
         got, want = expand_modes(h), expand_modes_reference(h)
@@ -659,14 +660,21 @@ class TestExpansionMemo:
         assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
 
     def test_expansion_is_read_only(self):
-        f = _circle_kernel(613)
-        modes = expand_modes(f)
-        try:
-            modes[(9, 9)] = 1.0
-        except TypeError:
-            pass
-        got, want = expand_modes(f), expand_modes_reference(f)
-        assert (9, 9) not in got and dict(got) == want and list(got) == list(want)
+        # every reader of the remembered form shares its arrays, so none may write to them
+        f = next(c09_kernels())
+        g0 = martingale_coboundary_d2(f).martingale
+        chain = random_symmetric_markov_kernel(rng_for(614), 2, random_ergodic_chain(rng_for(615), 3))
+        for h in (f, g0, chain):
+            form = kernels.exact_form(h)
+            spectral_decompose(h)
+            find_asymmetry_witness(h)
+            kernel_sup_coeff(h)
+            kernels_allclose(h, kernel_scale(h, 2.0))
+            form.real_part()
+            assert kernels.exact_form(h) is form
+            fresh = h.base.form(h)
+            for part in ("axis", "codes", "values", "first"):
+                assert getattr(form, part).tobytes() == getattr(fresh, part).tobytes()
 
 
 _COEFFS = st.one_of(
@@ -728,7 +736,7 @@ class TestExpansionOracle:
         self.assert_matches_oracle(f)
         # the real part's expansion, against the numpy-scalar form it replaced
         modes = expand_modes_reference(f)
-        real = kernels.exact_form(f).real_part().mapping()
+        real = mapping(kernels.exact_form(f).real_part())
         assert list(real) == list(real_part_reference(modes))
         assert set(real) == set(modes) | {tuple(-k for k in key) for key in modes}
         for key, c in real.items():
@@ -829,18 +837,18 @@ class TestRealCoefficientsOracle:
     def test_hermitian_kernels(self, f):
         modes = expand_modes_reference(f)
         assert all(modes.get(tuple(-k for k in key)) == c.conjugate() for key, c in modes.items())
-        self.assert_matches(kernels.exact_form(f).real_part().mapping(), modes)
+        self.assert_matches(mapping(kernels.exact_form(f).real_part()), modes)
 
     def test_c02_kernels_and_levels(self):
         for f in c02_kernels():
             if isinstance(f.base, CircleBase):
                 for g in (f, *symmetric_parts(f).levels):
-                    self.assert_matches(kernels.exact_form(g).real_part().mapping(), expand_modes_reference(g))
+                    self.assert_matches(mapping(kernels.exact_form(g).real_part()), expand_modes_reference(g))
 
     def test_hermitian_expansion_is_its_own_real_part(self):
         cos = FourierPoly({1: 0.5, -1: 0.5})
         f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (cos, cos)),))
-        assert kernels.exact_form(f).real_part().mapping() is expand_modes(f)
+        assert kernels.exact_form(f).real_part() is kernels.exact_form(f)
 
     @pytest.mark.parametrize("modes", [
         # Hermitian by value, but the formula does not give every -0.0 part back
@@ -861,7 +869,7 @@ class TestRealCoefficientsOracle:
     ])
     def test_signed_zeros_overflow_and_partners(self, modes, monkeypatch):
         monkeypatch.setattr(kernels, "_expand", lambda f: form_of(modes))
-        self.assert_matches(kernels.exact_form(zero_kernel(1, CIRCLE)).real_part().mapping(), modes)
+        self.assert_matches(mapping(kernels.exact_form(zero_kernel(1, CIRCLE)).real_part()), modes)
 
 
 def wide_kernel(seed: int) -> SeparableKernel:
@@ -888,7 +896,7 @@ class TestExactForm:
         assert form.codes.dtype == object and len(form.axis) ** 8 >= 2 ** 63
         assert list(form.codes) == sorted(set(form.codes))
         modes = expand_modes_reference(f)
-        real = kernels.exact_form(f).real_part().mapping()
+        real = mapping(kernels.exact_form(f).real_part())
         for got, want in ((expand_modes(f), modes), (real, real_part_reference(modes))):
             assert list(got) == list(want)
             assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
@@ -909,7 +917,7 @@ class TestExactForm:
         f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (u, v)), KernelTerm(0.5, (v, u))))
         assert kernels.exact_form(f).axis.dtype == object
         modes = expand_modes_reference(f)
-        real = kernels.exact_form(f).real_part().mapping()
+        real = mapping(kernels.exact_form(f).real_part())
         for got, want in ((expand_modes(f), modes), (real, real_part_reference(modes))):
             assert list(got) == list(want)
             assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
@@ -922,7 +930,7 @@ class TestExactForm:
         e1, e2, em3 = FourierPoly({1: 1.0}), FourierPoly({2: 1.0}), FourierPoly({-3: 1.0})
         f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (e1, e2)), KernelTerm(1.0, (em3, e1))))
         # every index of the real part fails transpose 0; (1, 2) comes first, (-3, 1) sorts first
-        assert list(kernels.exact_form(f).real_part().mapping()) == [(1, 2), (-1, -2), (-3, 1), (3, -1)]
+        assert list(mapping(kernels.exact_form(f).real_part())) == [(1, 2), (-1, -2), (-3, 1), (3, -1)]
         witness = find_asymmetry_witness(f)
         assert repr(witness) == repr(find_asymmetry_witness_reference(f))
         assert witness == ((-3, 1), 0, 0.5 + 0j, 0.0)
@@ -948,7 +956,7 @@ class TestExactForm:
             for h in (f, g):
                 for tol in (1e-9, 1e-7, 0.0):
                     assert repr(find_asymmetry_witness(h, tol)) == repr(find_asymmetry_witness_reference(h, tol))
-                assert kernel_sup_coeff(h) == max(abs(c) for c in kernels.exact_form(h).mapping().values())
+                assert kernel_sup_coeff(h) == max(abs(c) for c in mapping(kernels.exact_form(h)).values())
             for tol in (0.0, COEFF_TOL, 1e-5):
                 for a, b in ((f, g), (g, f), (f, kernel_scale(f, 1.0 + 1e-13))):
                     assert kernels_allclose(a, b, tol) == kernels_allclose_reference(a, b, tol)
@@ -957,7 +965,7 @@ class TestExactForm:
         base = MarkovBase(two_state_chain())
         for values in ([1.0, np.nan], [np.nan, 1.0], [np.nan, np.nan], [-2.0, 1.0]):
             f = SeparableKernel(1, base, (KernelTerm(1.0, (StateFunction(np.array(values)),)),))
-            want = max((abs(c) for c in kernels.exact_form(f).mapping().values()), default=0.0)
+            want = max((abs(c) for c in mapping(kernels.exact_form(f)).values()), default=0.0)
             assert repr(kernel_sup_coeff(f)) == repr(want)
 
 

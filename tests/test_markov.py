@@ -93,6 +93,13 @@ class TestChainBasics:
         assert abs(chain.lp_norm(f, 2.0) - 2.0) < 1e-13
         assert abs(chain.lp_norm(f, 1.0) - 2.0) < 1e-13
 
+    def test_lp_norm_past_the_largest_double(self):
+        # |v|^2 = 1e400 overflows, yet the norm is 1e200: the scaled values' norm times the scale
+        chain = two_state(0.2, 0.6)
+        big = StateFunction(np.array([1e200, -1e200]))
+        assert chain.lp_norm(big, 2.0) == 1e200 * chain.lp_norm(StateFunction(np.array([1.0, -1.0])), 2.0)
+        assert chain.lp_norm(StateFunction(np.array([1e200, np.inf])), 2.0) == np.inf
+
     def test_state_function_json_round_trip(self):
         f = StateFunction(np.array([0.5, -1.5, 3.0]))
         chain = random_ergodic_chain(rng_for(203), 3)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vmstat import kernels
 from vmstat.fourier import FourierPoly, apply_koopman, lp_norm, poly_product
 from vmstat.hoeffding import is_canonical
 from vmstat.kernels import (
@@ -17,11 +18,9 @@ from vmstat.kernels import (
     SeparableKernel,
     coordinate_op,
     diag_restrict,
-    expand_modes,
     kernel_add,
     kernel_mean,
     kernels_allclose,
-    to_tensor,
     zero_kernel,
 )
 from vmstat.markov import MarkovChain, StateFunction
@@ -41,6 +40,8 @@ from vmstat.martingale import (
 
 from helpers import (
     c09_kernels,
+    circle_spectral_matrix_reference,
+    expand_modes,
     expand_modes_reference,
     kernel_scale,
     martingale_split_reference,
@@ -48,8 +49,11 @@ from helpers import (
     random_ergodic_chain,
     random_poly,
     random_state_function,
+    random_symmetric_circle_kernel,
+    random_symmetric_markov_kernel,
     reparse,
     rng_for,
+    to_tensor_reference,
 )
 
 CIRCLE = CircleBase(2)
@@ -404,9 +408,69 @@ class TestSpectral:
         lam, phi = pairs[0]
         assert abs(lam - chain.inner(u, u)) < 1e-10
         assert abs(chain.inner(phi, phi) - 1.0) < 1e-10
-        T = to_tensor(f)
+        T = kernels._tensor(f)
         approx = lam * np.outer(phi.values, phi.values)
         assert np.allclose(T, approx, atol=1e-9)
+
+    def test_circle_matrix_matches_the_dict_walk(self):
+        def outcome(spectral_form, g):
+            try:
+                return spectral_form(g).tobytes()
+            except ValueError as e:
+                return str(e)
+
+        one, cos2 = FourierPoly.constant(1.0), FourierPoly({2: 0.5, -2: 0.5})
+        corpus = [SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (one, one)), KernelTerm(1.0, (cos2, one)),
+                                              KernelTerm(1.0, (one, cos2))))]
+        for f in c09_kernels():
+            corpus += [f, martingale_coboundary_d2(f).martingale]
+        rng = rng_for(515)
+        for m in (2, 3, 5):
+            for seed in range(10):
+                f = random_canonical_pair_kernel(rng, n_pairs=3, max_abs_mode=12, m=m)
+                corpus += [f, martingale_coboundary_d2(f).martingale, drawn_pair_kernel(5150 + seed, m, 3, 6),
+                           random_symmetric_circle_kernel(rng, 2, max_terms=8, m=m)]
+        got = [outcome(lambda g: g.base.spectral_form(g)[0], g) for g in corpus]
+        want = [outcome(circle_spectral_matrix_reference, g) for g in corpus]
+        assert got == want
+        assert sum(isinstance(w, str) for w in want) == 30 and want.count("kernel is not real-valued") == 30
+
+    def test_chain_matrix_is_the_scaled_tensor(self):
+        rng = rng_for(516)
+        for s in (1, 2, 3, 5):
+            chain = random_ergodic_chain(rng, s)
+            g = random_symmetric_markov_kernel(rng, 2, chain)
+            sq = np.sqrt(chain.pi)
+            want = sq[:, None] * to_tensor_reference(g) * sq[None, :]
+            assert g.base.spectral_form(g)[0].tobytes() == want.tobytes()
+
+    def test_chain_tensor_is_built_once(self, monkeypatch):
+        # the symmetry witness and the spectral matrix read one remembered form
+        rng = rng_for(517)
+        f = random_symmetric_markov_kernel(rng, 2, random_ergodic_chain(rng, 3))
+        built, tensor = [], kernels._tensor
+        monkeypatch.setattr(kernels, "_tensor", lambda g: built.append(g) or tensor(g))
+        assert spectral_decompose(f)
+        assert built == [f]
+
+    def test_rejects_a_kernel_that_is_not_real_valued(self):
+        # e_1 x e_1 is symmetric, and its real part cos 2 pi (x + y) is too
+        e1 = FourierPoly({1: 1.0})
+        f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (e1, e1)),))
+        with pytest.raises(ValueError, match="kernel is not real-valued"):
+            spectral_decompose(f)
+
+    def test_real_kernel_with_large_coefficients_is_accepted(self):
+        # p x q + q x p is real and symmetric; its coefficients near 6e16 round the
+        # imaginary parts of the mode matrix far past 1e-9 (docs/constants.md)
+        a = -1386.3072561283193 - 254427678.87553957j
+        b = 241987741.16163218 - 5.52048741456168j
+        p = FourierPoly({1: a, -1: a.conjugate()})
+        q = FourierPoly({-2: b.conjugate(), 2: b})
+        f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (p, q)), KernelTerm(1.0, (q, p))))
+        lams = sorted(lam for lam, _ in spectral_decompose(f))
+        top = 2 * abs(a) * abs(b)
+        assert abs(lams[0] / top + 1) <= 1e-15 and abs(lams[-1] / top - 1) <= 1e-15
 
     def test_rejects_asymmetric_kernel(self):
         e1 = FourierPoly({1: 1.0, -1: 1.0})
