@@ -246,8 +246,9 @@ def markov_occupations(chain: MarkovChain, n: int, seeds) -> np.ndarray:
     successive random_raw calls on its stream, the words of its random(n);
     the chunk is made _ordered once and compared with the cumulative
     values' _cuts, which picks the states random() would.  The states go
-    into a ring of ceil(span / 8) rows, counted by bincount, offset by s
-    per lane, each time it fills.  A batch of L <= MAX_LANES replicas
+    into a ring of ceil(max(span, s) / 8) rows, counted by bincount,
+    offset by s per lane, each time it fills: a full ring's count touches
+    at most 8 bins per state it counts.  A batch of L <= MAX_LANES replicas
     holds L span <= BATCH_UNIFORMS words and gathers L (s - 1) cuts per
     step, so what it holds grows with neither n nor the replica count.  A
     step takes each lane's row of cuts (take), compares it with the lane's
@@ -269,7 +270,7 @@ def markov_occupations(chain: MarkovChain, n: int, seeds) -> np.ndarray:
         span = max(1, min(n, BATCH_UNIFORMS // len(draws)))
         words = np.empty((len(draws), span), dtype=np.uint64)
         cols = list(words.view(np.float64).T[:, :, None])
-        ring = np.empty((-(-span // 8), len(draws)), dtype=np.min_scalar_type(s - 1))
+        ring = np.empty((-(-max(span, s) // 8), len(draws)), dtype=np.min_scalar_type(s - 1))
         rows = list(ring)
         cut = np.empty((len(draws), s - 1))
         hit = np.empty((len(draws), s - 1), dtype=bool)

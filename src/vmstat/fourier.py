@@ -279,9 +279,10 @@ def integral(p: FourierPoly) -> complex:
 def lp_norm(p: FourierPoly, exponent: float) -> float:
     """L_p norm, 1 <= p < inf: exact for p = 2, else QUAD_POINTS-point uniform quadrature.
 
-    For p = 2 it is inf once some |c|^2 exceeds the largest double.  A
-    quadrature sum past the largest double is taken again over the node
-    values scaled by the largest, so a norm is inf only when a value is.
+    A sum past the largest double (for p = 2, a |c|^2 past it) is taken
+    again over the coefficients or node values scaled by the largest, so
+    a norm is inf only when it is past the largest double itself or, in
+    quadrature, a value is.
     """
     if not 1 <= exponent < np.inf:
         raise ValueError("exponent must be finite and >= 1")
@@ -289,7 +290,8 @@ def lp_norm(p: FourierPoly, exponent: float) -> float:
         try:
             return float(np.sqrt(sum(abs(c) ** 2 for _, c in p.items())))
         except OverflowError:  # a |c|^2 past the largest double
-            return np.inf
+            top = max(abs(c) for _, c in p.items())
+            return top * float(np.sqrt(sum((abs(c) / top) ** 2 for _, c in p.items())))
     x = np.arange(QUAD_POINTS, dtype=np.float64) / QUAD_POINTS
     with np.errstate(over="ignore"):
         vals = np.abs(p.evaluate(x))

@@ -18,6 +18,12 @@ representation: the real part of the kernel's exact form, the mode
 expansion of the real part (circle) or the kernel's values (Markov
 base), is compared coefficient by coefficient with its adjacent slot
 transposes.  Slots are 0-based.
+
+A symmetric kernel is a sum over permutations of a few factors, so its
+terms share factor objects.  The split centres, the slot bounds take
+the mean and sup of, and the levels scale each distinct factor object
+once, in a table keyed by id that lives for one call: the kernel holds
+every factor meanwhile, so no id is reused, and no value is hashed.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .kernels import (
     SeparableKernel,
     _lookup,
     _modulus,
+    _term,
     _with_terms,
     exact_form,
     kernel_mean,
@@ -68,14 +75,22 @@ def integrate_out(f: SeparableKernel, slot: int) -> SeparableKernel:
 
 def _split_terms(f: SeparableKernel) -> list:
     """Each term as its coefficient, its (E[u], u - E[u]) pairs (base.centre) and their truth values."""
-    pairs = [list(map(f.base.centre, t.factors)) for t in f.terms]
-    return [(t.coeff, p, [(bool(a), bool(b)) for a, b in p]) for t, p in zip(f.terms, pairs)]
+    pair_of, split = {}, []
+    for t in f.terms:
+        pairs = []
+        for u in t.factors:
+            pair = pair_of.get(id(u))
+            if pair is None:
+                pair = pair_of[id(u)] = f.base.centre(u)
+            pairs.append(pair)
+        split.append((t.coeff, pairs, [(bool(a), bool(b)) for a, b in pairs]))
+    return split
 
 
 def _component(f: SeparableKernel, split: list, S) -> SeparableKernel:
     """Q_S f from the split terms: centred factors in S, means elsewhere; no term with a zero factor."""
     picks, pick = [j in S for j in range(f.arity)], operator.getitem
-    return _with_terms(f, tuple(KernelTerm(c, tuple(map(pick, pairs, picks)))
+    return _with_terms(f, tuple(_term(c, tuple(map(pick, pairs, picks)))
                                 for c, pairs, nonzero in split if all(map(pick, nonzero, picks))))
 
 
@@ -94,10 +109,16 @@ def _slot_bounds(f: SeparableKernel) -> list:
 
     At least the slot's kernel_sup_coeff, or inf (a subnormal partial product) or nan; docs/constants.md.
     """
-    base, bounds = f.base, [0.0] * f.arity
+    base, bounds, abs_mean_of, sup_of = f.base, [0.0] * f.arity, {}, {}
     for t in f.terms:
-        means = [abs(base.mean(u)) for u in t.factors]
-        sups = list(map(base.sup_coeff, t.factors)) if any(means) else []
+        means = []
+        for u in t.factors:
+            mean = abs_mean_of.get(id(u))
+            if mean is None:
+                mean = abs_mean_of[id(u)] = abs(base.mean(u))
+            means.append(mean)
+        sups = [sup_of[id(u)] if id(u) in sup_of else sup_of.setdefault(id(u), base.sup_coeff(u))
+                for u in t.factors] if any(means) else []
         for slot, mean in enumerate(means):
             if mean != 0:
                 factors = sups[:slot] + [mean] + sups[slot + 1:]
@@ -194,15 +215,22 @@ def _level(f: SeparableKernel, split: list, m: int) -> SeparableKernel:
     A term whose scaled first factor or any centred factor has no modes is
     dropped, as the kernel's constructor would drop it.
     """
-    terms = []
+    mean_of, scaled, terms = {}, {}, []
     for coeff, pairs, _ in split:
         scalar = 1.0
-        for mean, _ in pairs[m:]:
-            scalar *= f.base.mean(mean)
+        for u, _ in pairs[m:]:
+            mean = mean_of.get(id(u))
+            if mean is None:
+                mean = mean_of[id(u)] = f.base.mean(u)
+            scalar *= mean
         factors = [centred for _, centred in pairs[:m]]
-        factors[0] = scalar * factors[0]
+        key = (id(factors[0]), scalar)  # equal scalars scale to equal bits (docs/constants.md)
+        first = scaled.get(key)
+        if first is None:
+            first = scaled[key] = scalar * factors[0]
+        factors[0] = first
         if all(factors):
-            terms.append(KernelTerm(coeff, tuple(factors)))
+            terms.append(_term(coeff, tuple(factors)))
     return _with_terms(f, tuple(terms), arity=m)
 
 

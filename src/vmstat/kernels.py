@@ -373,6 +373,13 @@ def _with_terms(f: SeparableKernel, terms: tuple, arity: int | None = None) -> S
     return out
 
 
+def _term(coeff: float, factors: tuple) -> KernelTerm:
+    """A term whose coefficient is already a float and whose factors a tuple: no __post_init__."""
+    out = object.__new__(KernelTerm)
+    vars(out).update(coeff=coeff, factors=factors)
+    return out
+
+
 def kernel_eval(f: SeparableKernel, point: Sequence) -> float:
     """Value of the kernel at one tuple of base points.
 

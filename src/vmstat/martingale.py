@@ -240,8 +240,9 @@ def spectral_decompose(g0: SeparableKernel):
     and the kernel equals sum_m lambda_m phi_m(x) phi_m(y).  The base's
     spectral_form gives the kernel's real symmetric matrix in an
     orthonormal basis and the map from an eigenvector to its observable.
-    Pairs with |lambda| <= SPECTRUM_TOL are dropped; the result is
-    sorted by descending |lambda|.
+    Pairs with |lambda| <= SPECTRUM_TOL max(1, max |lambda|) are dropped,
+    so rounding at the scale of large weights leaves none behind; the
+    result is sorted by descending |lambda|.
     """
     if g0.arity != 2:
         raise ValueError("spectral decomposition takes an arity-2 kernel")
@@ -249,7 +250,8 @@ def spectral_decompose(g0: SeparableKernel):
         raise ValueError("spectral decomposition needs a symmetric kernel")
     M, eigenfunction = g0.base.spectral_form(g0)
     w, V = np.linalg.eigh(M)
-    pairs = [(float(w[i]), eigenfunction(V[:, i])) for i in range(len(w)) if abs(w[i]) > SPECTRUM_TOL]
+    tol = SPECTRUM_TOL * max(1.0, np.abs(w).max(initial=0.0))
+    pairs = [(float(w[i]), eigenfunction(V[:, i])) for i in range(len(w)) if abs(w[i]) > tol]
     pairs.sort(key=lambda p: abs(p[0]), reverse=True)
     return pairs
 

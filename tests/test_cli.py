@@ -482,8 +482,8 @@ class TestAnalysisCommands:
         assert captured.out == "" and "not JSON compliant" in captured.err
 
     def test_huge_coefficients_exit_without_traceback(self, tmp_path, capsys):
-        # |c|^2 of a 1e308 coefficient overflows; its L2 norm is inf, which the
-        # JSON output refuses, so the command reports an error, not a traceback
+        # the diagonal multiplies two 1e308 coefficients, so its growth ratio is inf,
+        # which the JSON output refuses: the command reports an error, not a traceback
         data = json.loads((CONFIGS / "degen_doubling.json").read_text())
         for term in data["kernel"]["terms"]:
             for factor in term["factors"]:

@@ -456,6 +456,26 @@ class TestFactorizedPath:
                 for key in keys]
         assert np.array_equal(counts, np.array(want))
 
+    def test_lockstep_counts_on_more_states_than_steps(self):
+        # 729 states over 256 steps: the ring takes ceil(729 / 8) = 92 rows, so
+        # a full ring's count touches at most 8 bins per state it counts, and
+        # the batch of 5 lanes counts 92, 92 and 72 rows
+        s, n = 729, 256
+        chain = random_ergodic_chain(rng_for(729), s)
+        keys = [729 + r for r in range(5)]
+        want = np.array([np.bincount(gen_markov_trajectory(chain, n, key).points, minlength=s)
+                         for key in keys])
+        calls, bincount = [], np.bincount
+
+        def spy(x, minlength):
+            calls.append((len(x), minlength))
+            return bincount(x, minlength=minlength)
+
+        with mock.patch.object(np, "bincount", spy):
+            counts = markov_occupations(chain, n, keys)
+        assert np.array_equal(counts, want)
+        assert calls == [(92 * 5, s * 5), (92 * 5, s * 5), (72 * 5, s * 5)]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 16, 17, 40])
     def test_lockstep_counts_on_chains_with_zero_transitions(self, n):
         # zero entries give repeated cumulative values and cuts at exactly 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import sys
@@ -629,3 +630,54 @@ class TestSymmetricParts:
         d = parts.to_json_dict()
         assert d["R0"] == pytest.approx(3.0)
         assert len(d["parts"]) == 2
+
+
+def _fresh(f: SeparableKernel) -> SeparableKernel:
+    """f with a deep copy of its factor in every slot of every term: no factor object shared."""
+    return SeparableKernel(f.arity, f.base, tuple(KernelTerm(t.coeff, tuple(map(copy.deepcopy, t.factors)))
+                                                  for t in f.terms))
+
+
+def _bits(g: SeparableKernel) -> list:
+    """The terms' reprs (which tell -0.0 from 0.0) and the exact form's arrays as bytes."""
+    form = exact_form(g)
+    arrays = [form.axis, form.codes, form.values, form.first]
+    return [repr(g.to_json_dict())] + [a.tobytes() if a.dtype != object else repr(a.tolist()) for a in arrays]
+
+
+def _algebra_bits(f: SeparableKernel) -> list:
+    """Every output of the split, the symmetric parts and the canonicity checks on f, as bits."""
+    components = hoeffding_components(f)
+    parts = symmetric_parts(f)
+    return ([_bits(f)] + [(sorted(S), _bits(g), is_canonical(g)) for S, g in components.items()]
+            + [repr(parts.constant)] + [(_bits(g), is_canonical(g), is_canonical(g, tol=0.0)) for g in parts.levels])
+
+
+class TestSharedFactors:
+    """The Hoeffding algebra does its per-factor work once per distinct factor object, same bits."""
+
+    def test_c02_corpus_same_bits_shared_or_fresh(self):
+        for f in c02_kernels():
+            assert _algebra_bits(f) == _algebra_bits(_fresh(f))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+           base=st.sampled_from(["circle m=2", "circle m=3", "markov"]))
+    def test_drawn_kernels_same_bits_shared_or_fresh(self, seed, d, base):
+        f = random_symmetric_kernel(seed, d, base)
+        assert _algebra_bits(f) == _algebra_bits(_fresh(f))
+
+    @pytest.mark.parametrize("base", ["circle m=2", "markov"])
+    def test_symmetric_parts_centres_each_distinct_factor_once(self, base, monkeypatch):
+        f = random_symmetric_kernel(28, 4, base)
+        centred = []
+        centre = type(f.base).centre
+
+        def counting(self, u):
+            centred.append(id(u))
+            return centre(self, u)
+
+        monkeypatch.setattr(type(f.base), "centre", counting)
+        symmetric_parts(f)
+        distinct = {id(u) for t in f.terms for u in t.factors}
+        assert sorted(centred) == sorted(distinct) and len(distinct) <= 2 < f.n_terms

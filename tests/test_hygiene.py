@@ -9,8 +9,11 @@ every numpy tolerance comparison states its relative tolerance, every
 tells uint64 phases from points, only ``dynamics`` knows the digit
 window, ``martingale`` names no exact form, no module names a second
 view of a kernel beside the exact form, and only ``_seeding`` makes
-random generators.  Importing the package and its command-line
-reader loads no process pool.
+random generators.  ``id(...)`` is called only inside function bodies,
+and no module- or class-level name or attribute holds a table keyed by
+it: CPython reuses the id of a freed object, so an id-keyed table must
+not outlive the call whose arguments hold its objects.  Importing the
+package and its command-line reader loads no process pool.
 """
 
 from __future__ import annotations
@@ -255,6 +258,71 @@ def test_only_seeding_makes_random_generators():
     elsewhere = {name: calls for name, calls in found.items() if calls and name != "_seeding.py"}
     assert not elsewhere, f"random generators made outside _seeding.py: {elsewhere}"
     assert {name for name, _ in found["_seeding.py"]} == {"Generator", "Philox"}
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _calls_id(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "id"
+               for n in ast.walk(node))
+
+
+def _outside_bodies(node: ast.AST):
+    """Every node outside function bodies: module and class statements, decorators, defaults."""
+    yield node
+    for name, value in ast.iter_fields(node):
+        if not (isinstance(node, _FUNCTIONS) and name == "body"):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    yield from _outside_bodies(child)
+
+
+def _lasting_id_tables(tree: ast.Module) -> list[int]:
+    """Lines of id calls outside function bodies, and of id-keyed lookups or calls on a
+    module- or class-level name (unless rebound locally) or on an attribute."""
+    outside = list(_outside_bodies(tree))
+    held = {n.id for n in outside if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    lines = {n.lineno for n in outside if isinstance(n, ast.Call) and _calls_id(n)}
+    for fn in (n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS)):
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        inner = [n for stmt in body for n in ast.walk(stmt)]
+        shared = {name for n in inner if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+        local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for n in inner:
+            if isinstance(n, ast.Subscript) and _calls_id(n.slice):
+                table = n.value
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and any(map(_calls_id, n.args + [k.value for k in n.keywords]))):
+                table = n.func.value
+            else:
+                continue
+            if isinstance(table, ast.Attribute) or (
+                    isinstance(table, ast.Name) and table.id in held and (table.id in shared or table.id not in local)):
+                lines.add(n.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("KEYS = [id(object)]\n", [1]),
+    ("class A:\n    key = id(object)\n", [2]),
+    ("def f(u, key=id(object)):\n    return u\n", [1]),
+    ("SEEN = {}\ndef f(u):\n    SEEN[id(u)] = u\n", [3]),
+    ("SEEN = {}\ndef f(u):\n    global SEEN\n    SEEN = {}\n    SEEN[id(u)] = u\n", [5]),
+    ("def f(self, u):\n    return self.seen.setdefault(id(u), u)\n", [2]),
+    ("SEEN = {}\ndef f(us):\n    SEEN = {}\n    for u in us:\n        SEEN[id(u)] = u\n    return SEEN\n", []),
+    ("def f(us):\n    seen = {id(u): u for u in us}\n    return [seen[id(u)] for u in us]\n", []),
+])
+def test_lasting_id_tables_are_found(source, lines):
+    assert _lasting_id_tables(ast.parse(source)) == lines
+
+
+def test_id_tables_last_one_call():
+    found = {path.name: _lasting_id_tables(ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert not {name: lines for name, lines in found.items() if lines}, found
+    assert _calls_id(ast.parse((PACKAGE / "hoeffding.py").read_text()))  # the rule has tables to check
 
 
 def test_import_loads_no_process_pool():

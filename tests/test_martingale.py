@@ -470,6 +470,8 @@ class TestSpectral:
         f = SeparableKernel(2, CIRCLE, (KernelTerm(1.0, (p, q)), KernelTerm(1.0, (q, p))))
         lams = sorted(lam for lam, _ in spectral_decompose(f))
         top = 2 * abs(a) * abs(b)
+        # the rank is 2: rounding at 1e17 leaves no weight near 13.8 behind
+        assert len(lams) == 2
         assert abs(lams[0] / top + 1) <= 1e-15 and abs(lams[-1] / top - 1) <= 1e-15
 
     def test_rejects_asymmetric_kernel(self):
